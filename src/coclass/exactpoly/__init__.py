@@ -20,7 +20,17 @@ from .poly import (
     is_squarefree,
     resultant,
 )
-from .roots import ComplexBall, PrecisionExceeded, numeric_roots, real_roots
+
+# `roots` needs mpmath, which no library path uses; load it on first access.
+_LAZY = {"ComplexBall", "PrecisionExceeded", "numeric_roots", "real_roots"}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import roots
+        return getattr(roots, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BigRational", "ComplexBall", "ExactPolyError", "PrecisionExceeded",

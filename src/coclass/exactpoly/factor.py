@@ -77,7 +77,8 @@ def _hensel_step(f, g, h, s, t, m):
 def _hensel_pair(f, g, h, p, bound):
     """Lift f = g*h (mod p) until the modulus exceeds `bound`."""
     s, t, d = _gf_gcdex(g, h, p)
-    assert d == [1], "factors not coprime mod p"
+    if d != [1]:
+        raise ExactPolyError("internal: factors not coprime mod p")
     m = p
     while m < bound:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)

@@ -7,6 +7,8 @@ the crossed-homomorphism <-> holomorph-homomorphism dictionary.
 from __future__ import annotations
 
 import json
+import math
+from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Callable, Dict, Sequence
 
@@ -39,25 +41,116 @@ def _identity_mat(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matmul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    Oi[j] += a * Bt[j]
-    return out
+def _unit_to_gcd(x, N):
+    """A unit u modulo N with u * x = gcd(x, N) modulo N, for x not 0
+    modulo N."""
+    g = math.gcd(x, N)
+    u = pow(x // g, -1, N // g)
+    while math.gcd(u, N) != 1:
+        u += N // g
+    return u
 
 
-def smith_normal_form(M):
+def _smith_mod(M, N):
+    """Smith normal form over Z/N: (S, U, Uinv, V, Vinv) with S = U*M*V
+    diagonal modulo N, U and V invertible modulo N with inverses Uinv and
+    Vinv, and diagonal entries dividing N and each other, 0 standing for N.
+
+    Every entry stays reduced modulo N.  The pivot is scaled by a unit to
+    gcd(pivot, N) and merged by an extended gcd with each entry it does not
+    divide, so it only shrinks, through divisors of N.
+    """
+    S = [[x % N for x in row] for row in M]
+    rows = len(S)
+    cols = len(S[0]) if rows else 0
+    U, Uinv = _identity_mat(rows), _identity_mat(rows)
+    V, Vinv = _identity_mat(cols), _identity_mat(cols)
+
+    def mix_rows(A, i, j, a, b, c, d):
+        """(A[i], A[j]) <- (a A[i] + b A[j], c A[i] + d A[j])."""
+        Ai, Aj = A[i], A[j]
+        A[i] = [(a * x + b * y) % N for x, y in zip(Ai, Aj)]
+        A[j] = [(c * x + d * y) % N for x, y in zip(Ai, Aj)]
+
+    def mix_cols(A, i, j, a, b, c, d):
+        """The same on columns i and j of A."""
+        for r in A:
+            x, y = r[i], r[j]
+            r[i], r[j] = (a * x + b * y) % N, (c * x + d * y) % N
+
+    # a*d - b*c = e is +-1 in every call, so the inverse is e*[[d, -b], [-c, a]]
+    def row_op(i, j, a, b, c, d):
+        e = a * d - b * c
+        mix_rows(S, i, j, a, b, c, d)
+        mix_rows(U, i, j, a, b, c, d)
+        mix_cols(Uinv, i, j, e * d, -e * c, -e * b, e * a)
+
+    def col_op(i, j, a, b, c, d):
+        e = a * d - b * c
+        mix_cols(S, i, j, a, b, c, d)
+        mix_cols(V, i, j, a, b, c, d)
+        mix_rows(Vinv, i, j, e * d, -e * c, -e * b, e * a)
+
+    for t in range(min(rows, cols)):
+        # pivot: an entry generating the largest ideal; G generates the
+        # ideal of all entries left
+        best, G = None, N
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if S[i][j]:
+                    g = math.gcd(S[i][j], N)
+                    G = math.gcd(G, g)
+                    if best is None or g < best[0]:
+                        best = (g, i, j)
+        if best is None:
+            break
+        _, i0, j0 = best
+        if i0 != t:
+            row_op(t, i0, 0, 1, 1, 0)
+        if j0 != t:
+            col_op(t, j0, 0, 1, 1, 0)
+        u = _unit_to_gcd(S[t][t], N)
+        v = pow(u, -1, N)
+        S[t] = [u * x % N for x in S[t]]
+        U[t] = [u * x % N for x in U[t]]
+        for r in Uinv:
+            r[t] = v * r[t] % N
+        while True:
+            for i in range(t + 1, rows):
+                y, p = S[i][t], S[t][t]
+                if y % p:
+                    g, a, b = _xgcd(p, y)
+                    row_op(t, i, a, b, y // g, -(p // g))
+                elif y:
+                    row_op(i, t, 1, -(y // p), 0, 1)
+            for j in range(t + 1, cols):
+                y, p = S[t][j], S[t][t]
+                if y % p:
+                    g, a, b = _xgcd(p, y)
+                    col_op(t, j, a, b, y // g, -(p // g))
+                elif y:
+                    col_op(j, t, 1, -(y // p), 0, 1)
+            if any(S[i][t] for i in range(t + 1, rows)):
+                continue
+            # divisibility chain: unless the pivot generates G, pull an
+            # entry it does not divide into row t and clear again
+            p = S[t][t]
+            if p == G:
+                break
+            bad = next(i for i in range(t + 1, rows)
+                       if any(S[i][j] % p for j in range(t + 1, cols)))
+            row_op(t, bad, 1, 1, 0, 1)
+    return S, U, Uinv, V, Vinv
+
+
+def smith_normal_form(M, modulus=None):
     """Return (S, U, Uinv, V, Vinv) with S = U*M*V diagonal, s_i | s_{i+1},
-    U, V unimodular."""
+    U, V unimodular.
+
+    With a modulus N the same holds modulo N (see _smith_mod), with entries
+    that cannot grow.  Over Z the entries can grow without bound."""
+    if modulus:
+        return _smith_mod(M, modulus)
     S = [row[:] for row in M]
     rows = len(S)
     cols = len(S[0]) if rows else 0
@@ -173,74 +266,166 @@ def _diag(S):
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
-def kernel_basis(W):
-    """Basis of the integer kernel of W, as a list of column vectors."""
-    if not W or not W[0]:
-        cols = len(W[0]) if W else 0
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    S, _, _, V, _ = smith_normal_form(W)
-    d = _diag(S)
-    r = sum(1 for x in d if x)
-    cols = len(W[0])
-    return [[V[i][j] for i in range(cols)] for j in range(r, cols)]
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
 
 
-def lattice_basis(gens):
-    """Basis of the lattice spanned by the given column vectors (each a list
-    of length a); returns a list of basis columns."""
-    if not gens:
-        return []
-    a = len(gens[0])
-    M = [[g[i] for g in gens] for i in range(a)]
-    S, _, Uinv, _, _ = smith_normal_form(M)
-    d = _diag(S)
-    out = []
-    for j, s in enumerate(d):
-        if s:
-            out.append([Uinv[i][j] * s for i in range(a)])
+def _axpy(y, c, x, mods):
+    """y += c * x in place for sparse vectors (dicts index -> nonzero
+    entry), entry i reduced modulo mods[i] when mods is given."""
+    get = y.get
+    for i, v in x.items():
+        t = get(i, 0) + c * v
+        if mods:
+            t %= mods[i]
+        if t:
+            y[i] = t
+        else:
+            y.pop(i, None)
+
+
+def _combine(c, u, d, v, mods):
+    """The sparse vector c*u + d*v, reduced as in _axpy."""
+    out = {}
+    for w, x in ((c, u), (d, v)):
+        if w:
+            _axpy(out, w, x, mods)
     return out
 
 
-class LatticeSolver:
-    """Solves B y = z over the integers for a fixed full-column-rank basis
-    matrix B (columns = basis vectors)."""
+def _echelon(pool, row_mods=None, col_mods=None):
+    """Echelon form of the columns (image, source) in pool, both parts
+    sparse dicts; image entry r is taken modulo row_mods[r] and source entry
+    j modulo col_mods[j] where these are given, over Z otherwise.
 
-    def __init__(self, basis_cols):
-        self.k = len(basis_cols)
-        self.a = len(basis_cols[0]) if basis_cols else 0
-        B = [[c[i] for c in basis_cols] for i in range(self.a)]
-        self.S, self.U, _, self.V, _ = smith_normal_form(B)
-        self.d = _diag(self.S)
+    Returns (pivots, kernel): pivots maps a row r to the one column whose
+    image leads at r, and kernel lists the nonzero sources whose image
+    became zero.  A column leads at its last nonzero row; eliminating from
+    the bottom keeps the bar-resolution coboundaries sparse, with about a
+    fifth of the work of eliminating from the top when |G| is 12 to 24.
+    Two columns leading at the same row are merged by an extended gcd.
+    Modulo m_r a column leading with g is scaled to lead with gcd(g, m_r),
+    and its multiple by m_r / gcd(g, m_r) from before the scaling, whose
+    row r vanishes, goes back into the pool.  That is the Howell step of
+    Storjohann and Mulders ("Fast algorithms for linear algebra modulo N",
+    ESA 1998): afterwards any image the columns span that vanishes after
+    row r has its row r entry divisible by the pivot's, so no torsion
+    element is lost and division by the pivots finds coordinates.
+    """
 
-    def solve(self, z):
-        """Integer y with B y = z, or None."""
-        w = [sum(self.U[i][t] * z[t] for t in range(self.a))
-             for i in range(self.a)]
-        y = [0] * self.k
-        for i in range(self.a):
-            if i < len(self.d) and self.d[i]:
-                if w[i] % self.d[i]:
-                    return None
-                y[i] = w[i] // self.d[i]
-            elif w[i]:
-                return None
-        return [sum(self.V[i][t] * y[t] for t in range(self.k))
-                for i in range(self.k)]
+    def lin(c, u, d=0, v=({}, {})):
+        """The column c*u + d*v."""
+        return (_combine(c, u[0], d, v[0], row_mods),
+                _combine(c, u[1], d, v[1], col_mods))
+
+    pool = pool[::-1]
+    pivots = {}
+    kernel = []
+    while pool:
+        col = lin(1, pool.pop())
+        rows = [-i for i in col[0]]  # max-heap of the image's rows
+        heapify(rows)
+        while rows:
+            r = -heappop(rows)
+            x = col[0].get(r)
+            if not x:
+                continue
+            m = row_mods[r] if row_mods else 0
+            piv = pivots.get(r)
+            if piv is None:
+                if m:
+                    g, u, _ = _xgcd(x, m)
+                    pool.append(lin(m // g, col))
+                    if u != 1:
+                        col = lin(u, col)
+                pivots[r] = col
+                break
+            for i in piv[0]:  # rows below r that the pivot brings in
+                if i not in col[0]:
+                    heappush(rows, -i)
+            p = piv[0][r]
+            if x % p == 0:
+                _axpy(col[0], -(x // p), piv[0], row_mods)
+                _axpy(col[1], -(x // p), piv[1], col_mods)
+                continue
+            g, s, t = _xgcd(p, x)
+            piv, col = lin(s, piv, t, col), lin(x // g, piv, -p // g, col)
+            pivots[r] = piv
+            if m:
+                pool.append(lin(m // g, piv))
+        else:
+            if col[1]:
+                kernel.append(col[1])
+    return pivots, kernel
+
+
+def kernel_basis(W, row_mods=None, col_mods=None):
+    """Kernel of the integer matrix W, by sparse column elimination.
+
+    W is a list of dense rows, or a list of sparse columns (dicts row ->
+    nonzero entry).  Without moduli the result is a basis of the integer
+    kernel, as a list of vectors.  With row_mods, row r is an equation
+    modulo row_mods[r], and with col_mods coordinate j is reduced modulo
+    col_mods[j], where W must send col_mods[j] * e_j to zero modulo the row
+    moduli.  The result together with the vectors col_mods[j] * e_j then
+    generates the lattice of integer x with W x = 0 modulo the row moduli.
+    """
+    if W and not isinstance(W[0], dict):
+        W = [{i: row[j] for i, row in enumerate(W) if row[j]}
+             for j in range(len(W[0]))]
+    _, kernel = _echelon([(col, {j: 1}) for j, col in enumerate(W)],
+                         row_mods, col_mods)
+    return [[v.get(j, 0) for j in range(len(W))] for v in kernel]
+
+
+def lattice_basis(gens, modulus=None):
+    """Basis of the lattice spanned by the given column vectors (each a list
+    of length a), in echelon form; returns a list of basis columns.
+
+    With a modulus N the lattice is the one spanned by the vectors and by
+    N * Z^a, and entries are reduced modulo N as the echelon form is built,
+    so they stay below N; the basis then has a columns."""
+    if not gens:
+        return []
+    a = len(gens[0])
+    pivots, _ = _echelon([({i: x for i, x in enumerate(g) if x}, {})
+                          for g in gens], [modulus] * a if modulus else None)
+    if modulus:
+        cols = [pivots[r][0] if r in pivots else {r: modulus}
+                for r in range(a)]
+    else:
+        cols = [pivots[r][0] for r in sorted(pivots)]
+    return [[c.get(i, 0) for i in range(a)] for c in cols]
 
 
 # ---------------------------------------------------------------------------
 # G-modules and cochains
 # ---------------------------------------------------------------------------
 
+def _check_caps(group: PermGroup, module: FiniteAbelian):
+    """Raise UnsupportedSize past the caps, enumerating at most
+    GROUP_CAP + 1 elements of the group."""
+    if module.order > MODULE_CAP or not group.order_at_most(GROUP_CAP):
+        raise UnsupportedSize("group/module size exceeds desk caps")
+
+
 class FiniteGModule:
     """A finite abelian module with an action of a finite (permutation)
     group, the action given as a dict Perm -> automorphism dict."""
 
     def __init__(self, group: PermGroup, module: FiniteAbelian, action: Dict):
+        _check_caps(group, module)
         self.group = group
         self.module = module
-        if group.order > GROUP_CAP or module.order > MODULE_CAP:
-            raise UnsupportedSize("group/module size exceeds desk caps")
         self.action = dict(action)
         els = sorted(group.elements)
         ident = Perm.identity(group.n)
@@ -260,6 +445,7 @@ class FiniteGModule:
 
     @staticmethod
     def trivial(group: PermGroup, module: FiniteAbelian) -> "FiniteGModule":
+        _check_caps(group, module)
         ident = {m: m for m in module.elements}
         return FiniteGModule(group, module,
                              {g: ident for g in group.elements})
@@ -268,6 +454,7 @@ class FiniteGModule:
     def from_generator_action(group: PermGroup, module: FiniteAbelian,
                               gen_action: Dict) -> "FiniteGModule":
         """Extend an action given on generators to the whole group."""
+        _check_caps(group, module)
         ident = Perm.identity(group.n)
         action = {ident: {m: m for m in module.elements}}
         frontier = [ident]
@@ -424,52 +611,58 @@ def _vector_to_cochain(gm, n, vec):
 
 
 def _boundary_matrix(gm: FiniteGModule, n: int):
-    """Integer matrix of the coboundary C^n -> C^{n+1} in the cyclic
-    coordinates (rows: C^{n+1} coords, cols: C^n coords)."""
-    M = gm.module
-    k = len(M.cyclic_orders)
-    src = _tuples(gm, n)
-    dst = _tuples(gm, n + 1)
-    src_index = {t: i for i, t in enumerate(src)}
-    rows = len(dst) * k
-    cols = len(src) * k
-    F = [[0] * cols for _ in range(rows)]
+    """The coboundary C^n -> C^{n+1} as an integer matrix in the cyclic
+    coordinates, given by its |G|^n * k columns (one per C^n coordinate),
+    each a dict from C^{n+1} coordinate (row) to nonzero entry."""
+    if n not in (0, 1, 2):
+        raise GroupCohError("degree must be 0..2")
+    k = len(gm.module.cyclic_orders)
+    src_index = {t: i for i, t in enumerate(_tuples(gm, n))}
+    cols = [{} for _ in range(len(src_index) * k)]
+    act = {g: gm.action_matrix(g) for g in gm.elements}
 
-    def add_block(dst_i, src_t, mat_or_sign):
+    def add_block(dst_i, src_t, A):
+        """Add the k x k block A, or A times the identity for an int A."""
         j0 = src_index[src_t] * k
         i0 = dst_i * k
-        if mat_or_sign in (1, -1):
-            for t in range(k):
-                F[i0 + t][j0 + t] += mat_or_sign
-        else:
-            A = mat_or_sign
+        for s in range(k):
+            col = cols[j0 + s]
             for r in range(k):
-                for s in range(k):
-                    F[i0 + r][j0 + s] += A[r][s]
+                v = (A if r == s else 0) if isinstance(A, int) else A[r][s]
+                if v:
+                    col[i0 + r] = col.get(i0 + r, 0) + v
 
-    for di, key in enumerate(dst):
+    for di, key in enumerate(_tuples(gm, n + 1)):
         if n == 0:
             (g,) = key
-            add_block(di, (), gm.action_matrix(g))
+            add_block(di, (), act[g])
             add_block(di, (), -1)
         elif n == 1:
             g, h = key
-            add_block(di, (h,), gm.action_matrix(g))
+            add_block(di, (h,), act[g])
             add_block(di, (g * h,), -1)
             add_block(di, (g,), 1)
-        elif n == 2:
+        else:
             g, h, kk = key
-            add_block(di, (h, kk), gm.action_matrix(g))
+            add_block(di, (h, kk), act[g])
             add_block(di, (g * h, kk), -1)
             add_block(di, (g, h * kk), 1)
             add_block(di, (g, h), -1)
-        else:
-            raise GroupCohError("degree must be 0..2")
-    return F
+    return [{i: v for i, v in col.items() if v} for col in cols]
 
 
 class CoclassSet:
-    """H^n(G, M): invariant factors, representatives, and coset reduction."""
+    """H^n(G, M): invariant factors, representatives, and coset reduction.
+
+    Cochains are vectors in the cyclic coordinates, each entry modulo the
+    order of its cyclic factor.  The cocycles Z^n, the kernel of the
+    coboundary modulo those orders, are kept in Howell form: basis cocycles
+    h_1..h_z with distinct leading coordinates, in which every cocycle has
+    integer coordinates found by division.  H^n is Z^z modulo the relations
+    among the h_i and the coordinates of the coboundaries; Smith normal
+    form of that relation lattice gives the invariant factors s_i and a
+    basis E of Z^z in which the relations are spanned by the s_i * E_i.
+    """
 
     def __init__(self, gm: FiniteGModule, degree: int):
         if degree not in (0, 1, 2):
@@ -478,64 +671,79 @@ class CoclassSet:
         self.degree = degree
         M = gm.module
         k = len(M.cyclic_orders)
-        src = _tuples(gm, degree)
-        a = len(src) * k
+        a = len(gm.elements) ** degree * k
         mods = [M.cyclic_orders[i % k] for i in range(a)]
-        # Z^n: lattice of integer vectors x with d^n(x) = 0 mod target moduli
-        F = _boundary_matrix(gm, degree)
-        b = len(F)
-        W = [F[i] + [M.cyclic_orders[i % k] if j == i else 0
-                     for j in range(b)]
-             for i in range(b)]
-        kb = kernel_basis(W)
-        zgens = [v[:a] for v in kb]
-        zgens += [[mods[i] if j == i else 0 for j in range(a)][:a]
-                  for i in range(a)]
-        self._zbasis = lattice_basis(zgens)
-        if len(self._zbasis) != a:
-            raise GroupCohError("cocycle lattice rank defect")
-        # B^n: image lattice of d^{n-1} plus the modulus relations
-        bgens = [[mods[i] if j == i else 0 for j in range(a)]
-                 for i in range(a)]
-        if degree > 0:
-            Gmat = _boundary_matrix(gm, degree - 1)
-            for j in range(len(Gmat[0])):
-                bgens.append([Gmat[i][j] for i in range(a)])
-        bbasis = lattice_basis(bgens)
-        # express B-basis in Z-basis coordinates and take SNF
-        zsolver = LatticeSolver(self._zbasis)
-        C = []
-        for col in bbasis:
-            y = zsolver.solve(col)
-            if y is None:
-                raise GroupCohError("coboundary outside cocycle lattice")
-            C.append(y)
-        Cmat = [[C[j][i] for j in range(len(C))] for i in range(a)]
-        S, _, Uinv, _, _ = smith_normal_form(Cmat)
-        d = _diag(S)
-        # new basis E of Z^n in which B^n is spanned by s_i * E_i
-        ZB = [[self._zbasis[j][i] for j in range(a)] for i in range(a)]
-        E = _matmul(ZB, Uinv)
-        self._E_cols = [[E[i][j] for i in range(a)] for j in range(a)]
-        self._esolver = LatticeSolver(self._E_cols)
-        self.invariants = [d[i] if i < len(d) else 0 for i in range(a)]
-        if any(s == 0 for s in self.invariants):
-            raise GroupCohError("cohomology not finite (internal error)")
         self._a = a
-        self._k = k
-        live = [(i, s) for i, s in enumerate(self.invariants) if s > 1]
-        self._live = live
+        self._mods = mods
+        # Z^n: cochains x with d^n(x) = 0 modulo the target moduli
+        zgens = kernel_basis(_boundary_matrix(gm, degree),
+                             mods * len(gm.elements), mods)
+        howell, _ = _echelon([({j: x for j, x in enumerate(v) if x}, {})
+                              for v in zgens], mods)
+        self._howell = {r: h for r, (h, _) in howell.items()}
+        self._lead = sorted(howell, reverse=True)
+        z = len(self._lead)
+        # relations: (m_r / g_r) * h_r lies in the span of the later h's
+        rels = []
+        for i, r in enumerate(self._lead):
+            q = mods[r] // self._howell[r][r]
+            rel = self._coords({j: q * x for j, x in self._howell[r].items()})
+            if rel is None:
+                raise GroupCohError("cocycle basis not in Howell form "
+                                    "(internal error)")
+            rel[i] -= q
+            rels.append(rel)
+        # B^n: the image of d^{n-1}
+        if degree > 0:
+            for col in _boundary_matrix(gm, degree - 1):
+                y = self._coords(col)
+                if y is None:
+                    raise GroupCohError("coboundary outside cocycle lattice")
+                rels.append(y)
+        # M has exponent e, so e * Z^z lies among the relations
+        basis = lattice_basis(rels, M.exponent)
+        S, self._U, Uinv, _, _ = smith_normal_form(
+            [[col[i] for col in basis] for i in range(z)], M.exponent)
+        d = [s or M.exponent for s in _diag(S)]
+        self.invariants = [1] * (a - z) + d
+        self._live = [(i, s, self._vector([row[i] for row in Uinv]))
+                      for i, s in enumerate(d) if s > 1]
         self.order = 1
-        for _, s in live:
+        for _, s, _ in self._live:
             self.order *= s
-        self.representatives = []
-        for combo in product(*(range(s) for _, s in live)):
-            vec = [0] * a
-            for (idx, _), c in zip(live, combo):
-                col = self._E_cols[idx]
-                for t in range(a):
-                    vec[t] += c * col[t]
-            self.representatives.append(_vector_to_cochain(gm, degree, vec))
+        self.representatives = [
+            self._combination(zip(combo, (e for _, _, e in self._live)))
+            for combo in product(*(range(s) for _, s, _ in self._live))]
+
+    def _coords(self, v):
+        """Integer coordinates of the integer cochain vector v (a sparse
+        dict) in the Howell basis of Z^n, or None if v is not a cocycle."""
+        v = _combine(1, v, 0, None, self._mods)
+        y = [0] * len(self._lead)
+        for i, r in enumerate(self._lead):
+            x = v.get(r, 0)
+            if x:
+                h = self._howell[r]
+                if x % h[r]:
+                    return None
+                y[i] = x // h[r]
+                _axpy(v, -y[i], h, self._mods)
+        return None if v else y
+
+    def _vector(self, y):
+        """The cochain vector with coordinates y in the Howell basis."""
+        out = {}
+        for c, r in zip(y, self._lead):
+            _axpy(out, c, self._howell[r], self._mods)
+        return [out.get(j, 0) for j in range(self._a)]
+
+    def _combination(self, terms):
+        """The cochain sum of c * e over the pairs (c, e) in terms."""
+        vec = [0] * self._a
+        for c, e in terms:
+            for t, x in enumerate(e):
+                vec[t] += c * x
+        return _vector_to_cochain(self.gm, self.degree, vec)
 
     def reduce(self, c: Cochain) -> Cochain:
         """The canonical representative cohomologous to the cocycle c."""
@@ -545,16 +753,11 @@ class CoclassSet:
         if not coboundary(c).is_zero():
             raise GroupCohError("not a cocycle")
         vec = _cochain_to_vector(c)
-        y = self._esolver.solve(vec)
+        y = self._coords({j: x for j, x in enumerate(vec) if x})
         if y is None:
             raise GroupCohError("cocycle outside lattice (internal error)")
-        out = [0] * self._a
-        for (idx, s) in self._live:
-            cc = y[idx] % s
-            col = self._E_cols[idx]
-            for t in range(self._a):
-                out[t] += cc * col[t]
-        return _vector_to_cochain(self.gm, self.degree, out)
+        w = [sum(u * x for u, x in zip(row, y)) for row in self._U]
+        return self._combination((w[i] % s, e) for i, s, e in self._live)
 
     def same_class(self, c1: Cochain, c2: Cochain) -> bool:
         return self.reduce(c1) == self.reduce(c2)
@@ -722,7 +925,6 @@ def _check_h_linear(X: FiniteGModule, Y: FiniteGModule, H: PermGroup, f: Dict):
     for m in X.module.elements:
         if f[m] not in Y.module.elements:
             raise GroupCohError("f does not map into Y")
-    z = X.module.zero()
     for m in X.module.elements:
         for m2 in X.module.elements:
             if f[X.module.add(m, m2)] != Y.module.add(f[m], f[m2]):
@@ -731,7 +933,6 @@ def _check_h_linear(X: FiniteGModule, Y: FiniteGModule, H: PermGroup, f: Dict):
         for m in X.module.elements:
             if f[X.act(h, m)] != Y.act(h, f[m]):
                 raise GroupCohError("f is not H-linear")
-    assert f[z] == Y.module.zero()
 
 
 def induced_map(X: FiniteGModule, Y: FiniteGModule, H: PermGroup, f: Dict):

@@ -254,7 +254,8 @@ def c3_decode(L: EtaleAlgebra):
     if p == 0:
         # pure Kummer branch: T' split, datum u = -q with delta = (u, 1/u)
         u = -q
-        assert d == 1
+        if d != 1:
+            raise KummerError("internal: pure cubic whose -3D is not a square")
         delta = QuadElem.of(1, (u + 1 / u) / 2, (u - 1 / u) / 2)
         return CoclassC3(SquareClass(D), delta), True
     s_rad = q * q + Fraction(4, 27) * p ** 3

@@ -160,23 +160,37 @@ class PermGroup:
             gens.append(Perm(tuple(list(range(1, n)) + [0])))
         return PermGroup(n, gens)
 
+    def _enumerate(self, limit=None):
+        """Close the generators under products and cache the elements; give
+        up, returning None, as soon as there are more than `limit`."""
+        e = Perm.identity(self.n)
+        seen = {e}
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for g in self.generators:
+                    q = p * g
+                    if q not in seen:
+                        seen.add(q)
+                        if limit is not None and len(seen) > limit:
+                            return None
+                        nxt.append(q)
+            frontier = nxt
+        self._elements = frozenset(seen)
+        return self._elements
+
     @property
     def elements(self) -> frozenset:
         if self._elements is None:
-            e = Perm.identity(self.n)
-            seen = {e}
-            frontier = [e]
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for g in self.generators:
-                        q = p * g
-                        if q not in seen:
-                            seen.add(q)
-                            nxt.append(q)
-                frontier = nxt
-            self._elements = frozenset(seen)
+            self._enumerate()
         return self._elements
+
+    def order_at_most(self, cap: int) -> bool:
+        """Whether |G| <= cap, enumerating no more than cap + 1 elements."""
+        if self._elements is None:
+            return self._enumerate(cap) is not None
+        return len(self._elements) <= cap
 
     @property
     def order(self) -> int:

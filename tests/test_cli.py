@@ -155,6 +155,14 @@ def test_coh_lemma53_smoke():
                        "schema": 1, "status": "ok"}
 
 
+def test_coh_h_oversized_group_exit_3():
+    # Sym(9) is rejected before it is enumerated
+    payload = err(["coh", "h", "--n", "9", "--gens",
+                   "(0 1 2 3 4 5 6 7 8);(0 1)", "--orders", "2",
+                   "--degree", "1"], 3)
+    assert payload["code"] == "unsupported"
+
+
 def test_coh_h_inconsistent_action_exit_2():
     err(["coh", "h", "--n", "2", "--gens", "(0 1)", "--orders", "2",
          "--action", "(0 1):0", "--degree", "1"], 2)

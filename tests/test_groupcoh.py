@@ -5,11 +5,13 @@ Hom(C2,C2); brute-force scan of all 3^6 maps with the crossed-hom law for
 (S3, C3-sign); restriction-corestriction arithmetic for H^2).
 """
 
+import math
 import random
 
 import pytest
 
 from coclass.groupcoh import (
+    _boundary_matrix,
     Cochain,
     CoclassSet,
     FiniteGModule,
@@ -97,6 +99,28 @@ def test_snf_transforms_consistent():
                for j in range(rows)] for i in range(rows)]
         assert UU == [[1 if i == j else 0 for j in range(rows)]
                       for i in range(rows)]
+
+
+def test_snf_modulo_n_matches_integer_form():
+    rng = random.Random(11)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        N = rng.choice([2, 4, 6, 8, 12, 30])
+        M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        S, U, Uinv, V, _ = smith_normal_form(M, N)
+        UMV = [[sum(U[i][s] * M[s][t] * V[t][j] for s in range(rows)
+                    for t in range(cols)) % N for j in range(cols)]
+               for i in range(rows)]
+        assert UMV == S
+        assert all(S[i][j] == 0 for i in range(rows) for j in range(cols)
+                   if i != j)
+        UU = [[sum(U[i][t] * Uinv[t][j] for t in range(rows)) % N
+               for j in range(rows)] for i in range(rows)]
+        assert UU == [[int(i == j) for j in range(rows)] for i in range(rows)]
+        # Z^rows / M (x) Z/N: the Smith form over Z, each entry gcd'd with N
+        d = [S[i][i] or N for i in range(min(rows, cols))]
+        Z = smith_normal_form(M)[0]
+        assert d == [math.gcd(Z[i][i], N) for i in range(min(rows, cols))]
 
 
 def test_kernel_basis():
@@ -221,6 +245,121 @@ def test_size_cap():
     big = PermGroup.symmetric(5)  # order 120 > 24
     with pytest.raises(UnsupportedSize):
         FiniteGModule.trivial(big, FiniteAbelian([2]))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the dense Smith-form route to H^n
+# ---------------------------------------------------------------------------
+
+def _snf_lattice_basis(gens, a):
+    """Basis of the lattice the vectors gens span in Z^a, by Smith form."""
+    S, _, Uinv, _, _ = smith_normal_form([[g[i] for g in gens]
+                                          for i in range(a)])
+    return [[Uinv[i][j] * S[j][j] for i in range(a)]
+            for j in range(min(a, len(gens))) if S[j][j]]
+
+
+def _dense_invariants(gm, n):
+    """Invariant factors of H^n by dense Smith form over Z alone: Z^n from
+    the kernel of [F | diag(m)], then B^n in coordinates of a basis of Z^n."""
+    M = gm.module
+    k = len(M.cyclic_orders)
+    cols = _boundary_matrix(gm, n)
+    a = len(cols)
+    b = len(gm.elements) ** (n + 1) * k
+    W = [[c.get(i, 0) for c in cols]
+         + [M.cyclic_orders[i % k] if j == i else 0 for j in range(b)]
+         for i in range(b)]
+    S, _, _, V, _ = smith_normal_form(W)
+    rank = sum(1 for i in range(b) if S[i][i])
+
+    def unit(j):
+        return [M.cyclic_orders[j % k] if i == j else 0 for i in range(a)]
+
+    zbasis = _snf_lattice_basis([[V[i][j] for i in range(a)]
+                                 for j in range(rank, a + b)]
+                                + [unit(j) for j in range(a)], a)
+    bgens = [unit(j) for j in range(a)]
+    if n:
+        bgens += [[c.get(i, 0) for i in range(a)]
+                  for c in _boundary_matrix(gm, n - 1)]
+    # B^n in Z^n coordinates, solved through the Smith form of the Z basis
+    S, U, _, V, _ = smith_normal_form([[z[i] for z in zbasis]
+                                       for i in range(a)])
+    coords = []
+    for col in _snf_lattice_basis(bgens, a):
+        w = [sum(u * x for u, x in zip(U[i], col)) for i in range(a)]
+        assert all(w[i] % S[i][i] == 0 for i in range(a))
+        y = [w[i] // S[i][i] for i in range(a)]
+        coords.append([sum(v * x for v, x in zip(V[i], y)) for i in range(a)])
+    S = smith_normal_form([[c[i] for c in coords] for i in range(a)])[0]
+    return [S[i][i] for i in range(a)]
+
+
+_GROUPS = {
+    "C3": (3, ["(0 1 2)"]), "C4": (4, ["(0 1 2 3)"]),
+    "V4": (4, ["(0 1)(2 3)", "(0 2)(1 3)"]), "C5": (5, ["(0 1 2 3 4)"]),
+    "S3": (3, ["(0 1 2)", "(0 1)"]), "C6": (6, ["(0 1 2 3 4 5)"]),
+    "D4": (4, ["(0 1 2 3)", "(0 2)"]), "A4": (4, ["(0 1 2)", "(0 1)(2 3)"]),
+    "S4": (4, ["(0 1 2 3)", "(0 1)"]),
+}
+
+
+def _trivial(name, orders):
+    n, gens = _GROUPS[name]
+    return FiniteGModule.trivial(PermGroup.from_cycle_strings(n, gens),
+                                 FiniteAbelian(orders))
+
+
+def _cyclic_by_multiplier(n, m, u):
+    """C_n, generated by an n-cycle, acting on Z/m through x -> u*x."""
+    cycle = "(%s)" % " ".join(map(str, range(n)))
+    G = PermGroup.from_cycle_strings(n, [cycle])
+    M = FiniteAbelian([m])
+    phi = {x: ((u * x[0]) % m,) for x in M.elements}
+    return FiniteGModule.from_generator_action(G, M, {G.generators[0]: phi})
+
+
+_ORACLE_MODULES = (
+    [(f"{g} trivial on {M}", lambda g=g, M=M: _trivial(g, M))
+     for g in ("C3", "C4", "V4", "C5", "S3", "C6")
+     for M in ([2], [3], [4], [2, 2])]
+    + [("S3 on Z/3 by sign", s3_c3_sign), ("S3 permuting V4", s3_on_v4),
+       ("C4 on Z/5 by 2x", lambda: _cyclic_by_multiplier(4, 5, 2)),
+       # composite moduli, where a gcd cofactor need not be a unit
+       ("C3 on Z/14 by 11x", lambda: _cyclic_by_multiplier(3, 14, 11)),
+       ("C4 on Z/10 by 3x", lambda: _cyclic_by_multiplier(4, 10, 3))]
+    + [(f"C2 by inversion on Z/{m}",
+        lambda m=m: _cyclic_by_multiplier(2, m, -1)) for m in range(2, 17)])
+
+
+@pytest.mark.parametrize("name,maker", _ORACLE_MODULES,
+                         ids=[name for name, _ in _ORACLE_MODULES])
+def test_invariants_match_dense_smith_route(name, maker):
+    gm = maker()
+    for n in (0, 1, 2):
+        assert cohomology(gm, n).invariants == _dense_invariants(gm, n), n
+
+
+@pytest.mark.parametrize("group", ["C3", "C4", "V4", "S3"])
+def test_coprime_cyclic_factors_match_the_cyclic_module(group):
+    # Z/2 x Z/3 = Z/6.  The dense route does not finish on the split form,
+    # whose mixed moduli make its entries grow without bound.
+    for n in (0, 1, 2):
+        split = cohomology(_trivial(group, [2, 3]), n).invariants
+        cyclic = _dense_invariants(_trivial(group, [6]), n)
+        assert [s for s in split if s > 1] == [s for s in cyclic if s > 1]
+
+
+@pytest.mark.parametrize("group,orders,order,invariants", [
+    ("D4", [2, 2], 64, [2] * 6),   # H^2(D4, Z/2) = (Z/2)^3
+    ("A4", [2], 2, [2]),           # Schur multiplier Z/2, A4^ab = Z/3
+    ("S4", [2, 2], 16, [2] * 4),   # H^2(S4, Z/2) = (Z/2)^2
+])
+def test_h2_closed_forms_beyond_order_six(group, orders, order, invariants):
+    h2 = cohomology(_trivial(group, orders), 2)
+    assert h2.order == order
+    assert [s for s in h2.invariants if s > 1] == invariants
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,19 @@ def test_symmetric_orders():
         assert PermGroup.symmetric(n).order == order
 
 
+def test_order_at_most_stops_past_the_cap(monkeypatch):
+    products = []
+    mul = Perm.__mul__
+    monkeypatch.setattr(Perm, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    big = PermGroup.from_cycle_strings(9, ["(0 1 2 3 4 5 6 7 8)", "(0 1)"])
+    assert not big.order_at_most(24)
+    assert len(products) <= 2 * 25  # 9! = 362880 elements never built
+    S4 = PermGroup.symmetric(4)
+    assert S4.order_at_most(24) and not S4.order_at_most(23)
+    assert S4.order == 24
+
+
 def test_group_closure_divides():
     G = PermGroup.from_cycle_strings(4, ["(0 1 2 3)", "(0 2)"])
     assert G.order == 8  # dihedral

@@ -1,0 +1,30 @@
+"""Checks on the package source and on what importing it costs."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import coclass
+
+SRC = Path(coclass.__file__).resolve().parent
+
+
+def test_no_assert_statements_in_library():
+    # `python -O` strips asserts, so invariants must raise instead
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, found
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, coclass.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
