@@ -195,9 +195,7 @@ def cmd_group(args):
     if args.action_name == "structures":
         image = _parse_group(args.n, args.image)
         G = _parse_group(args.n, args.group)
-        count = permstruct.count_g_structures(image, G)
-        if isinstance(count, tuple):
-            count = count[0]
+        count, _ = permstruct.count_g_structures(image, G)
         return {"count": count}
     if args.action_name == "centralizer":
         H = _parse_group(args.n, args.gens)
@@ -554,9 +552,7 @@ def _suite_structures(rng):
     triv = PermGroup(4, [])
     expect = [(C4, C4, 2), (triv, C4, 6), (S4, S4, 1)]
     for image, G, want in expect:
-        count = permstruct.count_g_structures(image, G)
-        if isinstance(count, tuple):
-            count = count[0]
+        count, _ = permstruct.count_g_structures(image, G)
         cases += 1
         passed += (count == want)
     for orders, n in [([2], 2), ([3], 3), ([4], 4), ([2, 2], 4)]:
@@ -637,8 +633,6 @@ _COMMANDS = {
 
 def _build_parser(cmd: str, sub: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=f"coclass {cmd} {sub}")
-    p.add_argument("--json", action="store_true", default=True)
-    p.add_argument("--precision-bits", type=int, default=64)
     if cmd == "poly":
         p.add_argument("--f", required=True)
     elif cmd == "etale":
@@ -726,7 +720,7 @@ def run(argv):
     i = 0
     while i < len(raw):
         tok = raw[i]
-        if tok.startswith("--") and "=" not in tok and tok != "--json" \
+        if tok.startswith("--") and "=" not in tok \
                 and i + 1 < len(raw) and not raw[i + 1].startswith("--"):
             merged.append(f"{tok}={raw[i + 1]}")
             i += 2

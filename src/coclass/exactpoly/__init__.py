@@ -12,7 +12,6 @@ from .extension import (
 )
 from .factor import factor_rationals, factor_squarefree, is_irreducible, squarefree_decomposition
 from .poly import (
-    BigRational,
     ExactPolyError,
     RationalPoly,
     discriminant,
@@ -33,7 +32,7 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BigRational", "ComplexBall", "ExactPolyError", "PrecisionExceeded",
+    "ComplexBall", "ExactPolyError", "PrecisionExceeded",
     "RationalPoly", "compositum_factors", "discriminant", "factor_rationals",
     "extension_automorphisms",
     "factor_squarefree", "fields_isomorphic", "gcd", "has_root_in_extension",

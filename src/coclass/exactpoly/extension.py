@@ -26,7 +26,7 @@ def trager_norm(f: RationalPoly, g: RationalPoly, lam: Fraction) -> RationalPoly
             xs.append(Fraction(x0))
             ys.append(resultant(f, shifted))
         x0 = -x0 + (0 if x0 > 0 else 1)  # 0, 1, -1, 2, -2, ...
-    return _lagrange(xs, ys)
+    return interpolate(xs, ys)
 
 
 def _eval_shift(g: RationalPoly, x0, lam) -> RationalPoly:
@@ -35,7 +35,9 @@ def _eval_shift(g: RationalPoly, x0, lam) -> RationalPoly:
     return g.compose(base)
 
 
-def _lagrange(xs, ys) -> RationalPoly:
+def interpolate(xs, ys) -> RationalPoly:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
+    by Lagrange's formula."""
     out = RationalPoly([])
     for i, (xi, yi) in enumerate(zip(xs, ys)):
         if yi == 0:

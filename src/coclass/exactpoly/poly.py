@@ -11,8 +11,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-BigRational = Fraction
-
 
 class ExactPolyError(ValueError):
     pass

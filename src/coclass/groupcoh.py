@@ -767,10 +767,6 @@ def cohomology(gm: FiniteGModule, n: int) -> CoclassSet:
     return CoclassSet(gm, n)
 
 
-def h0_fixed_points(gm: FiniteGModule):
-    return gm.fixed_points()
-
-
 # ---------------------------------------------------------------------------
 # crossed homomorphisms and the holomorph dictionary
 # ---------------------------------------------------------------------------

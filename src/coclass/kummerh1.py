@@ -21,6 +21,7 @@ from .etalealg import (
     squarefree_part,
 )
 from .exactpoly import RationalPoly, factor_rationals, is_squarefree, resultant
+from .exactpoly.extension import interpolate
 
 
 class KummerError(ValueError):
@@ -307,19 +308,7 @@ def _charpoly_mod(r: RationalPoly, f: RationalPoly) -> RationalPoly:
         xs.append(Fraction(x0))
         ys.append(val)
         x0 = -x0 + (0 if x0 > 0 else 1)
-    out = RationalPoly([])
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = RationalPoly([yi])
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * RationalPoly([-xj, 1])
-            den *= xi - xj
-        out = out + num * RationalPoly([1 / den])
-    return out
+    return interpolate(xs, ys)
 
 
 def _v4_quartic(cc: CoclassV4) -> RationalPoly:

@@ -152,6 +152,15 @@ class PermGroup:
         return PermGroup(n, [Perm.from_cycles(t, n) for t in texts])
 
     @staticmethod
+    def from_elements(n: int, elements: Iterable[Perm]) -> "PermGroup":
+        """The group with this element set, which must be closed under
+        products, generated by a small subset of it."""
+        group = PermGroup(n, [])
+        group._elements = frozenset(elements)
+        group.generators = tuple(_small_generating_set(group))
+        return group
+
+    @staticmethod
     def symmetric(n: int) -> "PermGroup":
         if n <= 1:
             return PermGroup(n, [])
@@ -207,10 +216,6 @@ class PermGroup:
 
     def conjugate(self, by: Perm) -> "PermGroup":
         return PermGroup(self.n, [g.conjugate(by) for g in self.generators])
-
-    def is_abelian(self) -> bool:
-        els = sorted(self.elements)
-        return all(a * b == b * a for a in els for b in els)
 
     def is_transitive(self) -> bool:
         orbit = {0}
@@ -373,7 +378,7 @@ def centralizer_in_sym(H: PermGroup) -> PermGroup:
         raise UnsupportedDegree(f"degree {H.n} exceeds cap {DEGREE_CAP}")
     gens = [g.images for g in H.generators]
     cents = _kernels.perm_centralizer(H.n, gens)
-    return PermGroup(H.n, [Perm(tuple(c)) for c in cents])
+    return PermGroup.from_elements(H.n, (Perm(tuple(c)) for c in cents))
 
 
 def _sym_elements(n: int):

@@ -11,6 +11,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -122,6 +123,15 @@ def test_group_structures_golden():
 def test_group_centralizer_golden():
     payload = ok(["group", "centralizer", "--n", "4", "--gens", "(0 1)(2 3)"])
     assert payload["order"] == 8
+
+
+def test_group_centralizer_lists_few_generators():
+    # C((0 1)) in Sym(8) is Sym(2) x Sym(6), of order 1440
+    start = time.perf_counter()
+    payload = ok(["group", "centralizer", "--n", "8", "--gens", "(0 1)"])
+    assert time.perf_counter() - start < 2.0
+    assert payload["order"] == 1440
+    assert len(payload["generators"]) <= 8
 
 
 def test_group_partitions_golden():

@@ -7,6 +7,7 @@ and well-definedness under change of representatives.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,19 @@ def test_hilbert_equals_conic_exhaustive():
             for b in [c.rep for c in square_classes(pl)]:
                 assert hilbert2(a, b, pl).is_trivial() == \
                     conic_has_point(a, b, pl), (pl, a, b)
+
+
+@pytest.mark.parametrize("p", [29, 31])
+def test_conic_search_memory_stays_bounded(p):
+    # all (p^3)^2 sums at once would take gigabytes at these primes
+    tracemalloc.start()
+    try:
+        found = conic_has_point(3, p, Place(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == hilbert2(3, p, Place(p)).is_trivial()
+    assert peak < 64 * 2 ** 20
 
 
 def test_hilbert2_bilinear_symmetric():

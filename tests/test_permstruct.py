@@ -5,6 +5,8 @@ structure counts for C4 (2 on the cyclic image, 6 on the trivial image)
 are frozen from direct enumeration oracles.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,21 +201,42 @@ def test_centralizer_degree_cap():
         centralizer_in_sym(PermGroup(9, [Perm(tuple(range(9)))]))
 
 
-def test_centralizer_backends_agree():
-    import os
-    import subprocess
-    import sys
-    code = (
-        "from coclass.permstruct import PermGroup, centralizer_in_sym\n"
-        "G = PermGroup.from_cycle_strings(6, ['(0 1 2)(3 4)'])\n"
-        "C = centralizer_in_sym(G)\n"
-        "print(sorted(p.images for p in C.elements))\n")
-    outs = []
-    for env_extra in ({}, {"COCLASS_PURE": "1"}):
-        env = dict(os.environ, **env_extra)
-        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
-                                   capture_output=True, text=True).stdout)
-    assert outs[0] == outs[1] and outs[0].strip()
+def _cycle_types(n, largest=None):
+    """The partitions of n, parts in decreasing order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _cycle_types(n - first, first):
+            yield (first,) + rest
+
+
+def _perm_of_type(cycle_type):
+    images, at = [], 0
+    for length in cycle_type:
+        images += [at + (i + 1) % length for i in range(length)]
+        at += length
+    return Perm(tuple(images))
+
+
+CENTRALIZER_CASES = ([t for n in range(1, 8) for t in _cycle_types(n)]
+                     + [(8,), (2, 1, 1, 1, 1, 1, 1), (2, 2, 2, 2)])
+
+
+@pytest.mark.parametrize("cycle_type", CENTRALIZER_CASES)
+def test_centralizer_order_closed_form(cycle_type):
+    # |C(s)| = prod i^{m_i} m_i! where m_i cycles of s have length i
+    want = 1
+    for length in set(cycle_type):
+        m = cycle_type.count(length)
+        want *= length ** m * math.factorial(m)
+    s = _perm_of_type(cycle_type)
+    C = centralizer_in_sym(PermGroup(s.n, [s]))
+    assert C.order == want
+    assert all(c * s == s * c for c in C.elements)
+    # the short generator list spans the whole centralizer
+    assert len(C.generators) <= 8
+    assert PermGroup(s.n, C.generators).same_group(C)
 
 
 # ---------------------------------------------------------------------------

@@ -28,3 +28,20 @@ def test_cli_import_leaves_mpmath_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_no_environment_knobs_or_compiled_sources():
+    # one implementation of every kernel, chosen by no environment variable
+    reads = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "os":
+                reads.append(f"{path.relative_to(SRC)}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                    and any(a.name in ("environ", "getenv") for a in node.names):
+                reads.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not reads, reads
+    compiled = [str(p.relative_to(SRC)) for pattern in ("*.c", "*.pyx")
+                for p in SRC.rglob(pattern)]
+    assert not compiled, compiled
