@@ -96,13 +96,7 @@ def _parse_action(module: FiniteAbelian, group: PermGroup, text: str):
             images.append(coords)
         if len(images) != k:
             raise CliError(f"action for {cyc!r} needs {k} generator images")
-        phi = {}
-        for x in module.elements:
-            acc = module.zero()
-            for xi, im in zip(x, images):
-                acc = module.add(acc, module.smul(xi, im))
-            phi[x] = acc
-        gen_action[perm] = phi
+        gen_action[perm] = module.linear_map(images)
     return gen_action
 
 

@@ -242,9 +242,8 @@ def frobenius_cycle_types(f: RationalPoly, count: int = 25):
         fp = modp.gf_from_int_poly(ints, p)
         if len(fp) - 1 != f.degree or not modp.gf_is_squarefree(fp, p):
             continue
-        degs = []
-        for part, mult in _gf_full_factor(fp, p):
-            degs.extend([len(part) - 1] * mult)
+        degs = [len(g) - 1 for g in
+                modp.gf_factor_squarefree(modp.gf_monic(fp, p), p)]
         types.add(tuple(sorted(degs, reverse=True)))
         found += 1
     return types
@@ -256,10 +255,6 @@ def _next_prime(p):
         if all(n % d for d in range(2, int(n ** 0.5) + 1)):
             return n
         n += 1
-
-
-def _gf_full_factor(fp, p):
-    return [(g, 1) for g in modp.gf_factor_squarefree(modp.gf_monic(fp, p), p)]
 
 
 def _transitive_tag(f: RationalPoly) -> str:

@@ -106,10 +106,6 @@ def has_root_in_extension(g: RationalPoly, f: RationalPoly) -> bool:
 # quotient-ring arithmetic over K = Q[y]/(f) and explicit root extraction
 # ---------------------------------------------------------------------------
 
-def _k_reduce(a: RationalPoly, f: RationalPoly) -> RationalPoly:
-    return a % f
-
-
 def _k_inv(a: RationalPoly, f: RationalPoly) -> RationalPoly:
     """Inverse of a in Q[y]/(f), f irreducible, a nonzero mod f."""
     r0, r1 = f, a % f

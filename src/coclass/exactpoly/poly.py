@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ExactPolyError(ValueError):
@@ -41,19 +41,8 @@ class RationalPoly:
         return RationalPoly([Fraction(p) for p in parts])
 
     @staticmethod
-    def x_power(n: int, coeff=1) -> "RationalPoly":
-        return RationalPoly([0] * n + [coeff])
-
-    @staticmethod
     def constant(c) -> "RationalPoly":
         return RationalPoly([c])
-
-    @staticmethod
-    def from_roots(roots: Sequence) -> "RationalPoly":
-        f = RationalPoly([1])
-        for r in roots:
-            f = f * RationalPoly([-_frac(r), 1])
-        return f
 
     # -- basic queries ---------------------------------------------------
 
@@ -190,16 +179,6 @@ class RationalPoly:
             out = out * xa + RationalPoly([c])
         return out
 
-    def scale_arg(self, s) -> "RationalPoly":
-        """f(s * x)."""
-        s = _frac(s)
-        pw = Fraction(1)
-        out = []
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw *= s
-        return RationalPoly(out)
-
     def compose(self, g: "RationalPoly") -> "RationalPoly":
         out = RationalPoly([])
         for c in reversed(self.coeffs):
@@ -219,9 +198,6 @@ class RationalPoly:
         if ints[-1] < 0:
             g = -g
         return Fraction(g, den), RationalPoly([i // g for i in ints])
-
-    def max_norm(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
 
 
 def _coerce(x) -> RationalPoly:

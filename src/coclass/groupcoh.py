@@ -1,5 +1,5 @@
 """Group cohomology of finite modules in degrees 0-2: cochains,
-coboundaries, Z/B/H via integer linear algebra (Smith normal form),
+coboundaries, Z/B/H by sparse elimination modulo the cyclic orders of M,
 restriction/corestriction, the transfer identity check, cup products, and
 the crossed-homomorphism <-> holomorph-homomorphism dictionary.
 """
@@ -18,6 +18,8 @@ from .permstruct import (
     Perm,
     PermGroup,
     PermStructError,
+    _small_generating_set,
+    extend_hom,
     holomorph,
 )
 
@@ -455,22 +457,12 @@ class FiniteGModule:
                               gen_action: Dict) -> "FiniteGModule":
         """Extend an action given on generators to the whole group."""
         _check_caps(group, module)
-        ident = Perm.identity(group.n)
-        action = {ident: {m: m for m in module.elements}}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g, phi in gen_action.items():
-                    q = p * g
-                    comp = {m: action[p][phi[m]] for m in module.elements}
-                    if q in action:
-                        if action[q] != comp:
-                            raise GroupCohError("generator action inconsistent")
-                    else:
-                        action[q] = comp
-                        nxt.append(q)
-            frontier = nxt
+        els = module.elements
+        action = extend_hom(group.n, gen_action,
+                            lambda a, b: {m: a[b[m]] for m in els},
+                            {m: m for m in els})
+        if action is None:
+            raise GroupCohError("generator action inconsistent")
         return FiniteGModule(group, module, action)
 
     def act(self, g: Perm, m):
@@ -580,12 +572,8 @@ def coboundary(c: Cochain) -> Cochain:
     raise GroupCohError("coboundary defined for arity <= 2")
 
 
-def is_cocycle(c: Cochain) -> bool:
-    return coboundary(c).is_zero()
-
-
 # ---------------------------------------------------------------------------
-# cohomology via Smith normal form
+# cohomology by sparse elimination modulo the orders of M
 # ---------------------------------------------------------------------------
 
 def _tuples(gm, n):
@@ -792,18 +780,35 @@ def crossed_to_hol(gm: FiniteGModule, z: Cochain):
 
 def holomorph_homs_over_phi(gm: FiniteGModule):
     """All homomorphisms psi: G -> Hol M lifting phi through Hol M -> Aut M,
-    i.e. psi(g) = lambda_{phi(g), t(g)}; returned as the list of t-tables."""
-    # such psi correspond exactly to crossed homomorphisms t: G -> M
+    i.e. psi(g) = lambda_{phi(g), t(g)}; returned as the list of t-tables.
+
+    psi is fixed by its values on a small generating set S of G, so the
+    choices of t on S, at most |M|^|S| with |S| <= log2 |G|, are extended to
+    G and kept when they give a homomorphism.  They are chosen one generator
+    at a time, and a choice that does not extend to the subgroup spanned by
+    the generators so far is dropped with all its continuations.  The
+    t-table t(g) = psi(g)(0) of each psi is a crossed homomorphism.  Hol M
+    acts on the points of M; Aut M itself is never listed."""
     M = gm.module
-    els = gm.elements
-    out = []
-    for combo in product(M.elements, repeat=len(els)):
-        t = dict(zip(els, combo))
-        ok = all(t[g * h] == M.add(gm.act(g, t[h]), t[g])
-                 for g in els for h in els)
-        if ok:
-            out.append(t)
-    return out
+    pts = M.elements
+    index = {p: i for i, p in enumerate(pts)}
+
+    def affine(g, t):  # lambda_{phi(g), t}: x -> g.x + t
+        return Perm(tuple(index[M.add(gm.act(g, x), t)] for x in pts))
+
+    n, one = gm.group.n, Perm.identity(len(pts))
+    lifts = [({}, extend_hom(n, {}, Perm.__mul__, one))]
+    for g in _small_generating_set(gm.group):
+        images = [affine(g, t) for t in pts]
+        nxt = []
+        for prev, _ in lifts:
+            for a in images:
+                imgs = {**prev, g: a}
+                psi = extend_hom(n, imgs, Perm.__mul__, one)
+                if psi is not None:
+                    nxt.append((imgs, psi))
+        lifts = nxt
+    return [{g: pts[psi[g](0)] for g in gm.elements} for _, psi in lifts]
 
 
 def h1_via_hol(gm: FiniteGModule):

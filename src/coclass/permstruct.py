@@ -238,6 +238,32 @@ class PermGroup:
         return f"PermGroup(n={self.n}, <{gens}>)"
 
 
+def extend_hom(n: int, gen_images: dict, mul, one):
+    """Extend images of elements of Sym(n) to the group they generate.
+
+    The keys of gen_images are closed under products, and the product p * g
+    of a reached p with a key g gets the image mul(h(p), gen_images[g]), h
+    sending the identity to `one`.  Returns the dict h (element -> image),
+    or None as soon as some product gets two different images.  Every p and
+    key g then satisfy h(p * g) = mul(h(p), h(g)), so h is a homomorphism.
+    """
+    e = Perm.identity(n)
+    h = {e: one}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g, img in gen_images.items():
+                q, v = p * g, mul(h[p], img)
+                if q not in h:
+                    h[q] = v
+                    nxt.append(q)
+                elif h[q] != v:
+                    return None
+        frontier = nxt
+    return h
+
+
 # ---------------------------------------------------------------------------
 # finite abelian groups
 # ---------------------------------------------------------------------------
@@ -288,22 +314,26 @@ class FiniteAbelian:
             out = math.lcm(out, d // math.gcd(x, d))
         return out
 
+    def linear_map(self, images):
+        """The map sending x to the sum of x_i * images[i], images[i] being
+        the image of the i-th cyclic generator, as a dict element ->
+        element."""
+        out = {}
+        for x in self.elements:
+            acc = self.zero()
+            for xi, im in zip(x, images):
+                acc = self.add(acc, self.smul(xi, im))
+            out[x] = acc
+        return out
+
     def automorphisms(self):
         """All automorphisms, as dicts element -> element."""
-        k = len(self.cyclic_orders)
-        gens = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
         els = self.elements
         out = []
-        candidates = [
-            [e for e in els if self.element_order(e) == self.cyclic_orders[i]]
-            for i in range(k)]
+        candidates = [[e for e in els if self.element_order(e) == d]
+                      for d in self.cyclic_orders]
         for imgs in product(*candidates):
-            phi = {}
-            for x in els:
-                acc = self.zero()
-                for xi, im in zip(x, imgs):
-                    acc = self.add(acc, self.smul(xi, im))
-                phi[x] = acc
+            phi = self.linear_map(imgs)
             if len(set(phi.values())) == len(els):
                 out.append(phi)
         return out
@@ -421,42 +451,14 @@ def _isomorphisms(A: PermGroup, B: PermGroup):
     """All group isomorphisms A -> B as dicts, by generator-image search."""
     if A.order != B.order:
         return []
-    a_els = sorted(A.elements)
-    gens = _small_generating_set(A) or [Perm.identity(A.n)]
-    # words expressing every element of A in the generators
-    words = {Perm.identity(A.n): ()}
-    frontier = [Perm.identity(A.n)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for i, g in enumerate(gens):
-                q = p * g
-                if q not in words:
-                    words[q] = words[p] + (i,)
-                    nxt.append(q)
-        frontier = nxt
+    gens = _small_generating_set(A)
     b_els = sorted(B.elements)
+    cand = [[b for b in b_els if b.order() == g.order()] for g in gens]
     out = []
-    orders = [g.order() for g in gens]
-    cand = [[b for b in b_els if b.order() == o] for o in orders]
     for imgs in product(*cand):
-        phi = {}
-        ok = True
-        for a in a_els:
-            img = Perm.identity(B.n)
-            for i in words[a]:
-                img = img * imgs[i]
-            phi[a] = img
-        if len(set(phi.values())) != len(a_els):
-            continue
-        for x in gens:
-            for y in a_els:
-                if phi[x * y] != phi[x] * phi[y]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        phi = extend_hom(A.n, dict(zip(gens, imgs)), Perm.__mul__,
+                         Perm.identity(B.n))
+        if phi is not None and len(set(phi.values())) == A.order:
             out.append(phi)
     return out
 
@@ -499,8 +501,8 @@ def resolvent_image(phi_image: PermGroup, rho: dict) -> PermGroup:
     """Image of phi_image under the homomorphism rho, given as a dict from
     (at least) the generators of phi_image to permutations.
 
-    The map is extended to the whole group by words; inconsistency (rho not
-    a homomorphism) raises PermStructError.
+    The map is extended to the whole group by extend_hom; inconsistency
+    (rho not a homomorphism) raises PermStructError.
     """
     gens = list(phi_image.generators)
     for g in gens:
@@ -510,27 +512,10 @@ def resolvent_image(phi_image: PermGroup, rho: dict) -> PermGroup:
         m = next(iter(rho.values())).n if rho else 1
         return PermGroup(m, [])
     m = rho[gens[0]].n
-    e = Perm.identity(phi_image.n)
-    images = {e: Perm.identity(m)}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = p * g
-                img = images[p] * rho[g]
-                if q in images:
-                    if images[q] != img:
-                        raise PermStructError("rho is not a homomorphism")
-                else:
-                    images[q] = img
-                    nxt.append(q)
-        frontier = nxt
-    # consistency across all products, not just the spanning tree
-    for a in images:
-        for g in gens:
-            if images[a * g] != images[a] * rho[g]:
-                raise PermStructError("rho is not a homomorphism")
+    images = extend_hom(phi_image.n, {g: rho[g] for g in gens}, Perm.__mul__,
+                        Perm.identity(m))
+    if images is None:
+        raise PermStructError("rho is not a homomorphism")
     return PermGroup(m, sorted(set(images.values())))
 
 

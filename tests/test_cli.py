@@ -159,6 +159,18 @@ def test_coh_hol_h1_bijection():
     assert payload["bijection"] is True
 
 
+@pytest.mark.parametrize("orders,order", [("2", 2), ("2,2", 4)])
+def test_coh_hol_h1_s4_from_generator_images(orders, order):
+    # S4 on Z/2 has 2^24 maps S4 -> M; its Hol M lifts come from the
+    # images of two generators
+    start = time.perf_counter()
+    payload = ok(["coh", "hol-h1", "--n", "4", "--gens", "(0 1 2 3);(0 1)",
+                  "--orders", orders])
+    assert time.perf_counter() - start < 5
+    assert payload["classes"] == payload["order"] == order
+    assert payload["bijection"] is True
+
+
 def test_coh_lemma53_smoke():
     payload = ok(["coh", "lemma53", "--cases", "5", "--seed", "7"])
     assert payload == {"cases": 5, "ok": True, "passed": 5,

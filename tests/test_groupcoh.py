@@ -7,6 +7,7 @@ Hom(C2,C2); brute-force scan of all 3^6 maps with the crossed-hom law for
 
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -24,6 +25,7 @@ from coclass.groupcoh import (
     crossed_to_hol,
     cup11,
     h1_via_hol,
+    holomorph_homs_over_phi,
     induced_map,
     kernel_basis,
     lattice_basis,
@@ -297,6 +299,7 @@ def _dense_invariants(gm, n):
 
 
 _GROUPS = {
+    "C1": (1, []), "C2": (2, ["(0 1)"]),
     "C3": (3, ["(0 1 2)"]), "C4": (4, ["(0 1 2 3)"]),
     "V4": (4, ["(0 1)(2 3)", "(0 2)(1 3)"]), "C5": (5, ["(0 1 2 3 4)"]),
     "S3": (3, ["(0 1 2)", "(0 1)"]), "C6": (6, ["(0 1 2 3 4 5)"]),
@@ -422,6 +425,45 @@ def test_h1_via_hol_trivial_group():
     gm = FiniteGModule.trivial(G1, FiniteAbelian([4]))
     classes, _ = h1_via_hol(gm)
     assert len(classes) == 1
+
+
+def _crossed_homs_by_scan(gm):
+    """Every map t: G -> M with t(gh) = g.t(h) + t(g), found by trying all
+    |M|^|G| maps."""
+    M, els = gm.module, gm.elements
+    return [combo for combo in product(M.elements, repeat=len(els))
+            if all(combo[els.index(g * h)] == M.add(gm.act(g, combo[j]),
+                                                    combo[i])
+                   for i, g in enumerate(els) for j, h in enumerate(els))]
+
+
+# every module with |M|^|G| <= 4096
+_HOL_CASES = [(g, M) for g in ("C1", "C2", "C3", "C4", "C5", "C6", "V4", "S3")
+              for M in ([2], [3], [4], [2, 2], [6], [2, 3])
+              if math.prod(M) ** PermGroup.from_cycle_strings(
+                  *_GROUPS[g]).order <= 4096]
+
+
+@pytest.mark.parametrize("group,orders", _HOL_CASES,
+                         ids=[f"{g}-{M}" for g, M in _HOL_CASES])
+def test_hol_lifts_match_scan_of_all_maps(group, orders):
+    n, gens = _GROUPS[group]
+    G = PermGroup.from_cycle_strings(n, gens)
+    M = FiniteAbelian(orders)
+    auts = M.automorphisms()
+    rng = random.Random(f"{group} {orders}")
+    modules = [FiniteGModule.trivial(G, M)]
+    for _ in range(6):  # random generator actions, kept when consistent
+        try:
+            modules.append(FiniteGModule.from_generator_action(
+                G, M, {g: rng.choice(auts) for g in G.generators}))
+        except GroupCohError:
+            pass
+    for gm in modules:
+        found = [tuple(t[g] for g in gm.elements)
+                 for t in holomorph_homs_over_phi(gm)]
+        assert len(set(found)) == len(found)
+        assert set(found) == set(_crossed_homs_by_scan(gm))
 
 
 def test_h1_matrix_hol_agreement():

@@ -17,6 +17,7 @@ from coclass.permstruct import (
     PermGroup,
     PermStructError,
     UnsupportedDegree,
+    _isomorphisms,
     block_sizes,
     cayley_images,
     centralizer_in_sym,
@@ -276,6 +277,22 @@ def test_structures_conjugation_invariant():
     assert count_g_structures(img.conjugate(s), C4.conjugate(s))[0] == base
 
 
+@pytest.mark.parametrize("gens,n,count", [
+    (["(0 1 2 3)"], 4, 2),                   # Aut C4 = C2
+    (["(0 1)(2 3)", "(0 2)(1 3)"], 4, 6),    # Aut V4 = S3
+    (["(0 1 2)", "(0 1)"], 3, 6),            # Aut S3 = S3
+    (["(0 1 2 3)", "(0 2)"], 4, 8),          # Aut D4 = D4
+])
+def test_automorphism_group_orders_by_isomorphism_search(gens, n, count):
+    A = PermGroup.from_cycle_strings(n, gens)
+    isos = _isomorphisms(A, A)
+    assert len(isos) == count
+    for phi in isos:
+        assert set(phi) == set(phi.values()) == A.elements
+        assert all(phi[x * y] == phi[x] * phi[y]
+                   for x in A.elements for y in A.elements)
+
+
 # ---------------------------------------------------------------------------
 # resolvent images
 # ---------------------------------------------------------------------------
@@ -310,6 +327,16 @@ def test_resolvent_rejects_non_homomorphism():
     bad = {C4.generators[0]: Perm.from_cycles("(0 1 2)", 3)}  # 3 does not divide 4
     with pytest.raises(PermStructError):
         resolvent_image(C4, bad)
+
+
+def test_resolvent_rejects_map_breaking_a_relation():
+    # each image has an order dividing its generator's, but (0 1) -> () and
+    # (0 1 2) -> (0 1 2) break (0 1)(0 1 2)(0 1) = (0 1 2)^-1
+    S3 = PermGroup.symmetric(3)
+    rho = {g: g if g.order() == 3 else Perm.identity(3)
+           for g in S3.generators}
+    with pytest.raises(PermStructError):
+        resolvent_image(S3, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Checks on the package source and on what importing it costs."""
 
 import ast
+import re
 import os
 import subprocess
 import sys
@@ -45,3 +46,20 @@ def test_no_environment_knobs_or_compiled_sources():
     compiled = [str(p.relative_to(SRC)) for pattern in ("*.c", "*.pyx")
                 for p in SRC.rglob(pattern)]
     assert not compiled, compiled
+
+
+def test_every_function_is_named_somewhere_else():
+    # a function or method whose name appears only where it is defined is
+    # dead code; dunders are called by Python itself
+    texts = [p.read_text() for p in sorted(SRC.rglob("*.py"))]
+    tests = Path(__file__).resolve().parent
+    texts += [p.read_text() for p in sorted(tests.glob("*.py"))]
+    defined = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                defined[node.name] = defined.get(node.name, 0) + 1
+    dead = sorted(name for name, n_defs in defined.items()
+                  if sum(len(re.findall(rf"\b{name}\b", t)) for t in texts) <= n_defs)
+    assert not dead, dead
