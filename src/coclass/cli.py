@@ -219,11 +219,11 @@ def cmd_coh(args):
         hn = groupcoh.cohomology(gm, args.degree)
         return {"degree": args.degree, "order": hn.order,
                 "invariants": [s for s in hn.invariants if s > 1]}
-    # hol-h1
-    classes, _ = groupcoh.h1_via_hol(gm)
-    h1 = groupcoh.cohomology(gm, 1)
-    return {"classes": len(classes), "order": h1.order,
-            "bijection": len(classes) == h1.order}
+    # hol-h1: h1_via_hol raises unless its classes match H^1 one to one
+    classes, bijection = groupcoh.h1_via_hol(gm)
+    order = len(set(bijection.values()))
+    return {"classes": len(classes), "order": order,
+            "bijection": len(classes) == order}
 
 
 def cmd_h1(args):

@@ -90,7 +90,7 @@ class EtaleAlgebra:
         self.factors = tuple(fs)
         self.degree = sum(f.degree for f in fs)
         if self.degree > 8:
-            raise EtaleError("degree > 8 not supported")
+            raise UnsupportedStructure("degree > 8 not supported")
 
     @staticmethod
     def from_poly(f: RationalPoly) -> "EtaleAlgebra":
@@ -284,7 +284,7 @@ def _transitive_tag(f: RationalPoly) -> str:
 def galois_group(L: EtaleAlgebra, cross_check: bool = True) -> str:
     """Galois tag; intransitive algebras get the '+'-joined factor tags."""
     if L.degree > 4:
-        raise EtaleError("tags implemented for degree <= 4")
+        raise UnsupportedStructure("tags implemented for degree <= 4")
     tags = []
     for f in L.factors:
         tag = _transitive_tag(f)

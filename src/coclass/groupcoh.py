@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Callable, Dict, Sequence
@@ -21,6 +22,7 @@ from .permstruct import (
     _small_generating_set,
     extend_hom,
     holomorph,
+    orbits,
 )
 
 GROUP_CAP = 24
@@ -53,7 +55,7 @@ def _unit_to_gcd(x, N):
     return u
 
 
-def _smith_mod(M, N):
+def smith_normal_form(M, N):
     """Smith normal form over Z/N: (S, U, Uinv, V, Vinv) with S = U*M*V
     diagonal modulo N, U and V invertible modulo N with inverses Uinv and
     Vinv, and diagonal entries dividing N and each other, 0 standing for N.
@@ -142,125 +144,6 @@ def _smith_mod(M, N):
             bad = next(i for i in range(t + 1, rows)
                        if any(S[i][j] % p for j in range(t + 1, cols)))
             row_op(t, bad, 1, 1, 0, 1)
-    return S, U, Uinv, V, Vinv
-
-
-def smith_normal_form(M, modulus=None):
-    """Return (S, U, Uinv, V, Vinv) with S = U*M*V diagonal, s_i | s_{i+1},
-    U, V unimodular.
-
-    With a modulus N the same holds modulo N (see _smith_mod), with entries
-    that cannot grow.  Over Z the entries can grow without bound."""
-    if modulus:
-        return _smith_mod(M, modulus)
-    S = [row[:] for row in M]
-    rows = len(S)
-    cols = len(S[0]) if rows else 0
-    U, Uinv = _identity_mat(rows), _identity_mat(rows)
-    V, Vinv = _identity_mat(cols), _identity_mat(cols)
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in S:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_add(i, j, c):  # row_i += c * row_j
-        Si, Sj = S[i], S[j]
-        for t in range(cols):
-            Si[t] += c * Sj[t]
-        Ui, Uj = U[i], U[j]
-        for t in range(rows):
-            Ui[t] += c * Uj[t]
-        for r in Uinv:
-            r[j] -= c * r[i]
-
-    def col_add(i, j, c):  # col_i += c * col_j
-        for r in S:
-            r[i] += c * r[j]
-        for r in V:
-            r[i] += c * r[j]
-        Vi, Vj = Vinv[i], Vinv[j]
-        for t in range(cols):
-            Vj[t] -= c * Vi[t]
-
-    def row_neg(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
-
-    t = 0
-    while t < rows and t < cols:
-        # find a pivot
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = S[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            row_swap(t, i0)
-        if j0 != t:
-            col_swap(t, j0)
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, rows):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_add(i, t, -q)
-                    if S[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_add(j, t, -q)
-                    if S[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if S[t][t] < 0:
-            row_neg(t)
-        t += 1
-    # enforce divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(rows, cols) - 1):
-            a, b = S[i][i], S[i + 1][i + 1]
-            if a and b % a != 0:
-                col_add(i, i + 1, 1)
-                # re-clear the 2x2 block
-                while S[i + 1][i]:
-                    q = S[i + 1][i] // S[i][i]
-                    row_add(i + 1, i, -q)
-                    if S[i + 1][i]:
-                        row_swap(i, i + 1)
-                while S[i][i + 1]:
-                    q = S[i][i + 1] // S[i][i]
-                    col_add(i + 1, i, -q)
-                    if S[i][i + 1]:
-                        col_swap(i, i + 1)
-                if S[i][i] < 0:
-                    row_neg(i)
-                if S[i + 1][i + 1] < 0:
-                    row_neg(i + 1)
-                changed = True
     return S, U, Uinv, V, Vinv
 
 
@@ -696,12 +579,14 @@ class CoclassSet:
         self.invariants = [1] * (a - z) + d
         self._live = [(i, s, self._vector([row[i] for row in Uinv]))
                       for i, s in enumerate(d) if s > 1]
-        self.order = 1
-        for _, s, _ in self._live:
-            self.order *= s
-        self.representatives = [
-            self._combination(zip(combo, (e for _, _, e in self._live)))
-            for combo in product(*(range(s) for _, s, _ in self._live))]
+        self.order = math.prod(s for _, s, _ in self._live)
+
+    @cached_property
+    def representatives(self):
+        """One cocycle per class, listed on first access: there are
+        self.order of them."""
+        return [self._combination(zip(combo, (e for _, _, e in self._live)))
+                for combo in product(*(range(s) for _, s, _ in self._live))]
 
     def _coords(self, v):
         """Integer coordinates of the integer cochain vector v (a sparse
@@ -738,12 +623,10 @@ class CoclassSet:
         if c.arity != self.degree or c.gm is not self.gm and \
                 (c.gm.elements != self.gm.elements):
             raise GroupCohError("cochain does not match this coclass set")
-        if not coboundary(c).is_zero():
-            raise GroupCohError("not a cocycle")
         vec = _cochain_to_vector(c)
         y = self._coords({j: x for j, x in enumerate(vec) if x})
         if y is None:
-            raise GroupCohError("cocycle outside lattice (internal error)")
+            raise GroupCohError("not a cocycle")
         w = [sum(u * x for u, x in zip(row, y)) for row in self._U]
         return self._combination((w[i] % s, e) for i, s, e in self._live)
 
@@ -818,30 +701,21 @@ def h1_via_hol(gm: FiniteGModule):
     per M-conjugacy class) and bijection maps each class index to the
     matching representative of cohomology(gm, 1); a GroupCohError is raised
     if the correspondence fails to be bijective."""
-    M = gm.module
-    homs = holomorph_homs_over_phi(gm)
-    remaining = {tuple(sorted((k.images, v) for k, v in t.items())): t
-                 for t in homs}
-    classes = []
-    while remaining:
-        key = min(remaining)
-        t = remaining.pop(key)
-        classes.append(t)
-        # conjugation by translation-by-u sends t(g) to u + t(g) - g.u
-        for u in M.elements:
-            tw = {g: M.add(u, M.add(t[g], M.neg(gm.act(g, u))))
-                  for g in t}
-            remaining.pop(tuple(sorted((k.images, v) for k, v in tw.items())),
-                          None)
+    M, els = gm.module, gm.elements
+    # t as its values on the sorted elements, so the least t heads each class
+    homs = sorted(tuple(t[g] for g in els)
+                  for t in holomorph_homs_over_phi(gm))
+    # conjugation by translation-by-u sends t(g) to u + t(g) - g.u; the
+    # cyclic generators u of M generate these translations
+    k = len(M.cyclic_orders)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    shifts = [[M.add(u, M.neg(gm.act(g, u))) for g in els] for u in units]
+    classes = [dict(zip(els, orbit[0])) for orbit in orbits(
+        homs, shifts, lambda d, t: tuple(map(M.add, t, d)))]
     h1 = cohomology(gm, 1)
-    bij = {}
-    reps = set()
-    for i, t in enumerate(classes):
-        z = Cochain(gm, 1, {(g,): t[g] for g in gm.elements})
-        rep = h1.reduce(z)
-        bij[i] = rep
-        reps.add(tuple(sorted(rep.table.items())))
-    if len(reps) != len(classes) or len(classes) != h1.order:
+    bij = {i: h1.reduce(Cochain(gm, 1, {(g,): t[g] for g in els}))
+           for i, t in enumerate(classes)}
+    if len(set(bij.values())) != len(classes) or len(classes) != h1.order:
         raise GroupCohError("Hol-dictionary bijection failed")
     return classes, bij
 
@@ -863,15 +737,10 @@ def submodule_over(gm: FiniteGModule, H: PermGroup) -> FiniteGModule:
 
 
 def _coset_reps(gm: FiniteGModule, H: PermGroup):
-    """Deterministic (lex-min) left coset representatives of G/H."""
-    reps = []
-    seen = set()
-    for g in sorted(gm.group.elements):
-        if g not in seen:
-            reps.append(g)
-            for h in sorted(H.elements):
-                seen.add(g * h)
-    return reps
+    """Deterministic (lex-min) left coset representatives of G/H: the
+    heads of the orbits of sorted G under right multiplication by H."""
+    return [orbit[0] for orbit in orbits(sorted(gm.group.elements),
+                                         H.generators, lambda h, g: g * h)]
 
 
 def res_cor(gm: FiniteGModule, H: PermGroup, c: Cochain, direction: str):

@@ -10,7 +10,7 @@ notation, groups by generator lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from typing import Iterable, Sequence
 
 from . import _kernels
@@ -218,16 +218,7 @@ class PermGroup:
         return PermGroup(self.n, [g.conjugate(by) for g in self.generators])
 
     def is_transitive(self) -> bool:
-        orbit = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators:
-                y = g(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return len(orbit) == self.n
+        return len(orbits([0], self.generators, Perm.__call__)[0]) == self.n
 
     def multiplication_closed(self) -> bool:
         els = self.elements
@@ -236,6 +227,29 @@ class PermGroup:
     def __repr__(self):
         gens = ", ".join(g.to_cycles() for g in self.generators) or "()"
         return f"PermGroup(n={self.n}, <{gens}>)"
+
+
+def orbits(points, gens, act):
+    """The orbits through `points` of the group generated by `gens`, acting
+    by act(g, x), each closed under the generators alone (Holt, Eick &
+    O'Brien, Handbook of CGT, sec. 4.1): a finite group has no other
+    elements to apply.  Each orbit is a list headed by the first of `points`
+    it contains, and the orbits come in the order of their heads."""
+    seen = set()
+    out = []
+    for x in points:
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:  # the list grows while it is read
+            for g in gens:
+                z = act(g, y)
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        out.append(orbit)
+    return out
 
 
 def extend_hom(n: int, gen_images: dict, mul, one):
@@ -411,21 +425,14 @@ def centralizer_in_sym(H: PermGroup) -> PermGroup:
     return PermGroup.from_elements(H.n, (Perm(tuple(c)) for c in cents))
 
 
-def _sym_elements(n: int):
-    return [Perm(p) for p in permutations(range(n))]
-
-
 def subgroup_conjugates(G: PermGroup):
-    """All distinct Sym(n)-conjugates of G, as element frozensets with a
-    lexicographically minimal conjugating witness each."""
+    """All distinct Sym(n)-conjugates of G, as element frozensets: the orbit
+    of G under conjugation by the two generators of Sym(n), so the cost is
+    |Sym(n) : N(G)| * |G| conjugations, not n! * |G|."""
     if G.n > DEGREE_CAP:
         raise UnsupportedDegree(f"degree {G.n} exceeds cap {DEGREE_CAP}")
-    seen = {}
-    for s in _sym_elements(G.n):
-        conj = frozenset(g.conjugate(s) for g in G.elements)
-        if conj not in seen:
-            seen[conj] = s
-    return seen
+    return orbits([G.elements], PermGroup.symmetric(G.n).generators,
+                  lambda s, els: frozenset(g.conjugate(s) for g in els))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,28 +476,22 @@ def count_g_structures(image: PermGroup, G: PermGroup):
     isomorphisms G' -> G.  Returns (count, witnesses)."""
     if image.n != G.n:
         raise PermStructError("image and G must sit in the same Sym(n)")
-    count = 0
     witnesses = []
     img_els = image.elements
-    for conj_els, s in subgroup_conjugates(G).items():
+    for conj_els in subgroup_conjugates(G):
         if not img_els <= conj_els:
             continue
-        Gp = PermGroup(G.n, sorted(conj_els))
-        isos = _isomorphisms(Gp, G)
-        # classes under post-composition with inner automorphisms of G
-        remaining = {tuple(sorted((k.images, v.images) for k, v in phi.items()))
-                     : phi for phi in isos}
-        while remaining:
-            key = min(remaining)
-            phi = remaining.pop(key)
-            count += 1
-            witnesses.append((Gp, phi))
-            for c in G.elements:
-                ci = c.inverse()
-                tw = {a: c * phi[a] * ci for a in phi}
-                tkey = tuple(sorted((k.images, v.images) for k, v in tw.items()))
-                remaining.pop(tkey, None)
-    return count, witnesses
+        dom = sorted(conj_els)
+        Gp = PermGroup(G.n, dom)
+        # each isomorphism as its images of dom; its classes under
+        # post-composition with inner automorphisms of G, each witnessed by
+        # its least member
+        isos = sorted(tuple(phi[a] for a in dom)
+                      for phi in _isomorphisms(Gp, G))
+        for orbit in orbits(isos, G.generators, lambda c, imgs: tuple(
+                b.conjugate(c) for b in imgs)):
+            witnesses.append((Gp, dict(zip(dom, orbit[0]))))
+    return len(witnesses), witnesses
 
 
 # ---------------------------------------------------------------------------

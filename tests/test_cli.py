@@ -95,6 +95,15 @@ def test_etale_torsor():
     assert payload["is_torsor"] is True
 
 
+@pytest.mark.parametrize("coeffs", [
+    "1,0,0,0,0,0,0,0,0,1",  # degree 9, past the algebra cap of 8
+    "1,0,0,0,0,1",          # degree 5, past the Galois-tag cap of 4
+])
+def test_etale_info_past_degree_caps_exit_3(coeffs):
+    payload = err(["etale", "info", "--f", coeffs], 3)
+    assert payload["code"] == "unsupported"
+
+
 def test_etale_info_missing_flag_exit_2():
     err(["etale", "info"], 2)
 

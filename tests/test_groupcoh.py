@@ -7,6 +7,7 @@ Hom(C2,C2); brute-force scan of all 3^6 maps with the crossed-hom law for
 
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -75,12 +76,132 @@ def s3_on_v4():
 # Smith normal form toolkit
 # ---------------------------------------------------------------------------
 
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _smith_over_z(M):
+    """Return (S, U, Uinv, V, Vinv) with S = U*M*V diagonal, s_i | s_{i+1},
+    U, V unimodular, by elimination over Z: the dense oracle's Smith form.
+    Its entries can grow without bound, which is why the library works
+    modulo N instead."""
+    S = [row[:] for row in M]
+    rows = len(S)
+    cols = len(S[0]) if rows else 0
+    U, Uinv = _identity(rows), _identity(rows)
+    V, Vinv = _identity(cols), _identity(cols)
+
+    def row_swap(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for r in S:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def row_add(i, j, c):  # row_i += c * row_j
+        Si, Sj = S[i], S[j]
+        for t in range(cols):
+            Si[t] += c * Sj[t]
+        Ui, Uj = U[i], U[j]
+        for t in range(rows):
+            Ui[t] += c * Uj[t]
+        for r in Uinv:
+            r[j] -= c * r[i]
+
+    def col_add(i, j, c):  # col_i += c * col_j
+        for r in S:
+            r[i] += c * r[j]
+        for r in V:
+            r[i] += c * r[j]
+        Vi, Vj = Vinv[i], Vinv[j]
+        for t in range(cols):
+            Vj[t] -= c * Vi[t]
+
+    def row_neg(i):
+        S[i] = [-x for x in S[i]]
+        U[i] = [-x for x in U[i]]
+        for r in Uinv:
+            r[i] = -r[i]
+
+    t = 0
+    while t < rows and t < cols:
+        # find a pivot
+        piv = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = S[i][j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    piv = (i, j)
+        if piv is None:
+            break
+        i0, j0 = piv
+        if i0 != t:
+            row_swap(t, i0)
+        if j0 != t:
+            col_swap(t, j0)
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, rows):
+                if S[i][t]:
+                    q = S[i][t] // S[t][t]
+                    row_add(i, t, -q)
+                    if S[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if S[t][j]:
+                    q = S[t][j] // S[t][t]
+                    col_add(j, t, -q)
+                    if S[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        if S[t][t] < 0:
+            row_neg(t)
+        t += 1
+    # enforce divisibility chain
+    changed = True
+    while changed:
+        changed = False
+        for i in range(min(rows, cols) - 1):
+            a, b = S[i][i], S[i + 1][i + 1]
+            if a and b % a != 0:
+                col_add(i, i + 1, 1)
+                # re-clear the 2x2 block
+                while S[i + 1][i]:
+                    q = S[i + 1][i] // S[i][i]
+                    row_add(i + 1, i, -q)
+                    if S[i + 1][i]:
+                        row_swap(i, i + 1)
+                while S[i][i + 1]:
+                    q = S[i][i + 1] // S[i][i]
+                    col_add(i + 1, i, -q)
+                    if S[i][i + 1]:
+                        col_swap(i, i + 1)
+                if S[i][i] < 0:
+                    row_neg(i)
+                if S[i + 1][i + 1] < 0:
+                    row_neg(i + 1)
+                changed = True
+    return S, U, Uinv, V, Vinv
+
+
 def test_snf_transforms_consistent():
     rng = random.Random(7)
     for _ in range(20):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        S, U, Uinv, V, Vinv = smith_normal_form(M)
+        S, U, Uinv, V, Vinv = _smith_over_z(M)
         # S = U M V
         UM = [[sum(U[i][t] * M[t][j] for t in range(rows))
                for j in range(cols)] for i in range(rows)]
@@ -121,7 +242,7 @@ def test_snf_modulo_n_matches_integer_form():
         assert UU == [[int(i == j) for j in range(rows)] for i in range(rows)]
         # Z^rows / M (x) Z/N: the Smith form over Z, each entry gcd'd with N
         d = [S[i][i] or N for i in range(min(rows, cols))]
-        Z = smith_normal_form(M)[0]
+        Z = _smith_over_z(M)[0]
         assert d == [math.gcd(Z[i][i], N) for i in range(min(rows, cols))]
 
 
@@ -243,6 +364,30 @@ def test_representatives_pairwise_distinct():
                 assert not h.same_class(reps[i], reps[j])
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_reduce_rejects_non_cocycle(degree):
+    # 1 at (e, ..., e) and 0 elsewhere: d1 gives 1 at (e, e), d2 gives 1 at
+    # (s, e, e)
+    gm = c2_trivial()
+    e = Perm.identity(2)
+    c = Cochain(gm, degree, {k: (int(k == (e,) * degree),)
+                             for k in product(gm.elements, repeat=degree)})
+    assert not coboundary(c).is_zero()
+    with pytest.raises(GroupCohError, match="not a cocycle"):
+        cohomology(gm, degree).reduce(c)
+
+
+def test_large_h2_without_listing_its_classes():
+    # dim H^2((Z/2)^4, F_2) = 4 + 6, so H^2 with (Z/2)^2 coefficients has
+    # order 2^20; its 2^20 representatives are never built
+    G = PermGroup.from_cycle_strings(8, ["(0 1)", "(2 3)", "(4 5)", "(6 7)"])
+    start = time.perf_counter()
+    h2 = cohomology(FiniteGModule.trivial(G, FiniteAbelian([2, 2])), 2)
+    assert h2.order == 2 ** 20
+    assert [s for s in h2.invariants if s > 1] == [2] * 20
+    assert time.perf_counter() - start < 5
+
+
 def test_size_cap():
     big = PermGroup.symmetric(5)  # order 120 > 24
     with pytest.raises(UnsupportedSize):
@@ -255,8 +400,8 @@ def test_size_cap():
 
 def _snf_lattice_basis(gens, a):
     """Basis of the lattice the vectors gens span in Z^a, by Smith form."""
-    S, _, Uinv, _, _ = smith_normal_form([[g[i] for g in gens]
-                                          for i in range(a)])
+    S, _, Uinv, _, _ = _smith_over_z([[g[i] for g in gens]
+                                      for i in range(a)])
     return [[Uinv[i][j] * S[j][j] for i in range(a)]
             for j in range(min(a, len(gens))) if S[j][j]]
 
@@ -272,7 +417,7 @@ def _dense_invariants(gm, n):
     W = [[c.get(i, 0) for c in cols]
          + [M.cyclic_orders[i % k] if j == i else 0 for j in range(b)]
          for i in range(b)]
-    S, _, _, V, _ = smith_normal_form(W)
+    S, _, _, V, _ = _smith_over_z(W)
     rank = sum(1 for i in range(b) if S[i][i])
 
     def unit(j):
@@ -286,15 +431,15 @@ def _dense_invariants(gm, n):
         bgens += [[c.get(i, 0) for i in range(a)]
                   for c in _boundary_matrix(gm, n - 1)]
     # B^n in Z^n coordinates, solved through the Smith form of the Z basis
-    S, U, _, V, _ = smith_normal_form([[z[i] for z in zbasis]
-                                       for i in range(a)])
+    S, U, _, V, _ = _smith_over_z([[z[i] for z in zbasis]
+                                   for i in range(a)])
     coords = []
     for col in _snf_lattice_basis(bgens, a):
         w = [sum(u * x for u, x in zip(U[i], col)) for i in range(a)]
         assert all(w[i] % S[i][i] == 0 for i in range(a))
         y = [w[i] // S[i][i] for i in range(a)]
         coords.append([sum(v * x for v, x in zip(V[i], y)) for i in range(a)])
-    S = smith_normal_form([[c[i] for c in coords] for i in range(a)])[0]
+    S = _smith_over_z([[c[i] for c in coords] for i in range(a)])[0]
     return [S[i][i] for i in range(a)]
 
 
@@ -444,26 +589,60 @@ _HOL_CASES = [(g, M) for g in ("C1", "C2", "C3", "C4", "C5", "C6", "V4", "S3")
                   *_GROUPS[g]).order <= 4096]
 
 
-@pytest.mark.parametrize("group,orders", _HOL_CASES,
-                         ids=[f"{g}-{M}" for g, M in _HOL_CASES])
-def test_hol_lifts_match_scan_of_all_maps(group, orders):
+def _hol_modules(group, orders):
+    """The trivial action of the named group on M, and up to six seeded
+    random generator actions, kept when consistent."""
     n, gens = _GROUPS[group]
     G = PermGroup.from_cycle_strings(n, gens)
     M = FiniteAbelian(orders)
     auts = M.automorphisms()
     rng = random.Random(f"{group} {orders}")
     modules = [FiniteGModule.trivial(G, M)]
-    for _ in range(6):  # random generator actions, kept when consistent
+    for _ in range(6):
         try:
             modules.append(FiniteGModule.from_generator_action(
                 G, M, {g: rng.choice(auts) for g in G.generators}))
         except GroupCohError:
             pass
-    for gm in modules:
+    return modules
+
+
+@pytest.mark.parametrize("group,orders", _HOL_CASES,
+                         ids=[f"{g}-{M}" for g, M in _HOL_CASES])
+def test_hol_lifts_match_scan_of_all_maps(group, orders):
+    for gm in _hol_modules(group, orders):
         found = [tuple(t[g] for g in gm.elements)
                  for t in holomorph_homs_over_phi(gm)]
         assert len(set(found)) == len(found)
         assert set(found) == set(_crossed_homs_by_scan(gm))
+
+
+def _classes_by_least_remaining(gm):
+    """The M-conjugacy classes of crossed homomorphisms, each as its least
+    t-table, found by popping the least remaining table and discarding its
+    conjugates by every element of M."""
+    M = gm.module
+    remaining = {tuple(sorted((k.images, v) for k, v in t.items())): t
+                 for t in holomorph_homs_over_phi(gm)}
+    classes = []
+    while remaining:
+        t = remaining.pop(min(remaining))
+        classes.append(t)
+        for u in M.elements:
+            tw = {g: M.add(u, M.add(t[g], M.neg(gm.act(g, u)))) for g in t}
+            remaining.pop(tuple(sorted((k.images, v) for k, v in tw.items())),
+                          None)
+    return classes
+
+
+@pytest.mark.parametrize("group,orders", _HOL_CASES,
+                         ids=[f"{g}-{M}" for g, M in _HOL_CASES])
+def test_h1_via_hol_classes_in_order_of_least_remaining(group, orders):
+    for gm in _hol_modules(group, orders):
+        classes, _ = h1_via_hol(gm)
+        want = _classes_by_least_remaining(gm)
+        assert [list(t.items()) for t in classes] == \
+            [list(t.items()) for t in want]
 
 
 def test_h1_matrix_hol_agreement():

@@ -6,6 +6,8 @@ are frozen from direct enumeration oracles.
 """
 
 import math
+import time
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from coclass.permstruct import (
     s4_to_s3_map,
     sign_map,
     stable_partitions,
+    subgroup_conjugates,
     torsor_structures,
 )
 
@@ -275,6 +278,40 @@ def test_structures_conjugation_invariant():
     base = count_g_structures(img, C4)[0]
     s = Perm.from_cycles("(0 1)", 4)
     assert count_g_structures(img.conjugate(s), C4.conjugate(s))[0] == base
+
+
+# the subgroups this file uses, up to Sym(6)
+_SUBGROUP_GENS = {
+    "1 in S2": (2, []), "C2": (2, ["(0 1)"]), "C3": (3, ["(0 1 2)"]),
+    "S3": (3, ["(0 1 2)", "(0 1)"]), "1 in S4": (4, []),
+    "C4": (4, ["(0 1 2 3)"]), "<(0 2)(1 3)>": (4, ["(0 2)(1 3)"]),
+    "V4": (4, ["(0 1)(2 3)", "(0 2)(1 3)"]), "D4": (4, ["(0 1 2 3)", "(0 2)"]),
+    "S4": (4, ["(0 1 2 3)", "(0 1)"]), "S5": (5, ["(0 1 2 3 4)", "(0 1)"]),
+}
+_SUBGROUPS = {name: PermGroup.from_cycle_strings(n, gens)
+              for name, (n, gens) in _SUBGROUP_GENS.items()}
+_SUBGROUPS["S3 left-regular"] = cayley_images(PermGroup.symmetric(3))[0]
+
+
+@pytest.mark.parametrize("name", sorted(_SUBGROUPS))
+def test_subgroup_conjugates_match_scan_of_sym(name):
+    G = _SUBGROUPS[name]
+    conjugates = subgroup_conjugates(G)
+    assert conjugates[0] == G.elements
+    assert len(set(conjugates)) == len(conjugates)
+    scan = {frozenset(g.conjugate(Perm(s)) for g in G.elements)
+            for s in permutations(range(G.n))}
+    assert set(conjugates) == scan
+
+
+def test_c8_structures_on_itself_in_sym8():
+    # the one conjugate of C8 containing C8 is C8; Aut C8 has 4 elements
+    # and C8 is abelian, so each is its own class
+    C8 = PermGroup.from_cycle_strings(8, ["(0 1 2 3 4 5 6 7)"])
+    start = time.perf_counter()
+    count, _ = count_g_structures(C8, C8)
+    assert count == 4
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("gens,n,count", [

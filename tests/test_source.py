@@ -63,3 +63,20 @@ def test_every_function_is_named_somewhere_else():
     dead = sorted(name for name, n_defs in defined.items()
                   if sum(len(re.findall(rf"\b{name}\b", t)) for t in texts) <= n_defs)
     assert not dead, dead
+
+
+def test_permutations_scanned_only_in_kernels():
+    # itertools.permutations walks all n! elements of Sym(n); the
+    # centralizer kernel is the one place left that does
+    users = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools" \
+                    and any(a.name == "permutations" for a in node.names):
+                users.append(f"{path.relative_to(SRC)}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "permutations" \
+                    and isinstance(node.value, ast.Name) and node.value.id == "itertools":
+                users.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not users, users
