@@ -229,7 +229,9 @@ _ALLOWED_TYPES = {
 
 
 def frobenius_cycle_types(f: RationalPoly, count: int = 25):
-    """Cycle types of Frobenius sampled from factorization degrees mod p."""
+    """Cycle types of Frobenius at the first `count` primes p where f stays
+    squarefree of full degree: the factor degrees of f mod p, read from
+    distinct-degree factorization alone."""
     _, fz = f.monic().primitive_int()
     ints = [int(c) for c in fz.coeffs]
     types = set()
@@ -242,9 +244,8 @@ def frobenius_cycle_types(f: RationalPoly, count: int = 25):
         fp = modp.gf_from_int_poly(ints, p)
         if len(fp) - 1 != f.degree or not modp.gf_is_squarefree(fp, p):
             continue
-        degs = [len(g) - 1 for g in
-                modp.gf_factor_squarefree(modp.gf_monic(fp, p), p)]
-        types.add(tuple(sorted(degs, reverse=True)))
+        degs = modp.gf_factor_degrees(modp.gf_monic(fp, p), p)
+        types.add(tuple(reversed(degs)))
         found += 1
     return types
 

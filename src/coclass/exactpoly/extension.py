@@ -37,20 +37,22 @@ def _eval_shift(g: RationalPoly, x0, lam) -> RationalPoly:
 
 def interpolate(xs, ys) -> RationalPoly:
     """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
-    by Lagrange's formula."""
-    out = RationalPoly([])
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = RationalPoly([yi])
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * RationalPoly([-xj, 1])
-            den *= xi - xj
-        out = out + num * RationalPoly([1 / den])
-    return out
+    xs distinct: Newton divided differences, then the Newton form expanded
+    by Horner's rule, O(n^2) field operations."""
+    c = [Fraction(y) for y in ys]
+    n = len(c)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    out = []
+    for k in range(n - 1, -1, -1):
+        # out <- out * (x - xs[k]) + c[k]
+        shifted = [Fraction(0)] + out
+        for i, a in enumerate(out):
+            shifted[i] -= xs[k] * a
+        shifted[0] += c[k]
+        out = shifted
+    return RationalPoly(out)
 
 
 def _squarefree_norm(f: RationalPoly, g: RationalPoly):

@@ -1,5 +1,10 @@
 """Rational factorization: Yun squarefree split, Hensel lifting, and
-Zassenhaus subset recombination with the Mignotte bound."""
+Zassenhaus subset recombination with the Mignotte bound.
+
+The modular prime is chosen by distinct-degree counts alone: the first
+usable prime with at most two factors mod p, else the one with the fewest
+among the first `_MAX_PRIMES` usable primes.  Cantor-Zassenhaus then runs
+once, at that prime."""
 
 from __future__ import annotations
 
@@ -10,7 +15,11 @@ from itertools import combinations
 from . import modp
 from .poly import ExactPolyError, RationalPoly, gcd
 
-# Primes tried for the modular factorization; the best (fewest factors) wins.
+# Primes tried for the modular factorization, in order.  Each usable prime
+# (not dividing the discriminant) is scored by its factor count from
+# distinct-degree factorization; the scan stops at a count <= 2 or after
+# _MAX_PRIMES usable primes, and the fewest factors wins.
+_MAX_PRIMES = 7
 _PRIME_POOL = [
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
@@ -117,28 +126,30 @@ def _factor_monic_int(f_int):
     if n == 1:
         return [f_int]
     best = None
+    usable = 0
     for p in _PRIME_POOL:
         if f_int[-1] % p == 0:
             continue
         fp = modp.gf_from_int_poly(f_int, p)
         if len(fp) - 1 != n or not modp.gf_is_squarefree(fp, p):
             continue
-        fac = modp.gf_factor_squarefree(fp, p)
-        if best is None or len(fac) < len(best[1]):
-            best = (p, fac)
-        if len(fac) <= 2:
+        count = len(modp.gf_factor_degrees(fp, p))
+        if best is None or count < best[0]:
+            best = (count, p, fp)
+        usable += 1
+        if count <= 2 or usable == _MAX_PRIMES:
             break
     if best is None:
         raise ExactPolyError("no usable prime found")
-    p, fac = best
-    if len(fac) == 1:
+    count, p, fp = best
+    if count == 1:
         return [f_int]
-    f_true = f_int
+    fac = modp.gf_factor_squarefree(fp, p)
 
     # Mignotte-style bound on coefficients of any monic factor
     norm = math.isqrt(sum(c * c for c in f_int)) + 1
     bound = 2 * (2 ** n) * norm + 1
-    lifted = _hensel_tree(f_true, fac, p, bound)
+    lifted = _hensel_tree(f_int, fac, p, bound)
     m = p
     while m < bound:
         m = m * m

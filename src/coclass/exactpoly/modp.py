@@ -2,7 +2,7 @@
 
 Polynomials are lists of ints in [0, p), ascending degree, trailing zeros
 stripped.  Factorization is distinct-degree followed by Cantor-Zassenhaus
-equal-degree splitting.
+equal-degree splitting; the degree pattern alone needs only the first step.
 """
 
 from __future__ import annotations
@@ -157,6 +157,13 @@ def _equal_degree(f, d, p, rng):
     left = _equal_degree(g, d, p, rng)
     right = _equal_degree(gf_divmod(f, g, p)[0], d, p, rng)
     return left + right
+
+
+def gf_factor_degrees(f, p):
+    """Sorted degrees of the irreducible factors of monic squarefree f over
+    GF(p), by distinct-degree factorization alone."""
+    return sorted(d for g, d in _distinct_degree(f, p)
+                  for _ in range((len(g) - 1) // d))
 
 
 def gf_factor_squarefree(f, p, seed=0):

@@ -201,7 +201,7 @@ class ResidueField:
         for tail in itertools.product(range(self.p), repeat=self.f):
             g = list(tail) + [1]
             if modp.gf_is_squarefree(g, self.p) and \
-                    len(modp.gf_factor_squarefree(g, self.p)) == 1:
+                    modp.gf_factor_degrees(g, self.p) == [self.f]:
                 return g
         raise LocalSymError("no irreducible found")
 

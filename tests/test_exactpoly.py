@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coclass.etalealg import EtaleAlgebra, frobenius_cycle_types, squarefree_part
 from coclass.exactpoly import (
     ExactPolyError,
     RationalPoly,
@@ -29,7 +30,11 @@ from coclass.exactpoly import (
     resultant,
     roots_in_extension_count,
     squarefree_decomposition,
+    trager_norm,
 )
+from coclass.exactpoly import modp
+from coclass.exactpoly.extension import _squarefree_norm, interpolate
+from coclass.kummerh1 import CoclassV4, v4_encode
 
 P = RationalPoly.from_text
 F = Fraction
@@ -385,3 +390,194 @@ def test_gcd_and_squarefree():
     assert gcd(f, g) == P("1,1")
     assert is_squarefree(f)
     assert not is_squarefree(P("1,1") ** 2)
+
+
+# ---------------------------------------------------------------------------
+# GF(p) layer: distinct-degree patterns against full factorization
+# ---------------------------------------------------------------------------
+
+def _random_squarefree_gf(rng, n, p):
+    """A seeded monic squarefree polynomial of degree n over GF(p)."""
+    while True:
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        if modp.gf_is_squarefree(f, p):
+            return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+def test_gf_factor_degrees_match_full_factorization(p):
+    rng = random.Random(1000 + p)
+    for n in range(1, 17):
+        for _ in range(3):
+            f = _random_squarefree_gf(rng, n, p)
+            factors = modp.gf_factor_squarefree(f, p)
+            assert modp.gf_factor_degrees(f, p) == sorted(len(g) - 1 for g in factors)
+            prod = [1]
+            for g in factors:
+                prod = modp.gf_mul(prod, g, p)
+            assert prod == f
+
+
+def _frobenius_types_by_full_factoring(f, count):
+    """The cycle-type sample of `frobenius_cycle_types`, read from complete
+    Cantor-Zassenhaus factorizations: the oracle for its DDF route."""
+    _, fz = f.monic().primitive_int()
+    ints = [int(c) for c in fz.coeffs]
+    types, p, found = set(), 2, 0
+    while found < count:
+        p += 1
+        if any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)) or ints[-1] % p == 0:
+            continue
+        fp = modp.gf_from_int_poly(ints, p)
+        if len(fp) - 1 != f.degree or not modp.gf_is_squarefree(fp, p):
+            continue
+        degs = [len(g) - 1 for g in modp.gf_factor_squarefree(modp.gf_monic(fp, p), p)]
+        types.add(tuple(sorted(degs, reverse=True)))
+        found += 1
+    return types
+
+
+@pytest.mark.parametrize("text", ["1,1,1,1,1", "7,0,-6,0,1"])
+def test_frobenius_cycle_types_match_full_factoring(text):
+    f = P(text)
+    assert frobenius_cycle_types(f, 120) == _frobenius_types_by_full_factoring(f, 120)
+
+
+# ---------------------------------------------------------------------------
+# interpolation and Trager norms
+# ---------------------------------------------------------------------------
+
+def _lagrange(xs, ys):
+    """Lagrange's formula, one product per point: the oracle for the
+    library's Newton-form `interpolate`."""
+    out = RationalPoly([])
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if yi == 0:
+            continue
+        num = RationalPoly([yi])
+        den = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            num = num * RationalPoly([-xj, 1])
+            den *= xi - xj
+        out = out + num * RationalPoly([1 / den])
+    return out
+
+
+def test_interpolate_matches_lagrange():
+    rng = random.Random(17)
+    for n in range(0, 18):
+        xs = rng.sample(sorted({F(a, b) for a in range(-12, 13) for b in (1, 2, 3)}), n)
+        pool = [F(0), F(0), F(3), F(-5, 2), F(rng.randint(-99, 99), rng.randint(1, 9))]
+        ys = [rng.choice(pool) for _ in xs]
+        assert interpolate(xs, ys) == _lagrange(xs, ys), (xs, ys)
+
+
+def test_trager_norm_at_fresh_points_is_the_resultant():
+    f, g, lam = P("7,0,-6,0,1"), P("-3,1,0,1"), F(2)
+    norm = trager_norm(f, g, lam)
+    assert norm.degree == f.degree * g.degree
+    shift = RationalPoly([0, -lam])  # -lam*y
+    for x0 in (37, -41, 100):
+        # g(x0 - lam*y) as a polynomial in y, summed term by term
+        gy = RationalPoly([])
+        for i, c in enumerate(g.coeffs):
+            gy = gy + RationalPoly([c]) * (shift + RationalPoly([x0])) ** i
+        assert norm(F(x0)) == resultant(f, gy)
+
+
+# ---------------------------------------------------------------------------
+# frozen factorizations of Trager norms from the codec-roundtrip draws
+# ---------------------------------------------------------------------------
+
+_C4_TWISTS = (1, 2, 3, 5, 6, 7, 10, 14, -2, -3, -5, -7)
+_SMALL_RATIONALS = [F(s * n, d) for s in (1, -1) for n in (1, 2, 3, 5, 6, 7)
+                    for d in (1, 2, 3)]
+
+
+def _c4_quartic(rng):
+    """x^4 - 4c x^2 + 2c^2 - 2a, irreducible, for alpha = (c^2/N(beta)) beta^2
+    with beta = u + v sqrt(-D)."""
+    while True:
+        D = rng.choice(_C4_TWISTS)
+        u = rng.choice((1, -1)) * rng.randint(1, 4)
+        v = rng.choice((1, -1)) * rng.randint(1, 3)
+        n = u * u + D * v * v
+        if n == 0:
+            continue
+        c = F(rng.choice((1, -1)) * rng.randint(1, 4), rng.randint(1, 3))
+        a = c * c / n * (u * u - D * v * v)
+        f = RationalPoly([2 * c * c - 2 * a, 0, -4 * c, 0, 1])
+        if is_irreducible(f):
+            return f
+
+
+def _v4_quartic(rng):
+    """The irreducible quartic of a split-R V4 datum (d1, d2, 1/(d1 d2))."""
+    R = EtaleAlgebra.from_text("0,1|0,1|0,1")
+    while True:
+        d1, d2 = rng.choice(_SMALL_RATIONALS), rng.choice(_SMALL_RATIONALS)
+        L = v4_encode(CoclassV4(R, (d1, d2, 1 / (d1 * d2))))
+        if len(L.factors) == 1:
+            return L.factors[0]
+
+
+def _golden_norms():
+    """Squarefree Trager norms, as the C4/V4 tag and isomorphism tests build
+    them: f against f (degree 16) and the discriminant's quadratic against f
+    (degree 8) for four C4 quartics, f against f for four V4 quartics."""
+    rng = random.Random(2025)
+    norms = []
+    for _ in range(4):
+        f = _c4_quartic(rng)
+        quad = RationalPoly([-squarefree_part(discriminant(f)), 0, 1])
+        norms.append(_squarefree_norm(f, f)[1])
+        norms.append(_squarefree_norm(f, quad)[1])
+    for _ in range(4):
+        f = _v4_quartic(rng)
+        norms.append(_squarefree_norm(f, f)[1])
+    return norms
+
+
+_GOLDEN_NORM_FACTORS = [
+    ['81,0,-6,0,1', '1089,0,42,0,1', '3249,0,-102,0,1', '6561,0,-54,0,1'],
+    ['76,-8,0,4,1', '76,8,0,-4,1'],
+    ['48/11,0,-4,0,1', '3888/11,0,-36,0,1', '246016/121,0,-14720/11,0,5136/11,0,-40,0,1'],
+    ['111830625/121,0,-1478388/11,0,75050/11,0,-140,0,1'],
+    ['10/3,0,-4,0,1', '270,0,-36,0,1', '3364/9,0,-4880/3,0,1444/3,0,-40,0,1'],
+    ['5522500/9,0,-301760/3,0,16988/3,0,-128,0,1'],
+    ['10/27,0,4/3,0,1', '30,0,12,0,1', '3364/729,0,4880/81,0,1444/27,0,40/3,0,1'],
+    ['644652100/729,0,-8940160/81,0,143708/27,0,-352/3,0,1'],
+    ['1033/49,-24,52/7,0,1', '129145/441,-24,-412/21,0,1', '475225/441,-24,1268/21,0,1',
+     '96345/49,-216,276/7,0,1'],
+    ['1/4,-24,-19,0,1', '141697/324,-24,-595/9,0,1', '2593/4,-216,-163,0,1',
+     '840673/324,-24,-1027/9,0,1'],
+    ['3217/196,-24,-131/7,0,1', '67657/1764,-24,-865/21,0,1', '454689/196,-216,-1083/7,0,1',
+     '6650233/1764,-24,-2713/21,0,1'],
+    ['-639/4,-216,-69,0,1', '-47/4,-24,-13,0,1', '4393/36,-24,-95/3,0,1',
+     '9337/36,-24,-119/3,0,1'],
+]
+
+
+def test_trager_norm_factorizations_frozen(monkeypatch):
+    norms = _golden_norms()
+    assert sorted({N.degree for N in norms}) == [8, 16]
+    scans = []
+    ddf = modp.gf_factor_degrees
+
+    def spy(f, p):
+        degs = ddf(f, p)
+        scans[-1].append(len(degs))
+        return degs
+
+    monkeypatch.setattr(modp, "gf_factor_degrees", spy)
+    for N, want in zip(norms, _GOLDEN_NORM_FACTORS):
+        scans.append([])
+        assert factor_rationals(N) == [(P(t), 1) for t in want]
+        # the prime scan stops at its first count <= 2, or after 7 primes
+        scan = scans[-1]
+        assert all(c > 2 for c in scan[:-1])
+        assert scan[-1] <= 2 or len(scan) == 7
+    capped = [scan for scan in scans if min(scan) > 2]
+    assert capped and all(len(scan) == 7 for scan in capped)
