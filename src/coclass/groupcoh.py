@@ -669,9 +669,9 @@ def holomorph_homs_over_phi(gm: FiniteGModule):
     choices of t on S, at most |M|^|S| with |S| <= log2 |G|, are extended to
     G and kept when they give a homomorphism.  They are chosen one generator
     at a time, and a choice that does not extend to the subgroup spanned by
-    the generators so far is dropped with all its continuations.  The
-    t-table t(g) = psi(g)(0) of each psi is a crossed homomorphism.  Hol M
-    acts on the points of M; Aut M itself is never listed."""
+    the generators so far is dropped with all its continuations.  Each psi
+    becomes its t-table t(g) = psi(g)(0), a crossed homomorphism, at once.
+    Hol M acts on the points of M; Aut M itself is never listed."""
     M = gm.module
     pts = M.elements
     index = {p: i for i, p in enumerate(pts)}
@@ -680,18 +680,20 @@ def holomorph_homs_over_phi(gm: FiniteGModule):
         return Perm(tuple(index[M.add(gm.act(g, x), t)] for x in pts))
 
     n, one = gm.group.n, Perm.identity(len(pts))
-    lifts = [({}, extend_hom(n, {}, Perm.__mul__, one))]
-    for g in _small_generating_set(gm.group):
-        images = [affine(g, t) for t in pts]
-        nxt = []
-        for prev, _ in lifts:
-            for a in images:
-                imgs = {**prev, g: a}
-                psi = extend_hom(n, imgs, Perm.__mul__, one)
-                if psi is not None:
-                    nxt.append((imgs, psi))
-        lifts = nxt
-    return [{g: pts[psi[g](0)] for g in gm.elements} for _, psi in lifts]
+    gens = _small_generating_set(gm.group)
+    choices = [[affine(g, t) for t in pts] for g in gens]
+    tables = []
+
+    def extend(imgs):  # depth first, holding only generator images
+        psi = extend_hom(n, imgs, Perm.__mul__, one)
+        if psi is not None and len(imgs) == len(gens):
+            tables.append({g: pts[psi[g](0)] for g in gm.elements})
+        elif psi is not None:
+            for a in choices[len(imgs)]:
+                extend({**imgs, gens[len(imgs)]: a})
+
+    extend({})
+    return tables
 
 
 def h1_via_hol(gm: FiniteGModule):

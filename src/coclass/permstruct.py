@@ -9,6 +9,7 @@ notation, groups by generator lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -40,13 +41,20 @@ class Perm:
         if sorted(self.images) != list(range(len(self.images))):
             raise PermStructError(f"not a bijection: {self.images}")
 
+    @staticmethod
+    def _trusted(images: tuple) -> "Perm":
+        """A Perm from images known to be a bijection, left unchecked."""
+        p = object.__new__(Perm)
+        object.__setattr__(p, "images", images)
+        return p
+
     @property
     def n(self) -> int:
         return len(self.images)
 
     @staticmethod
     def identity(n: int) -> "Perm":
-        return Perm(tuple(range(n)))
+        return Perm._trusted(tuple(range(n)))
 
     @staticmethod
     def from_cycles(text: str, n: int) -> "Perm":
@@ -89,13 +97,15 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Composition: (p * q)(x) = p(q(x))."""
-        return Perm(tuple(self.images[i] for i in other.images))
+        if len(self.images) != len(other.images):
+            raise PermStructError(f"degrees {self.n} and {other.n} differ")
+        return Perm._trusted(tuple(self.images[i] for i in other.images))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.n
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(tuple(inv))
+        return Perm._trusted(tuple(inv))
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -138,12 +148,10 @@ class PermGroup:
 
     def __init__(self, n: int, generators: Iterable[Perm]):
         self.n = n
-        gens = []
-        for g in generators:
-            if g.n != n:
-                raise PermStructError("generator degree mismatch")
-            if g.images != tuple(range(n)) and g not in gens:
-                gens.append(g)
+        gens = dict.fromkeys(generators)  # drops repeats, keeps the order
+        if any(g.n != n for g in gens):
+            raise PermStructError("generator degree mismatch")
+        gens.pop(Perm.identity(n), None)
         self.generators = tuple(gens)
         self._elements = None
 
@@ -292,18 +300,11 @@ class FiniteAbelian:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.cyclic_orders:
-            out *= d
-        return out
+        return math.prod(self.cyclic_orders)
 
     @property
     def exponent(self) -> int:
-        import math
-        out = 1
-        for d in self.cyclic_orders:
-            out = math.lcm(out, d)
-        return out
+        return math.lcm(*self.cyclic_orders)
 
     @property
     def elements(self):
@@ -322,11 +323,8 @@ class FiniteAbelian:
         return tuple((k * x) % d for x, d in zip(a, self.cyclic_orders))
 
     def element_order(self, a) -> int:
-        import math
-        out = 1
-        for x, d in zip(a, self.cyclic_orders):
-            out = math.lcm(out, d // math.gcd(x, d))
-        return out
+        return math.lcm(*(d // math.gcd(x, d)
+                          for x, d in zip(a, self.cyclic_orders)))
 
     def linear_map(self, images):
         """The map sending x to the sum of x_i * images[i], images[i] being
@@ -368,18 +366,17 @@ class HolomorphGroup(PermGroup):
         self.module = module
         self.points = sorted(module.elements)
         self.point_index = {p: i for i, p in enumerate(self.points)}
-        n = len(self.points)
-        trans = []
-        for t in self.points:
-            trans.append(Perm(tuple(
-                self.point_index[module.add(p, t)] for p in self.points)))
-        auts = []
-        for phi in module.automorphisms():
-            auts.append(Perm(tuple(
-                self.point_index[phi[p]] for p in self.points)))
-        self.translation_perms = tuple(trans)
-        self.aut_perms = tuple(auts)
-        super().__init__(n, list(trans) + list(auts))
+        one = {p: p for p in self.points}
+        self.translation_perms = tuple(self.affine(one, t) for t in self.points)
+        self.aut_perms = tuple(self.affine(phi, module.zero())
+                               for phi in module.automorphisms())
+        super().__init__(len(self.points),
+                         self.translation_perms + self.aut_perms)
+
+    @property
+    def order(self) -> int:
+        """|M| * |Aut M|: Hol M is the semidirect product, never closed."""
+        return self.module.order * len(self.aut_perms)
 
     def translation(self, t) -> Perm:
         return self.translation_perms[self.point_index[t]]
@@ -470,28 +467,24 @@ def _isomorphisms(A: PermGroup, B: PermGroup):
     return out
 
 
-def count_g_structures(image: PermGroup, G: PermGroup):
+def count_g_structures(image: PermGroup, G: PermGroup) -> int:
     """Number of G-structures on a subgroup `image` of Sym(n): pairs of a
     conjugate G' of G containing image together with a G-conjugacy class of
-    isomorphisms G' -> G.  Returns (count, witnesses)."""
+    isomorphisms G' -> G.
+
+    Each G' has |Aut G| isomorphisms to G, and Inn G acts on them freely by
+    post-composition (c_g o phi = phi forces g into Z(G)), so each G' carries
+    |Aut G| / |Inn G| = |Aut G| * |Z(G)| / |G| classes, and Aut G is searched
+    once."""
     if image.n != G.n:
         raise PermStructError("image and G must sit in the same Sym(n)")
-    witnesses = []
     img_els = image.elements
-    for conj_els in subgroup_conjugates(G):
-        if not img_els <= conj_els:
-            continue
-        dom = sorted(conj_els)
-        Gp = PermGroup(G.n, dom)
-        # each isomorphism as its images of dom; its classes under
-        # post-composition with inner automorphisms of G, each witnessed by
-        # its least member
-        isos = sorted(tuple(phi[a] for a in dom)
-                      for phi in _isomorphisms(Gp, G))
-        for orbit in orbits(isos, G.generators, lambda c, imgs: tuple(
-                b.conjugate(c) for b in imgs)):
-            witnesses.append((Gp, dict(zip(dom, orbit[0]))))
-    return len(witnesses), witnesses
+    conjugates = sum(img_els <= c for c in subgroup_conjugates(G))
+    if not conjugates:
+        return 0
+    center = [z for z in G.elements
+              if all(z * g == g * z for g in G.generators)]
+    return conjugates * len(_isomorphisms(G, G)) * len(center) // G.order
 
 
 # ---------------------------------------------------------------------------
