@@ -4,7 +4,8 @@ output, plus named corpus suites mirroring the acceptance properties.
 Grammar: polynomials are ascending comma-separated coefficient strings
 ("7,0,-6,0,1" is x^4 - 6x^2 + 7); etale algebras join factors with "|";
 permutations use cycle notation and generator lists join with ";".
-Exit codes: 0 ok, 2 invalid input, 3 unsupported scope, 64 unknown command.
+Exit codes: 0 ok, 2 invalid input, 3 unsupported scope, 64 unknown command,
+70 internal fault (a bug in coclass, not in the input; traceback on stderr).
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .permstruct import FiniteAbelian, PermGroup, UnsupportedDegree
 
 SCHEMA = 1
 
-_INVALID = (ValueError, TypeError, AttributeError, KeyError,
-            ZeroDivisionError)
 _UNSUPPORTED = (UnsupportedStructure, UnsupportedLocal, UnsupportedDegree,
                 groupcoh.UnsupportedSize)
 
@@ -40,7 +39,17 @@ class CliError(ValueError):
 # parsing and formatting
 # ---------------------------------------------------------------------------
 
+def _need(args, name: str) -> str:
+    """The value of the flag --name, which this action requires."""
+    value = getattr(args, name)
+    if value is None:
+        raise CliError(f"missing required flag --{name}")
+    return value
+
+
 def _parse_poly(text: str) -> RationalPoly:
+    if text is None:
+        raise CliError("missing required polynomial flag")
     try:
         return RationalPoly.from_text(text)
     except ValueError as exc:
@@ -230,37 +239,37 @@ def cmd_h1(args):
     mod, act = args.module_name, args.action_name
     if mod == "c3":
         D = int(args.D) if args.D else None
-        if act == "encode":
-            d = etalealg.squarefree_part(-3 * D)
-            cc = CoclassC3(D, _quad_from_text(d, args.delta))
-            return _algebra_json(kummerh1.c3_encode(cc))
         if act == "decode":
             L = EtaleAlgebra.from_poly(_parse_poly(args.f))
             cc, ambiguous = kummerh1.c3_decode(L)
             return {"datum": _c3_json(cc),
                     "flags": ["sign_ambiguous"] if ambiguous else []}
+        if D is None:
+            raise CliError("missing required flag --D")
         d = etalealg.squarefree_part(-3 * D)
-        a = CoclassC3(D, _quad_from_text(d, args.delta))
-        b = CoclassC3(D, _quad_from_text(d, args.delta2))
+        a = CoclassC3(D, _quad_from_text(d, _need(args, "delta")))
+        if act == "encode":
+            return _algebra_json(kummerh1.c3_encode(a))
+        b = CoclassC3(D, _quad_from_text(d, _need(args, "delta2")))
         return {"datum": _c3_json(kummerh1.c3_add(a, b))}
     if mod == "v4":
         if act == "decode":
             cc = kummerh1.v4_decode(_parse_poly(args.f))
             return {"datum": _v4_json(cc), "flags": ["aut_orbit"]}
-        R = EtaleAlgebra.from_text(args.R)
-        def parse_delta(text):
+        R = EtaleAlgebra.from_text(_need(args, "R"))
+        def parse_delta(name):
             return CoclassV4(R, tuple(
                 _parse_poly(t) if "," in t else _parse_frac(t)
-                for t in text.split("|")))
+                for t in _need(args, name).split("|")))
         if act == "encode":
-            return _algebra_json(kummerh1.v4_encode(parse_delta(args.delta)))
-        out = kummerh1.v4_add(parse_delta(args.delta), parse_delta(args.delta2))
+            return _algebra_json(kummerh1.v4_encode(parse_delta("delta")))
+        out = kummerh1.v4_add(parse_delta("delta"), parse_delta("delta2"))
         return {"datum": _v4_json(out)}
     # c4
     if act == "decode":
         cc = kummerh1.c4_decode(_parse_poly(args.f))
         return {"datum": _c4_json(cc), "flags": ["b_sign_ambiguous"]}
-    mk = lambda a, b, c: CoclassC4(int(args.D), _parse_frac(a),
+    mk = lambda a, b, c: CoclassC4(int(_need(args, "D")), _parse_frac(a),
                                    _parse_frac(b), _parse_frac(c))
     if act == "encode":
         return _algebra_json(kummerh1.c4_encode(mk(args.a, args.b, args.c)))
@@ -293,7 +302,7 @@ def cmd_local(args):
     # tate
     p = int(args.p)
     if args.module == "c3":
-        D = int(args.D)
+        D = int(_need(args, "D"))
         d = etalealg.squarefree_part(D)
         dp = etalealg.squarefree_part(-3 * D)
         def side(text, twist):
@@ -692,20 +701,22 @@ def _build_parser(cmd: str, sub: str) -> argparse.ArgumentParser:
     return p
 
 
+def _error(code: str, message: str, exit_code: int):
+    return {"schema": SCHEMA, "status": "error", "code": code,
+            "diagnostics": [message]}, exit_code
+
+
 def run(argv):
     """Dispatch argv (without the program name); returns (payload, code)."""
     if len(argv) < 2 or argv[0] not in _COMMANDS:
-        return {"schema": SCHEMA, "status": "error", "code": "usage",
-                "diagnostics": [USAGE]}, 64
+        return _error("usage", USAGE, 64)
     cmd, sub = argv[0], argv[1]
     if cmd == "h1":
         if sub not in _COMMANDS["h1"] or len(argv) < 3 or \
                 argv[2] not in ("encode", "decode", "add"):
-            return {"schema": SCHEMA, "status": "error", "code": "usage",
-                    "diagnostics": [USAGE]}, 64
+            return _error("usage", USAGE, 64)
     elif sub not in _COMMANDS[cmd]:
-        return {"schema": SCHEMA, "status": "error", "code": "usage",
-                "diagnostics": [USAGE]}, 64
+        return _error("usage", USAGE, 64)
     parser = _build_parser(cmd, sub)
     # merge '--flag value' into '--flag=value' so values that begin with a
     # minus sign (negative coefficients, rationals) survive argparse
@@ -724,8 +735,7 @@ def run(argv):
     try:
         args = parser.parse_args(merged)
     except SystemExit:
-        return {"schema": SCHEMA, "status": "error", "code": "invalid-flags",
-                "diagnostics": [f"bad flags for {cmd} {sub}"]}, 2
+        return _error("invalid-flags", f"bad flags for {cmd} {sub}", 2)
     args.action_name = sub if cmd != "h1" else args.action_name
     if cmd == "h1":
         args.module_name = sub
@@ -735,11 +745,13 @@ def run(argv):
     try:
         payload = handler(args)
     except _UNSUPPORTED as exc:
-        return {"schema": SCHEMA, "status": "error", "code": "unsupported",
-                "diagnostics": [str(exc)]}, 3
-    except _INVALID as exc:
-        return {"schema": SCHEMA, "status": "error", "code": "invalid",
-                "diagnostics": [str(exc)]}, 2
+        return _error("unsupported", str(exc), 3)
+    except ValueError as exc:  # CliError and every library input error
+        return _error("invalid", str(exc), 2)
+    except Exception as exc:  # a fault of coclass itself, not of the input
+        import traceback
+        traceback.print_exc()
+        return _error("internal", f"{type(exc).__name__}: {exc}", 70)
     out = {"schema": SCHEMA, "status": "ok"}
     out.update(payload)
     return out, 0

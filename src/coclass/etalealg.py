@@ -394,7 +394,5 @@ def is_g_torsor(L: EtaleAlgebra, G: PermGroup) -> bool:
     A = _aut_group_of_field(first)
     if A.order != d:
         return False  # factor field not Galois
-    for H in _subgroups_of_order(G, d):
-        if _isomorphisms(A, H):
-            return True
-    return False
+    return any(next(_isomorphisms(A, H), None) is not None
+               for H in _subgroups_of_order(G, d))

@@ -7,7 +7,6 @@ from .extension import (
     fields_isomorphic,
     has_root_in_extension,
     roots_in_extension,
-    roots_in_extension_count,
     trager_norm,
 )
 from .factor import factor_rationals, factor_squarefree, is_irreducible, squarefree_decomposition
@@ -37,7 +36,7 @@ __all__ = [
     "extension_automorphisms",
     "factor_squarefree", "fields_isomorphic", "gcd", "has_root_in_extension",
     "is_irreducible", "is_squarefree", "numeric_roots", "real_roots",
-    "resultant", "roots_in_extension", "roots_in_extension_count",
+    "resultant", "roots_in_extension",
     "squarefree_decomposition",
     "trager_norm",
 ]

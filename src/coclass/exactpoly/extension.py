@@ -65,43 +65,34 @@ def _squarefree_norm(f: RationalPoly, g: RationalPoly):
     raise ExactPolyError("no squarefree Trager norm found")
 
 
-def roots_in_extension_count(g: RationalPoly, f: RationalPoly) -> int:
-    """Number of roots of squarefree g in the field Q[y]/(f), f irreducible."""
+def _trager_roots(g: RationalPoly, f: RationalPoly):
+    """Each irreducible factor h of g whose degree divides deg f, with a
+    lazy iterator over the (lam, q), q a factor of degree deg f of the
+    squarefree norm N_lam(h), one per root of h in Q[y]/(f)."""
+    if not is_irreducible(f):
+        raise ExactPolyError("extension polynomial must be irreducible")
+    if not is_squarefree(g):
+        raise ExactPolyError("g must be squarefree")
     n = f.degree
-    count = 0
-    for h, _ in factor_rationals(g):
-        if h.degree == 1:
-            count += 1
-            continue
-        _, norm = _squarefree_norm(f, h)
+
+    def norm_factors(h):
+        lam, norm = _squarefree_norm(f, h)
         for q in factor_squarefree(norm):
             if q.degree == n:
-                count += 1
-    return count
+                yield lam, q
+
+    for h, _ in factor_rationals(g):
+        if n % h.degree == 0:
+            yield h, norm_factors(h)
 
 
 def has_root_in_extension(g: RationalPoly, f: RationalPoly) -> bool:
     """True iff squarefree g has a root in Q[y]/(f), f monic irreducible."""
     if f.degree < 1 or g.degree < 1:
         raise ExactPolyError("need degree >= 1")
-    if not is_irreducible(f):
-        raise ExactPolyError("extension polynomial must be irreducible")
-    if not is_squarefree(g):
-        raise ExactPolyError("g must be squarefree")
-    n = f.degree
-    for h, _ in factor_rationals(g):
-        if h.degree == 1:
-            return True
-        if h.degree > n:
-            continue
-        if n % h.degree != 0:
-            continue
-        if h.monic() == f.monic():
-            return True
-        _, norm = _squarefree_norm(f, h)
-        if any(q.degree == n for q in factor_squarefree(norm)):
-            return True
-    return False
+    return any(h.degree == 1 or h.monic() == f.monic()
+               or next(found, None) is not None
+               for h, found in _trager_roots(g, f))
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +162,12 @@ def _kp_gcd(a, b, f):
 def roots_in_extension(g: RationalPoly, f: RationalPoly):
     """All roots of squarefree g in K = Q[y]/(f), f monic irreducible, as
     reduced polynomials h(y) with g(h) = 0 mod f (Trager factorization)."""
-    if not is_irreducible(f):
-        raise ExactPolyError("extension polynomial must be irreducible")
-    if not is_squarefree(g):
-        raise ExactPolyError("g must be squarefree")
-    n = f.degree
     roots = []
-    for h, _ in factor_rationals(g):
+    for h, found in _trager_roots(g, f):
         if h.degree == 1:
             roots.append(RationalPoly([-h.coeffs[0] / h.coeffs[1]]))
             continue
-        if h.degree > n or n % h.degree != 0:
-            continue
-        lam, norm = _squarefree_norm(f, h)
-        for q in factor_squarefree(norm):
-            if q.degree != n:
-                continue
+        for lam, q in found:
             # K-gcd of h(x) and q(x + lam*theta) is linear: x - root
             hk = [RationalPoly([c]) for c in h.coeffs]
             theta = RationalPoly([0, 1])

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+from .. import InternalError
 from . import modp
 from .poly import ExactPolyError, RationalPoly, gcd
 
@@ -87,7 +88,7 @@ def _hensel_pair(f, g, h, p, bound):
     """Lift f = g*h (mod p) until the modulus exceeds `bound`."""
     s, t, d = _gf_gcdex(g, h, p)
     if d != [1]:
-        raise ExactPolyError("internal: factors not coprime mod p")
+        raise InternalError("internal: factors not coprime mod p")
     m = p
     while m < bound:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)

@@ -166,9 +166,9 @@ def gf_factor_degrees(f, p):
                   for _ in range((len(g) - 1) // d))
 
 
-def gf_factor_squarefree(f, p, seed=0):
+def gf_factor_squarefree(f, p):
     """Factor monic squarefree f over GF(p) into monic irreducibles."""
-    rng = random.Random(seed or (p * 1000003 + len(f)))
+    rng = random.Random(p * 1000003 + len(f))
     factors = []
     for g, d in _distinct_degree(gf_monic(f, p), p):
         factors.extend(_equal_degree(g, d, p, rng))

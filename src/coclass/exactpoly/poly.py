@@ -38,7 +38,10 @@ class RationalPoly:
     @staticmethod
     def from_text(text: str) -> "RationalPoly":
         parts = [p.strip() for p in text.split(",")]
-        return RationalPoly([Fraction(p) for p in parts])
+        try:
+            return RationalPoly([Fraction(p) for p in parts])
+        except ZeroDivisionError as exc:
+            raise ExactPolyError(f"zero denominator in {text!r}") from exc
 
     @staticmethod
     def constant(c) -> "RationalPoly":

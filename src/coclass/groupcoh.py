@@ -13,15 +13,15 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Callable, Dict, Sequence
 
+from . import InternalError
 from .permstruct import (
     FiniteAbelian,
-    HolomorphGroup,
     Perm,
     PermGroup,
     PermStructError,
     _small_generating_set,
     extend_hom,
-    holomorph,
+    hom_search,
     orbits,
 )
 
@@ -560,7 +560,7 @@ class CoclassSet:
             q = mods[r] // self._howell[r][r]
             rel = self._coords({j: q * x for j, x in self._howell[r].items()})
             if rel is None:
-                raise GroupCohError("cocycle basis not in Howell form "
+                raise InternalError("cocycle basis not in Howell form "
                                     "(internal error)")
             rel[i] -= q
             rels.append(rel)
@@ -643,57 +643,36 @@ def cohomology(gm: FiniteGModule, n: int) -> CoclassSet:
 # ---------------------------------------------------------------------------
 
 def crossed_to_hol(gm: FiniteGModule, z: Cochain):
-    """The homomorphism psi: G -> Hol M, g -> lambda_{phi(g), z(g)}.
-
-    Returns (hol, psi) with psi a dict Perm -> Perm (in Hol M)."""
+    """The homomorphism psi: G -> Hol M, g -> lambda_{phi(g), z(g)}, as a
+    dict Perm -> Perm of affine maps (FiniteAbelian.affine)."""
     if z.arity != 1:
         raise GroupCohError("need a 1-cochain")
     if not coboundary(z).is_zero():
         raise GroupCohError("not a 1-cocycle")
-    hol = holomorph(gm.module)
-    psi = {}
-    for g in gm.elements:
-        psi[g] = hol.affine(gm.action[g], z(g))
+    psi = {g: gm.module.affine(gm.action[g], z(g)) for g in gm.elements}
     for g in gm.elements:
         for h in gm.elements:
             if psi[g * h] != psi[g] * psi[h]:
-                raise GroupCohError("psi not a homomorphism (internal error)")
-    return hol, psi
+                raise InternalError("psi not a homomorphism (internal error)")
+    return psi
 
 
 def holomorph_homs_over_phi(gm: FiniteGModule):
     """All homomorphisms psi: G -> Hol M lifting phi through Hol M -> Aut M,
     i.e. psi(g) = lambda_{phi(g), t(g)}; returned as the list of t-tables.
 
-    psi is fixed by its values on a small generating set S of G, so the
-    choices of t on S, at most |M|^|S| with |S| <= log2 |G|, are extended to
-    G and kept when they give a homomorphism.  They are chosen one generator
-    at a time, and a choice that does not extend to the subgroup spanned by
-    the generators so far is dropped with all its continuations.  Each psi
-    becomes its t-table t(g) = psi(g)(0), a crossed homomorphism, at once.
-    Hol M acts on the points of M; Aut M itself is never listed."""
+    psi is fixed by its values on a small generating set S of G, so
+    hom_search tries at most |M|^|S| choices of t on S, |S| <= log2 |G|.
+    Each psi becomes its t-table t(g) = psi(g)(0), a crossed homomorphism,
+    at once.  Hol M acts on the points of M; Aut M is never listed."""
     M = gm.module
     pts = M.elements
-    index = {p: i for i, p in enumerate(pts)}
-
-    def affine(g, t):  # lambda_{phi(g), t}: x -> g.x + t
-        return Perm(tuple(index[M.add(gm.act(g, x), t)] for x in pts))
-
     n, one = gm.group.n, Perm.identity(len(pts))
     gens = _small_generating_set(gm.group)
-    choices = [[affine(g, t) for t in pts] for g in gens]
-    tables = []
-
-    def extend(imgs):  # depth first, holding only generator images
-        psi = extend_hom(n, imgs, Perm.__mul__, one)
-        if psi is not None and len(imgs) == len(gens):
-            tables.append({g: pts[psi[g](0)] for g in gm.elements})
-        elif psi is not None:
-            for a in choices[len(imgs)]:
-                extend({**imgs, gens[len(imgs)]: a})
-
-    extend({})
-    return tables
+    choices = [[M.affine(gm.action[g], t) for t in pts] for g in gens]
+    lifts = hom_search(gens, choices,
+                       lambda images: extend_hom(n, images, Perm.__mul__, one))
+    return [{g: pts[psi[g](0)] for g in gm.elements} for psi in lifts]
 
 
 def h1_via_hol(gm: FiniteGModule):
@@ -882,7 +861,7 @@ def cup11(X: FiniteGModule, Y: FiniteGModule, W: FiniteGModule,
             out[(g, h)] = pairing(z1(g), Y.act(g, z2(h)))
     c = Cochain(W, 2, out)
     if not coboundary(c).is_zero():
-        raise GroupCohError("cup product not a cocycle (internal error)")
+        raise InternalError("cup product not a cocycle (internal error)")
     return c
 
 

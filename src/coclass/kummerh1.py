@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import InternalError
 from .etalealg import (
     EtaleAlgebra,
     EtaleError,
@@ -256,13 +257,13 @@ def c3_decode(L: EtaleAlgebra):
         # pure Kummer branch: T' split, datum u = -q with delta = (u, 1/u)
         u = -q
         if d != 1:
-            raise KummerError("internal: pure cubic whose -3D is not a square")
+            raise InternalError("internal: pure cubic whose -3D is not a square")
         delta = QuadElem.of(1, (u + 1 / u) / 2, (u - 1 / u) / 2)
         return CoclassC3(SquareClass(D), delta), True
     s_rad = q * q + Fraction(4, 27) * p ** 3
     m = _frac_sqrt(s_rad / d)
     if m is None:
-        raise KummerError("internal: radicand not in expected square class")
+        raise InternalError("internal: radicand not in expected square class")
     s = _frac_sqrt(-p / 3)
     if s is not None:
         # already rescalable to x^3 - 3x - t with t = -q/s^3
@@ -274,7 +275,7 @@ def c3_decode(L: EtaleAlgebra):
         eta = QuadElem.of(d, -q / 2, m / 2)
         delta = (eta * eta) * (Fraction(-27) / p ** 3)
     if delta.norm() != 1:
-        raise KummerError("internal: decoded delta not norm-one")
+        raise InternalError("internal: decoded delta not norm-one")
     return CoclassC3(SquareClass(D), delta), True
 
 
@@ -549,7 +550,7 @@ def c4_decode(f) -> CoclassC4:
         raise UnsupportedStructure("degenerate biquadratic model (c = 0)")
     db2 = c ** 4 - a * a
     if db2 == 0:
-        raise KummerError("internal: irreducible quartic gave b = 0")
+        raise InternalError("internal: irreducible quartic gave b = 0")
     D = squarefree_part(db2)
     b = _frac_sqrt(db2 / D)
     a, b, c = _c4_reduce(SquareClass(D), a, b, c)

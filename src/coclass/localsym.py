@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import InternalError
 from ._kernels import conic_search
 from .etalealg import EtaleAlgebra, squarefree_part
 from .kummerh1 import CoclassC3, CoclassV4, QuadElem
@@ -597,8 +598,12 @@ def tate_pair_c3(p: int, D, sigma, tau) -> SymbolValue:
     Hilbert pairing on E = T[mu_3], T = Q_p[sqrt(D)].  sigma lives on the
     dual side T' = Q_p[sqrt(-3D)], tau on T; both rationals (split data)
     or QuadElems."""
+    if not _is_prime(p):
+        raise LocalSymError(f"{p} is not prime")
     if p in (2, 3):
         raise UnsupportedLocal("p must not divide 6")
+    if sigma == 0 or tau == 0:
+        raise LocalSymError("sigma and tau must be nonzero")
     D = Fraction(getattr(D, "rep", D))
     d = squarefree_part(D)
     dp = squarefree_part(-3 * D)
@@ -611,7 +616,7 @@ def tate_pair_c3(p: int, D, sigma, tau) -> SymbolValue:
         # exponent enters with the opposite sign
         R = ResidueField(p, 1)
         if (R.q - 1) % 3:
-            raise LocalSymError("internal: -3 square forces p = 1 mod 3")
+            raise InternalError("internal: -3 square forces p = 1 mod 3")
         u1 = _embed_split(sigma, dp, p, 1, norm_one=True)
         u2 = _embed_split(sigma, dp, p, -1, norm_one=True)
         w1 = _embed_split(tau, d, p, 1)
@@ -632,7 +637,7 @@ def tate_pair_c3(p: int, D, sigma, tau) -> SymbolValue:
         from math import isqrt
         gn, gd = g2.numerator, g2.denominator
         if isqrt(gn) ** 2 != gn or isqrt(gd) ** 2 != gd:
-            raise LocalSymError("internal: twist classes inconsistent")
+            raise InternalError("internal: twist classes inconsistent")
         g = Fraction(isqrt(gn), isqrt(gd))
         if s3:
             # sqrt(-3) is rational p-adically: one symbol on Q_p(sqrt(d))
@@ -708,6 +713,8 @@ def enumerate_h1_local(module: str, p: int, D=None):
     place = Place(p)
     if module == "c2":
         return [c.rep for c in square_classes(place)]
+    if place.is_real and module in ("c3", "v4"):
+        raise LocalSymError(f"module {module!r} needs a prime p")
     if module in ("mu3", "c3"):
         if p == 3:
             raise UnsupportedLocal("wild: p = 3")

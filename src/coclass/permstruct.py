@@ -286,6 +286,27 @@ def extend_hom(n: int, gen_images: dict, mul, one):
     return h
 
 
+def hom_search(gens, choices, extend, injective=False):
+    """Depth-first search for homomorphisms by generator images (Holt, Eick
+    & O'Brien, Handbook of CGT, sec. 4.6).  gens[i] takes its image from
+    choices[i]; extend(images), for a dict of images of the first gens,
+    gives the map on the subgroup they span, or None.  A choice is dropped
+    with its continuations when that map is None or, if `injective`, not
+    injective.  Yields the maps on the whole group in the order of
+    itertools.product over the choices."""
+    def search(images):
+        h = extend(images)
+        if h is None or injective and len(set(h.values())) != len(h):
+            return
+        if len(images) == len(gens):
+            yield h
+            return
+        g = gens[len(images)]
+        for c in choices[len(images)]:
+            yield from search({**images, g: c})
+    return search({})
+
+
 # ---------------------------------------------------------------------------
 # finite abelian groups
 # ---------------------------------------------------------------------------
@@ -329,26 +350,31 @@ class FiniteAbelian:
     def linear_map(self, images):
         """The map sending x to the sum of x_i * images[i], images[i] being
         the image of the i-th cyclic generator, as a dict element ->
-        element."""
-        out = {}
-        for x in self.elements:
-            acc = self.zero()
-            for xi, im in zip(x, images):
-                acc = self.add(acc, self.smul(xi, im))
-            out[x] = acc
-        return out
+        element on the span of the first len(images) cyclic generators."""
+        out = {(): self.zero()}
+        for d, im in zip(self.cyclic_orders, images):
+            multiples = [self.smul(c, im) for c in range(d)]
+            out = {x + (c,): self.add(acc, m) for x, acc in out.items()
+                   for c, m in enumerate(multiples)}
+        pad = (0,) * (len(self.cyclic_orders) - len(images))
+        return {x + pad: acc for x, acc in out.items()}
 
     def automorphisms(self):
-        """All automorphisms, as dicts element -> element."""
-        els = self.elements
-        out = []
-        candidates = [[e for e in els if self.element_order(e) == d]
+        """All automorphisms, as dicts element -> element: injective images
+        of the cyclic generators, of the same orders."""
+        candidates = [[e for e in self.elements if self.element_order(e) == d]
                       for d in self.cyclic_orders]
-        for imgs in product(*candidates):
-            phi = self.linear_map(imgs)
-            if len(set(phi.values())) == len(els):
-                out.append(phi)
-        return out
+        return list(hom_search(
+            range(len(candidates)), candidates,
+            lambda images: self.linear_map(list(images.values())),
+            injective=True))
+
+    def affine(self, phi: dict, t) -> Perm:
+        """The permutation x -> phi(x) + t of the elements in their listed
+        order."""
+        els = self.elements
+        index = {x: i for i, x in enumerate(els)}
+        return Perm(tuple(index[self.add(phi[x], t)] for x in els))
 
     def maximal_order_elements(self):
         m = self.exponent
@@ -364,28 +390,16 @@ class HolomorphGroup(PermGroup):
 
     def __init__(self, module: FiniteAbelian):
         self.module = module
-        self.points = sorted(module.elements)
-        self.point_index = {p: i for i, p in enumerate(self.points)}
-        one = {p: p for p in self.points}
-        self.translation_perms = tuple(self.affine(one, t) for t in self.points)
-        self.aut_perms = tuple(self.affine(phi, module.zero())
+        els = module.elements
+        translations = [module.affine(dict(zip(els, els)), t) for t in els]
+        self.aut_perms = tuple(module.affine(phi, module.zero())
                                for phi in module.automorphisms())
-        super().__init__(len(self.points),
-                         self.translation_perms + self.aut_perms)
+        super().__init__(len(els), translations + list(self.aut_perms))
 
     @property
     def order(self) -> int:
         """|M| * |Aut M|: Hol M is the semidirect product, never closed."""
         return self.module.order * len(self.aut_perms)
-
-    def translation(self, t) -> Perm:
-        return self.translation_perms[self.point_index[t]]
-
-    def affine(self, phi: dict, t) -> Perm:
-        """The permutation x -> phi(x) + t."""
-        m = self.module
-        return Perm(tuple(self.point_index[m.add(phi[p], t)]
-                          for p in self.points))
 
 
 def holomorph(M: FiniteAbelian) -> HolomorphGroup:
@@ -452,19 +466,17 @@ def _small_generating_set(group: PermGroup):
 
 
 def _isomorphisms(A: PermGroup, B: PermGroup):
-    """All group isomorphisms A -> B as dicts, by generator-image search."""
+    """The group isomorphisms A -> B as dicts, yielded one at a time by a
+    search over images of a small generating set of A."""
     if A.order != B.order:
-        return []
+        return iter(())
     gens = _small_generating_set(A)
     b_els = sorted(B.elements)
     cand = [[b for b in b_els if b.order() == g.order()] for g in gens]
-    out = []
-    for imgs in product(*cand):
-        phi = extend_hom(A.n, dict(zip(gens, imgs)), Perm.__mul__,
-                         Perm.identity(B.n))
-        if phi is not None and len(set(phi.values())) == A.order:
-            out.append(phi)
-    return out
+    one = Perm.identity(B.n)
+    return hom_search(gens, cand,
+                      lambda images: extend_hom(A.n, images, Perm.__mul__, one),
+                      injective=True)
 
 
 def count_g_structures(image: PermGroup, G: PermGroup) -> int:
@@ -484,7 +496,8 @@ def count_g_structures(image: PermGroup, G: PermGroup) -> int:
         return 0
     center = [z for z in G.elements
               if all(z * g == g * z for g in G.generators)]
-    return conjugates * len(_isomorphisms(G, G)) * len(center) // G.order
+    auts = sum(1 for _ in _isomorphisms(G, G))
+    return conjugates * auts * len(center) // G.order
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from coclass import InternalError, cli
 from coclass.cli import SUITES, main, run
 
 
@@ -257,6 +258,27 @@ def test_h1_missing_flags_exit_2():
     err(["h1", "v4", "encode", "--R", "0,1|0,1|0,1"], 2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["poly", "factor", "--f", "1/0"],
+    ["etale", "info"],
+    ["etale", "info", "--text", "1/0"],
+    ["h1", "c3", "encode", "--delta", "1/2,1/2"],
+    ["h1", "c3", "encode", "--D", "1"],
+    ["h1", "c3", "add", "--D", "1", "--delta", "1/2,1/2"],
+    ["h1", "c4", "encode", "--a", "-5/4", "--b", "1/2", "--c", "3/2"],
+    ["h1", "v4", "encode", "--delta", "2|3|1/6"],
+    ["local", "tate", "--module", "c3", "--p", "7", "--sigma", "7",
+     "--tau", "2"],
+    ["local", "tate", "--module", "c3", "--p", "7", "--D", "1",
+     "--sigma", "0", "--tau", "2"],
+    ["local", "h1", "--p", "0", "--module", "v4"],
+], ids=" ".join)
+def test_argv_faults_exit_2_not_internal(argv):
+    # each of these once reached a TypeError, AttributeError or
+    # ZeroDivisionError, which exit 70 now reserves for library faults
+    assert err(argv, 2)["code"] == "invalid"
+
+
 # ---------------------------------------------------------------------------
 # local
 # ---------------------------------------------------------------------------
@@ -299,6 +321,13 @@ def test_local_tate_golden():
     payload = ok(["local", "tate", "--module", "v4", "--p", "3",
                   "--sigma", "2|1/2|1", "--tau", "5|1/5|1"])
     assert payload["value"] == "+1"
+
+
+@pytest.mark.parametrize("p", ["0", "1", "-1", "4", "9"])
+def test_local_tate_rejects_non_prime_p(p):
+    # 1, -1 and 9 never returned, 0 divided by zero, 4 gave a value
+    err(["local", "tate", "--module", "c3", "--p", p, "--D", "1",
+         "--sigma", "7", "--tau", "2"], 2)
 
 
 def test_local_tate_wild_exit_3():
@@ -377,3 +406,14 @@ def test_errors_carry_machine_code_not_traceback():
     payload = err(["poly", "factor", "--f", "bogus"], 2)
     assert payload["code"] == "invalid"
     assert "Traceback" not in " ".join(payload["diagnostics"])
+
+
+@pytest.mark.parametrize("exc", [TypeError, AttributeError, KeyError,
+                                 ZeroDivisionError, InternalError])
+def test_library_fault_exits_70_internal(monkeypatch, exc):
+    def broken(args):
+        raise exc("cannot unpack non-iterable int object")
+    monkeypatch.setattr(cli, "cmd_group", broken)
+    payload = err(["group", "hol", "--orders", "2"], 70)
+    assert payload["code"] == "internal"
+    assert payload["diagnostics"][0].startswith(exc.__name__)

@@ -32,6 +32,7 @@ from coclass.exactpoly import (
     fields_isomorphic,
     has_root_in_extension,
 )
+from coclass import permstruct
 from coclass.permstruct import PermGroup
 
 P = RationalPoly
@@ -249,6 +250,20 @@ def test_is_g_torsor_cyclic_cubic():
     assert is_g_torsor(EtaleAlgebra.from_text("0,1|0,1|0,1"), C3_GRP)
     # non-Galois cubic is no torsor
     assert not is_g_torsor(EtaleAlgebra.from_poly(P([-2, 0, 0, 1])), C3_GRP)
+
+
+def test_is_g_torsor_stops_at_the_first_isomorphism(monkeypatch):
+    # Aut V4 has 6 elements; one isomorphism settles the question
+    pulled = []
+    search = permstruct._isomorphisms
+
+    def spy(A, B):
+        for phi in search(A, B):
+            pulled.append(phi)
+            yield phi
+    monkeypatch.setattr(permstruct, "_isomorphisms", spy)
+    assert is_g_torsor(EtaleAlgebra.from_poly(P([1, 0, -10, 0, 1])), V4_GRP)
+    assert len(pulled) == 1
 
 
 def test_is_g_torsor_quartics():

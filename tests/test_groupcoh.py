@@ -36,7 +36,7 @@ from coclass.groupcoh import (
     smith_normal_form,
     submodule_over,
 )
-from coclass.permstruct import FiniteAbelian, Perm, PermGroup
+from coclass.permstruct import FiniteAbelian, Perm, PermGroup, holomorph
 
 
 # ---------------------------------------------------------------------------
@@ -516,21 +516,22 @@ def test_h2_closed_forms_beyond_order_six(group, orders, order, invariants):
 
 def test_crossed_to_hol_zero_is_phi():
     gm = s3_c3_sign()
-    hol, psi = crossed_to_hol(gm, Cochain.zero(gm, 1))
+    psi = crossed_to_hol(gm, Cochain.zero(gm, 1))
     # every psi(g) fixes the zero element of M
-    zero_idx = hol.point_index[gm.module.zero()]
+    zero_idx = gm.module.elements.index(gm.module.zero())
     assert all(p(zero_idx) == zero_idx for p in psi.values())
 
 
 def test_crossed_to_hol_coboundary_is_translation_conjugate():
     gm = s3_c3_sign()
-    hol, psi0 = crossed_to_hol(gm, Cochain.zero(gm, 1))
+    psi0 = crossed_to_hol(gm, Cochain.zero(gm, 1))
     x = (1,)
     z = coboundary(Cochain(gm, 0, {(): x}))
-    _, psi = crossed_to_hol(gm, z)
+    psi = crossed_to_hol(gm, z)
     # conjugation by translation-by-u realizes the cocycle u - g.u, so the
     # conjugator matching d0(x) = g.x - x is translation by -x
-    tau = hol.translation(gm.module.neg(x))
+    M = gm.module
+    tau = M.affine({m: m for m in M.elements}, M.neg(x))
     taui = tau.inverse()
     assert all(psi[g] == tau * psi0[g] * taui for g in gm.elements)
 
@@ -541,8 +542,22 @@ def test_crossed_to_hol_nonzero_is_iso():
     for rep in h1.representatives:
         if rep.is_zero():
             continue
-        hol, psi = crossed_to_hol(gm, rep)
-        assert len(set(psi.values())) == 6 == hol.order
+        psi = crossed_to_hol(gm, rep)
+        assert len(set(psi.values())) == 6 == holomorph(gm.module).order
+
+
+def test_crossed_to_hol_does_not_list_aut_m():
+    # C2 acting trivially on (Z/2)^4, whose Aut M has 20,160 elements
+    C2 = PermGroup.from_cycle_strings(2, ["(0 1)"])
+    gm = FiniteGModule.trivial(C2, FiniteAbelian([2, 2, 2, 2]))
+    m = (1, 0, 1, 1)
+    z = Cochain(gm, 1, {(g,): m if g.to_cycles() != "()" else (0,) * 4
+                        for g in gm.elements})
+    start = time.perf_counter()
+    psi = crossed_to_hol(gm, z)
+    assert time.perf_counter() - start < 1
+    pts = gm.module.elements
+    assert [pts[psi[g](0)] for g in sorted(gm.elements)] == [(0,) * 4, m]
 
 
 def test_crossed_to_hol_rejects_non_cocycle():
@@ -664,12 +679,14 @@ def test_inverse_coclass_pairing_sign_modules():
     # Hol-conjugate homomorphisms
     gm = s3_c3_sign()
     h1 = cohomology(gm, 1)
-    hol = None
+    hol = holomorph(gm.module)
+    seen = False
     for rep in h1.representatives:
         if rep.is_zero():
             continue
-        hol, psi = crossed_to_hol(gm, rep)
-        _, psim = crossed_to_hol(gm, -rep)
+        seen = True
+        psi = crossed_to_hol(gm, rep)
+        psim = crossed_to_hol(gm, -rep)
         conjugate = False
         for c in hol.elements:
             ci = c.inverse()
@@ -677,7 +694,7 @@ def test_inverse_coclass_pairing_sign_modules():
                 conjugate = True
                 break
         assert conjugate
-    assert hol is not None
+    assert seen
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ are frozen from direct enumeration oracles.
 import math
 import random
 import time
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +21,12 @@ from coclass.permstruct import (
     PermStructError,
     UnsupportedDegree,
     _isomorphisms,
+    _small_generating_set,
     block_sizes,
     cayley_images,
     centralizer_in_sym,
     count_g_structures,
+    extend_hom,
     holomorph,
     in_wreath_product,
     orbits,
@@ -131,16 +133,61 @@ def test_holomorph_order(orders):
     assert H.order == len(H.elements)
 
 
+def _automorphisms_by_product(M):
+    """Every tuple of images of the cyclic generators, of the same orders,
+    whose linear map is bijective: the loop Aut M was listed by before it
+    pruned partial maps, kept as the oracle."""
+    els = M.elements
+    candidates = [[e for e in els if M.element_order(e) == d]
+                  for d in M.cyclic_orders]
+    out = []
+    for imgs in product(*candidates):
+        phi = {}
+        for x in els:
+            acc = M.zero()
+            for xi, im in zip(x, imgs):
+                acc = M.add(acc, M.smul(xi, im))
+            phi[x] = acc
+        if len(set(phi.values())) == len(els):
+            out.append(phi)
+    return out
+
+
+def _cyclic_orders_up_to(bound):
+    """Every tuple of cyclic orders >= 2 whose product is at most bound."""
+    out = [()]
+    for orders in out:  # the list grows while it is read
+        out += [orders + (d,) for d in range(2, bound // math.prod(orders) + 1)]
+    return out[1:]
+
+
+_SMALL_MODULES = [o for o in _cyclic_orders_up_to(16) if o != (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("orders", _SMALL_MODULES,
+                         ids=[",".join(map(str, o)) for o in _SMALL_MODULES])
+def test_automorphisms_match_product_search(orders):
+    M = FiniteAbelian(orders)
+    assert [list(phi.items()) for phi in M.automorphisms()] == \
+        [list(phi.items()) for phi in _automorphisms_by_product(M)]
+
+
+def test_automorphisms_of_elementary_abelian_16():
+    # |GL_4(F_2)| = 20160; the unpruned search took 13 s in process
+    start = time.perf_counter()
+    assert len(FiniteAbelian([2, 2, 2, 2]).automorphisms()) == 20160
+    assert time.perf_counter() - start < 8
+
+
 def test_holomorph_semidirect_law():
     # lambda_{a,t} o lambda_{b,u} = lambda_{ab, a(u)+t}
     M = FiniteAbelian([2, 4])
-    H = holomorph(M)
     auts = M.automorphisms()
     a, b = auts[1], auts[-1]
     t, u = (1, 2), (0, 3)
-    lhs = H.affine(a, t) * H.affine(b, u)
+    lhs = M.affine(a, t) * M.affine(b, u)
     ab = {x: a[b[x]] for x in M.elements}
-    rhs = H.affine(ab, M.add(a[u], t))
+    rhs = M.affine(ab, M.add(a[u], t))
     assert lhs == rhs
 
 
@@ -391,6 +438,33 @@ def test_order_64_structures_in_sym8():
     assert time.perf_counter() - start < 5
 
 
+def _isomorphisms_by_product(A, B):
+    """Every tuple of images of A's small generating set, of the same
+    orders, that extends to a bijective homomorphism: the unpruned search,
+    kept as the oracle."""
+    if A.order != B.order:
+        return []
+    gens = _small_generating_set(A)
+    b_els = sorted(B.elements)
+    cand = [[b for b in b_els if b.order() == g.order()] for g in gens]
+    out = []
+    for imgs in product(*cand):
+        phi = extend_hom(A.n, dict(zip(gens, imgs)), Perm.__mul__,
+                         Perm.identity(B.n))
+        if phi is not None and len(set(phi.values())) == A.order:
+            out.append(phi)
+    return out
+
+
+@pytest.mark.parametrize("a,b", [
+    (a, b) for a in sorted(_SUBGROUPS) for b in sorted(_SUBGROUPS)
+    if _SUBGROUPS[a].order == _SUBGROUPS[b].order])
+def test_isomorphisms_match_product_search(a, b):
+    A, B = _SUBGROUPS[a], _SUBGROUPS[b]
+    assert [list(phi.items()) for phi in _isomorphisms(A, B)] == \
+        [list(phi.items()) for phi in _isomorphisms_by_product(A, B)]
+
+
 @pytest.mark.parametrize("gens,n,count", [
     (["(0 1 2 3)"], 4, 2),                   # Aut C4 = C2
     (["(0 1)(2 3)", "(0 2)(1 3)"], 4, 6),    # Aut V4 = S3
@@ -399,7 +473,7 @@ def test_order_64_structures_in_sym8():
 ])
 def test_automorphism_group_orders_by_isomorphism_search(gens, n, count):
     A = PermGroup.from_cycle_strings(n, gens)
-    isos = _isomorphisms(A, A)
+    isos = list(_isomorphisms(A, A))
     assert len(isos) == count
     for phi in isos:
         assert set(phi) == set(phi.values()) == A.elements

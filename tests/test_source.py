@@ -80,3 +80,25 @@ def test_permutations_scanned_only_in_kernels():
                     and isinstance(node.value, ast.Name) and node.value.id == "itertools":
                 users.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not users, users
+
+
+def test_internal_faults_raise_internal_error():
+    # the CLI maps ValueError to exit 2, invalid input; a library fault
+    # must raise InternalError (exit 70) so it is never reported as one
+    wrong = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                continue
+            msg = node.exc.args[0]
+            if isinstance(msg, ast.JoinedStr):
+                msg = msg.values[0] if msg.values else None
+            text = msg.value if isinstance(msg, ast.Constant) else None
+            if isinstance(text, str) and (text.startswith("internal")
+                                          or "(internal error)" in text):
+                func = node.exc.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name != "InternalError":
+                    wrong.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not wrong, wrong
