@@ -1,12 +1,10 @@
-"""The two brute-force kernels: the centralizer scan of Sym(n) behind
-`permstruct.centralizer_in_sym`, and the conic point search mod p^k that
-`localsym.conic_has_point` uses as an oracle independent of the
-Hilbert-symbol formula.
+"""The two kernels: the centralizer search in Sym(n) behind
+`permstruct.centralizer_in_sym`, a backtrack over one point per orbit, and
+the brute-force conic point search mod p^k that `localsym.conic_has_point`
+uses as an oracle independent of the Hilbert-symbol formula.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 import numpy as np
 
@@ -18,23 +16,61 @@ _BLOCK = 1 << 20
 
 
 def perm_centralizer(n: int, gens):
-    """All permutations of {0..n-1} commuting with every generator.
+    """All permutations of {0..n-1} commuting with every generator, as
+    tuples of images, in lexicographic order.
 
-    Permutations are tuples of images; scans all n! elements.
+    A backtrack over one representative x per orbit of H = <gens> (Holt,
+    Eick & O'Brien, Handbook of CGT, sec. 4.6; Dixon & Mortimer, Thm 4.2A):
+    a centralizing q is fixed on the orbit of x by q(x), since
+    q(g z) = g q(z), and maps it onto an orbit of the same size.  Each free
+    point y is tried as q(x) and q is extended along the orbit; the choice
+    is dropped at the first clash or repeated image, so the search reaches
+    |C| leaves, not n!.
     """
+    from . import permstruct  # here, since permstruct imports this module
+
     gens = [tuple(g) for g in gens]
+    orbits = permstruct.orbits(range(n), gens, lambda g, x: g[x])
+    orbit_size = [0] * n
+    for orbit in orbits:
+        for z in orbit:
+            orbit_size[z] = len(orbit)
+    q = [None] * n
+    used = [False] * n
     out = []
-    for q in permutations(range(n)):
-        ok = True
-        for g in gens:
-            for i in range(n):
-                if q[g[i]] != g[q[i]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(q)
+
+    def extend(orbit, y):
+        """Set q on the orbit from q(orbit[0]) = y; False at a clash."""
+        q[orbit[0]] = y
+        used[y] = True
+        for z in orbit:  # each point is reached from an earlier one
+            for g in gens:
+                w, v = g[z], g[q[z]]
+                if q[w] is None:
+                    if used[v]:
+                        return False
+                    q[w] = v
+                    used[v] = True
+                elif q[w] != v:
+                    return False
+        return True
+
+    def search(k):
+        if k == len(orbits):
+            out.append(tuple(q))
+            return
+        orbit = orbits[k]
+        for y in range(n):
+            if used[y] or orbit_size[y] != len(orbit):
+                continue
+            if extend(orbit, y):
+                search(k + 1)
+            for z in orbit:
+                if q[z] is not None:
+                    used[q[z]] = False
+                    q[z] = None
+
+    search(0)
     return out
 
 

@@ -111,11 +111,7 @@ class Perm:
         return self.images[x]
 
     def order(self) -> int:
-        k, p, e = 1, self, Perm.identity(self.n)
-        while p != e:
-            p = p * self
-            k += 1
-        return k
+        return math.lcm(*self.cycle_type())
 
     def cycle_type(self) -> tuple:
         seen = [False] * self.n
@@ -428,12 +424,13 @@ def cayley_images(G: PermGroup):
 
 
 def centralizer_in_sym(H: PermGroup) -> PermGroup:
-    """The full centralizer of H in Sym(n), n <= 8, by exhaustive scan."""
+    """The full centralizer of H in Sym(n), n <= 8, by the orbit backtrack
+    of `_kernels.perm_centralizer`."""
     if H.n > DEGREE_CAP:
         raise UnsupportedDegree(f"degree {H.n} exceeds cap {DEGREE_CAP}")
     gens = [g.images for g in H.generators]
     cents = _kernels.perm_centralizer(H.n, gens)
-    return PermGroup.from_elements(H.n, (Perm(tuple(c)) for c in cents))
+    return PermGroup.from_elements(H.n, map(Perm._trusted, cents))
 
 
 def subgroup_conjugates(G: PermGroup):
@@ -452,7 +449,7 @@ def subgroup_conjugates(G: PermGroup):
 
 def _small_generating_set(group: PermGroup):
     """Greedy small generating set (keeps the image search tractable)."""
-    els = sorted(group.elements, key=lambda p: (-p.order(), p))
+    els = sorted(group.elements, key=lambda p: (-p.order(), p.images))
     chosen = []
     span = {Perm.identity(group.n)}
     for e in els:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coclass import _kernels
 from coclass.permstruct import (
     FiniteAbelian,
     Perm,
@@ -85,6 +86,16 @@ def test_perm_inverse_property(images):
 # ---------------------------------------------------------------------------
 # groups
 # ---------------------------------------------------------------------------
+
+def test_perm_order_matches_repeated_multiplication():
+    e = Perm.identity(5)
+    for images in permutations(range(5)):
+        p = Perm(images)
+        k, power = 1, p
+        while power != e:
+            power, k = power * p, k + 1
+        assert p.order() == k
+
 
 def test_symmetric_orders():
     for n, order in [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120)]:
@@ -301,6 +312,43 @@ def test_centralizer_order_closed_form(cycle_type):
     # the short generator list spans the whole centralizer
     assert len(C.generators) <= 8
     assert PermGroup(s.n, C.generators).same_group(C)
+
+
+def _centralizer_by_scan(n, gens):
+    """The centralizer by definition, as an oracle: every permutation of
+    {0..n-1} commuting with each generator, as image tuples in
+    lexicographic order."""
+    return [q for q in permutations(range(n))
+            if all(q[g[i]] == g[q[i]] for g in gens for i in range(n))]
+
+
+def _assert_centralizer_matches_scan(n, gens):
+    images = [g.images for g in gens]
+    want = _centralizer_by_scan(n, images)
+    assert _kernels.perm_centralizer(n, images) == want
+    C = centralizer_in_sym(PermGroup(n, gens))
+    assert sorted(c.images for c in C.elements) == want
+
+
+def test_centralizer_matches_scan_on_random_subgroups():
+    rng = random.Random(10)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = [Perm(tuple(rng.sample(range(n), n)))
+                for _ in range(rng.randint(1, 3))]
+        _assert_centralizer_matches_scan(n, gens)
+
+
+@pytest.mark.parametrize("cycle_type", list(_cycle_types(8)))
+def test_centralizer_matches_scan_on_cycle_types_of_sym8(cycle_type):
+    _assert_centralizer_matches_scan(8, [_perm_of_type(cycle_type)])
+
+
+def test_centralizer_of_trivial_group_is_sym8():
+    start = time.perf_counter()
+    C = centralizer_in_sym(PermGroup(8, []))
+    assert C.order == math.factorial(8)
+    assert time.perf_counter() - start < 5
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,11 @@ def test_every_function_is_named_somewhere_else():
     assert not dead, dead
 
 
-def test_permutations_scanned_only_in_kernels():
-    # itertools.permutations walks all n! elements of Sym(n); the
-    # centralizer kernel is the one place left that does
+def test_no_permutation_scan_in_library():
+    # itertools.permutations walks all n! elements of Sym(n); the library
+    # reaches what it needs from generators instead
     users = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "_kernels.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.module == "itertools" \
                     and any(a.name == "permutations" for a in node.names):
