@@ -191,10 +191,12 @@ def cmd_etale(args):
 def cmd_group(args):
     if args.action_name == "hol":
         M = FiniteAbelian([int(t) for t in args.orders.split(",")])
-        hol = permstruct.holomorph(M)
-        return {"module": list(M.cyclic_orders), "degree": hol.n,
-                "order": hol.order,
-                "is_symmetric": hol.order == math.factorial(hol.n)}
+        if M.order > groupcoh.MODULE_CAP:
+            raise groupcoh.UnsupportedSize("module size exceeds desk caps")
+        order = M.order * M.aut_order()
+        return {"module": list(M.cyclic_orders), "degree": M.order,
+                "order": order,
+                "is_symmetric": order == math.factorial(M.order)}
     if args.action_name == "structures":
         image = _parse_group(args.n, args.image)
         G = _parse_group(args.n, args.group)
@@ -559,10 +561,10 @@ def _suite_structures(rng):
         cases += 1
         passed += (count == want)
     for orders, n in [([2], 2), ([3], 3), ([4], 4), ([2, 2], 4)]:
-        hol = permstruct.holomorph(FiniteAbelian(orders))
+        M = FiniteAbelian(orders)
         cases += 1
-        passed += (hol.order == math.factorial(hol.n)) == (n <= 4 and
-                                                           orders != [4])
+        passed += (M.order * M.aut_order() == math.factorial(M.order)) == (
+            n <= 4 and orders != [4])
     return cases, passed
 
 

@@ -31,9 +31,6 @@ class ComplexBall:
     def contains(self, other: "ComplexBall") -> bool:
         return abs(self.mid - other.mid) + other.radius <= self.radius
 
-    def overlaps(self, other: "ComplexBall") -> bool:
-        return abs(self.mid - other.mid) < self.radius + other.radius
-
     def __repr__(self):
         return f"ComplexBall({complex(self.mid)}, r={float(self.radius):.3g})"
 

@@ -6,7 +6,6 @@ the crossed-homomorphism <-> holomorph-homomorphism dictionary.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -351,10 +350,6 @@ class FiniteGModule:
     def act(self, g: Perm, m):
         return self.action[g][m]
 
-    def fixed_points(self):
-        return [m for m in self.module.elements
-                if all(self.act(g, m) == m for g in self.group.generators)]
-
     def action_matrix(self, g: Perm):
         """Integer matrix of the action of g w.r.t. the cyclic coordinates."""
         M = self.module
@@ -642,21 +637,6 @@ def cohomology(gm: FiniteGModule, n: int) -> CoclassSet:
 # crossed homomorphisms and the holomorph dictionary
 # ---------------------------------------------------------------------------
 
-def crossed_to_hol(gm: FiniteGModule, z: Cochain):
-    """The homomorphism psi: G -> Hol M, g -> lambda_{phi(g), z(g)}, as a
-    dict Perm -> Perm of affine maps (FiniteAbelian.affine)."""
-    if z.arity != 1:
-        raise GroupCohError("need a 1-cochain")
-    if not coboundary(z).is_zero():
-        raise GroupCohError("not a 1-cocycle")
-    psi = {g: gm.module.affine(gm.action[g], z(g)) for g in gm.elements}
-    for g in gm.elements:
-        for h in gm.elements:
-            if psi[g * h] != psi[g] * psi[h]:
-                raise InternalError("psi not a homomorphism (internal error)")
-    return psi
-
-
 def holomorph_homs_over_phi(gm: FiniteGModule):
     """All homomorphisms psi: G -> Hol M lifting phi through Hol M -> Aut M,
     i.e. psi(g) = lambda_{phi(g), t(g)}; returned as the list of t-tables.
@@ -863,25 +843,3 @@ def cup11(X: FiniteGModule, Y: FiniteGModule, W: FiniteGModule,
     if not coboundary(c).is_zero():
         raise InternalError("cup product not a cocycle (internal error)")
     return c
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-def cochain_to_json(c: Cochain) -> str:
-    tab = {}
-    for key, val in sorted(c.table.items()):
-        tab["|".join(p.to_cycles() for p in key)] = list(val)
-    return json.dumps({"arity": c.arity, "table": tab}, sort_keys=True)
-
-
-def cochain_from_json(gm: FiniteGModule, text: str) -> Cochain:
-    data = json.loads(text)
-    n = gm.group.n
-    table = {}
-    for key, val in data["table"].items():
-        perms = tuple(Perm.from_cycles(p, n) for p in key.split("|")) \
-            if key else ()
-        table[perms] = tuple(val)
-    return Cochain(gm, data["arity"], table)

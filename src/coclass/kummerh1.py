@@ -1,7 +1,6 @@
 """Kummer-data codecs for first cohomology with coefficients in the small
-modules C2, C3, C2 x C2, and C4: explicit bijections between exact Kummer
-data and coclass-bearing etale algebras, with group laws, Tate-dual
-twisting, and mirror translation.
+modules C3, C2 x C2, and C4: explicit bijections between exact Kummer data
+and coclass-bearing etale algebras, with their group laws.
 """
 
 from __future__ import annotations
@@ -200,21 +199,6 @@ class CoclassC4:
     @property
     def alpha(self) -> QuadElem:
         return QuadElem.of(-self.D.rep, self.a, self.b)
-
-
-# ---------------------------------------------------------------------------
-# radical algebras (the C2 and mu_n codecs)
-# ---------------------------------------------------------------------------
-
-def kummer_radical(n: int, a) -> EtaleAlgebra:
-    """The etale algebra Q[x]/(x^n - a) for n in {2, 3, 4}, factored."""
-    if n not in (2, 3, 4):
-        raise KummerError("n must be 2, 3, or 4")
-    a = _frac(a)
-    if a == 0:
-        raise KummerError("a must be nonzero")
-    coeffs = [-a] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    return EtaleAlgebra.from_poly(RationalPoly(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -575,22 +559,3 @@ def c4_add(a: CoclassC4, b: CoclassC4) -> CoclassC4:
     c = a.c * b.c
     x, y, c = _c4_reduce(a.D, al.x, al.y, c)
     return CoclassC4(a.D, x, y, c)
-
-
-# ---------------------------------------------------------------------------
-# Tate-dual twisting
-# ---------------------------------------------------------------------------
-
-def tate_dual_twist(D: SquareClass) -> SquareClass:
-    """Twist class of the Tate dual of an order-3 module: D -> -3D."""
-    if isinstance(D, int):
-        D = SquareClass.of(D)
-    return SquareClass(squarefree_part(-3 * D.rep))
-
-
-def mu_power_dual(k: int, p: int) -> int:
-    """Dual twist exponent for M_k over Q_p-style coefficients:
-    k -> (1 - k) mod (p - 1)."""
-    if p < 3:
-        raise KummerError("need an odd prime")
-    return (1 - k) % (p - 1)

@@ -1,8 +1,7 @@
 """Local fields at desk scale: square and cube class groups of Q_p and
 small tame extensions, the Hilbert symbol with an independent conic oracle,
-tame symbols over residue fields F_{p^f}, the extended Hilbert pairing on
-etale algebras, local H^1 enumeration, and the local Tate pairings for the
-order-3 and C2 x C2 modules.
+tame symbols over residue fields F_{p^f}, local H^1 enumeration, and the
+local Tate pairings for the order-3 and C2 x C2 modules.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from fractions import Fraction
 from . import InternalError
 from ._kernels import conic_search
 from .etalealg import EtaleAlgebra, squarefree_part
-from .kummerh1 import CoclassC3, CoclassV4, QuadElem
+from .kummerh1 import QuadElem
 
 
 class LocalSymError(ValueError):
@@ -339,21 +338,6 @@ def square_classes(place: Place):
     return [square_class(r, place) for r in (1, u, p, u * p)]
 
 
-def cube_class(a, F: LocalFieldDesc) -> LocalClass:
-    """Cube class of a nonzero rational in the tame field F (via the
-    residue character); f = e = 1 is Q_p itself."""
-    p = F.p
-    if p == 3:
-        raise UnsupportedLocal("wild: cube classes at p = 3")
-    a = Fraction(a)
-    v = (F.e * vp(a, p)) % 3
-    R = ResidueField(p, F.f)
-    if (R.q - 1) % 3:
-        return LocalClass(3, Place(p), v, 0, Fraction(p) ** v)
-    k = R.dlog_mu(R.pow(R.elem([unit_part_mod(a, p)]), (R.q - 1) // 3), 3)
-    return LocalClass(3, Place(p), v, k, a)
-
-
 def cube_classes(F: LocalFieldDesc):
     """All cube classes of F^x: 9 when q = 1 mod 3, else 3."""
     p = F.p
@@ -423,48 +407,6 @@ def conic_has_point(a, b, place: Place) -> bool:
         # square-reduced coefficients: solvability is decided mod p^3
         k = 3
     return bool(conic_search(int(ai), int(bi), p, k))
-
-
-def hilbert_etale(fields, a_parts, b_parts, m: int) -> SymbolValue:
-    """Product of per-factor symbols over an etale algebra given as a list
-    of LocalFieldDesc; rational entries are converted factor-wise."""
-    if not (len(fields) == len(a_parts) == len(b_parts)):
-        raise LocalSymError("length mismatch")
-    out = SymbolValue(m, 0)
-    for F, x, y in zip(fields, a_parts, b_parts):
-        out = out * tame_symbol(F, x, y, m)
-    return out
-
-
-def _to_valued(F: LocalFieldDesc, x, R: ResidueField):
-    """(valuation, unit residue) of a rational, or pass (v, residue)."""
-    if isinstance(x, tuple) and len(x) == 2 and not isinstance(x, Fraction):
-        v, r = x
-        return int(v), R.elem(r if isinstance(r, (list, tuple)) else [r])
-    x = Fraction(x)
-    return F.e * vp(x, F.p), R.elem([unit_part_mod(x, F.p)])
-
-
-def tame_symbol(F: LocalFieldDesc, a, b, m: int) -> SymbolValue:
-    """Tame symbol on F for m in {2, 3}; elements are rationals or pairs
-    (valuation, unit-residue coefficients)."""
-    if m not in (2, 3):
-        raise UnsupportedLocal("m must be 2 or 3")
-    if F.p == 2 and m == 2:
-        # wild for the residue formula; only rational entries via Q_2
-        if isinstance(a, tuple) or isinstance(b, tuple):
-            raise UnsupportedLocal("p = 2 beyond Q_2 not supported")
-        if F.f != 1 or F.e != 1:
-            raise UnsupportedLocal("p = 2 beyond Q_2 not supported")
-        return hilbert2(a, b, Place(2))
-    if m == 3 and F.p == 3:
-        raise UnsupportedLocal("wild: m = 3 at p = 3")
-    R = ResidueField(F.p, F.f)
-    if (R.q - 1) % m:
-        raise UnsupportedLocal(f"mu_{m} not in the residue field")
-    va, ra = _to_valued(F, a, R)
-    vb, rb = _to_valued(F, b, R)
-    return tame_symbol_residue(R, va, ra, vb, rb, m)
 
 
 # ---------------------------------------------------------------------------
@@ -737,30 +679,3 @@ def enumerate_h1_local(module: str, p: int, D=None):
                         out.append((a, b, c))
         return out
     raise UnsupportedLocal(f"unknown module {module!r}")
-
-
-def localize(datum, p: int):
-    """Reduce a global Kummer datum to local class data at p."""
-    place = Place(p)
-    if isinstance(datum, (int, Fraction)):
-        return square_class(Fraction(datum), place)
-    if isinstance(datum, CoclassC3):
-        dp = datum.delta.d
-        if dp == 1:
-            u = datum.delta.x + datum.delta.y
-            return cube_class(u, LocalFieldDesc(p))
-        if is_square_padic(Fraction(dp), p):
-            u = _embed_split(datum.delta, dp, p, 1)
-            return cube_class(u, LocalFieldDesc(p))
-        # field case: sigma is a norm-one unit; class = residue character
-        ctx = _QuadCtx(p, Fraction(dp))
-        v, r = ctx.valued(datum.delta.x, datum.delta.y)
-        if (ctx.R.q - 1) % 3:
-            return LocalClass(3, place, v % 3, 0, Fraction(0))
-        k = ctx.R.dlog_mu(ctx.R.pow(r, (ctx.R.q - 1) // 3), 3)
-        return LocalClass(3, place, v % 3, k, Fraction(0))
-    if isinstance(datum, CoclassV4):
-        if any(f.degree != 1 for f in datum.R.factors):
-            raise UnsupportedLocal("only split R supported")
-        return tuple(square_class(d[0], place) for d in datum.delta)
-    raise UnsupportedLocal("unsupported datum type")

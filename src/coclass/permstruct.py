@@ -1,6 +1,6 @@
-"""Finite permutation-group machinery: holomorphs, Cayley embeddings,
-centralizers, G-structures, resolvent images, stable partitions, and
-torsor-structure correspondences.
+"""Finite permutation-group machinery: subgroups of Sym(n), finite abelian
+modules with |Aut M| by formula, homomorphisms from generator images,
+centralizers, G-structure counts and stable partitions.
 
 Scope is desk scale: exhaustive enumeration with a hard degree cap of 8
 (8! = 40320), no Schreier-Sims.  Permutations are serialized in cycle
@@ -215,19 +215,6 @@ class PermGroup:
     def __le__(self, other: "PermGroup") -> bool:
         return self.n == other.n and self.elements <= other.elements
 
-    def same_group(self, other: "PermGroup") -> bool:
-        return self.n == other.n and self.elements == other.elements
-
-    def conjugate(self, by: Perm) -> "PermGroup":
-        return PermGroup(self.n, [g.conjugate(by) for g in self.generators])
-
-    def is_transitive(self) -> bool:
-        return len(orbits([0], self.generators, Perm.__call__)[0]) == self.n
-
-    def multiplication_closed(self) -> bool:
-        els = self.elements
-        return all(a * b in els for a in els for b in els)
-
     def __repr__(self):
         gens = ", ".join(g.to_cycles() for g in self.generators) or "()"
         return f"PermGroup(n={self.n}, <{gens}>)"
@@ -339,31 +326,42 @@ class FiniteAbelian:
     def smul(self, k: int, a):
         return tuple((k * x) % d for x, d in zip(a, self.cyclic_orders))
 
-    def element_order(self, a) -> int:
-        return math.lcm(*(d // math.gcd(x, d)
-                          for x, d in zip(a, self.cyclic_orders)))
-
     def linear_map(self, images):
         """The map sending x to the sum of x_i * images[i], images[i] being
         the image of the i-th cyclic generator, as a dict element ->
-        element on the span of the first len(images) cyclic generators."""
+        element."""
         out = {(): self.zero()}
         for d, im in zip(self.cyclic_orders, images):
             multiples = [self.smul(c, im) for c in range(d)]
             out = {x + (c,): self.add(acc, m) for x, acc in out.items()
                    for c, m in enumerate(multiples)}
-        pad = (0,) * (len(self.cyclic_orders) - len(images))
-        return {x + pad: acc for x, acc in out.items()}
+        return out
 
-    def automorphisms(self):
-        """All automorphisms, as dicts element -> element: injective images
-        of the cyclic generators, of the same orders."""
-        candidates = [[e for e in self.elements if self.element_order(e) == d]
-                      for d in self.cyclic_orders]
-        return list(hom_search(
-            range(len(candidates)), candidates,
-            lambda images: self.linear_map(list(images.values())),
-            injective=True))
+    def aut_order(self) -> int:
+        """|Aut M|, none listed (Hillar & Rhea, Amer. Math. Monthly 114, 2007,
+        Thm 4.1): for each p-part Z/p^e_1 x ... x Z/p^e_k, e_i ascending, the
+        product over i of (p^d - p^(i-1)) p^(e_i (k-d)) p^((e_i-1)(k-c+1)),
+        where d = #{j : e_j <= e_i} and c = #{j : e_j < e_i} + 1."""
+        primary = {}
+        for d in self.cyclic_orders:
+            p = 2
+            while d > 1:
+                p = p if p * p <= d else d
+                e = 0
+                while d % p == 0:
+                    d, e = d // p, e + 1
+                if e:
+                    primary.setdefault(p, []).append(e)
+                p += 1
+        out = 1
+        for p, es in primary.items():
+            es.sort()
+            k = len(es)
+            for i, e in enumerate(es, 1):
+                d, c = sum(x <= e for x in es), sum(x < e for x in es) + 1
+                out *= (p ** d - p ** (i - 1)) * p ** (e * (k - d)) \
+                    * p ** ((e - 1) * (k - c + 1))
+        return out
 
     def affine(self, phi: dict, t) -> Perm:
         """The permutation x -> phi(x) + t of the elements in their listed
@@ -372,56 +370,13 @@ class FiniteAbelian:
         index = {x: i for i, x in enumerate(els)}
         return Perm(tuple(index[self.add(phi[x], t)] for x in els))
 
-    def maximal_order_elements(self):
-        m = self.exponent
-        return [e for e in self.elements if self.element_order(e) == m]
-
     def __repr__(self):
         return f"FiniteAbelian{self.cyclic_orders}"
 
 
-class HolomorphGroup(PermGroup):
-    """Hol M = M rtimes Aut M acting on the points of M by affine maps
-    x -> a(x) + t."""
-
-    def __init__(self, module: FiniteAbelian):
-        self.module = module
-        els = module.elements
-        translations = [module.affine(dict(zip(els, els)), t) for t in els]
-        self.aut_perms = tuple(module.affine(phi, module.zero())
-                               for phi in module.automorphisms())
-        super().__init__(len(els), translations + list(self.aut_perms))
-
-    @property
-    def order(self) -> int:
-        """|M| * |Aut M|: Hol M is the semidirect product, never closed."""
-        return self.module.order * len(self.aut_perms)
-
-
-def holomorph(M: FiniteAbelian) -> HolomorphGroup:
-    return HolomorphGroup(M)
-
-
 # ---------------------------------------------------------------------------
-# Cayley embeddings and centralizers
+# centralizers and conjugates
 # ---------------------------------------------------------------------------
-
-def cayley_images(G: PermGroup):
-    """(left, right) multiplication images of G inside Sym(G).
-
-    Points are the elements of G sorted; left: x -> g x, right: x -> x g^-1.
-    Both are simply transitive subgroups of Sym(|G|) centralizing each other.
-    """
-    els = sorted(G.elements)
-    index = {e: i for i, e in enumerate(els)}
-    left_gens, right_gens = [], []
-    for g in (G.generators or [Perm.identity(G.n)]):
-        left_gens.append(Perm(tuple(index[g * x] for x in els)))
-        gi = g.inverse()
-        right_gens.append(Perm(tuple(index[x * gi] for x in els)))
-    m = len(els)
-    return PermGroup(m, left_gens), PermGroup(m, right_gens)
-
 
 def centralizer_in_sym(H: PermGroup) -> PermGroup:
     """The full centralizer of H in Sym(n), n <= 8, by the orbit backtrack
@@ -448,15 +403,25 @@ def subgroup_conjugates(G: PermGroup):
 # ---------------------------------------------------------------------------
 
 def _small_generating_set(group: PermGroup):
-    """Greedy small generating set (keeps the image search tractable)."""
+    """Greedy small generating set (keeps the image search tractable): the
+    elements by decreasing order, each taken when outside the span H of those
+    before.  Dimino's step grows H to the union of the cosets H r reached
+    from H by right multiplication by generators, so H is never reclosed."""
     els = sorted(group.elements, key=lambda p: (-p.order(), p.images))
     chosen = []
-    span = {Perm.identity(group.n)}
+    identity = Perm.identity(group.n)
+    span = {identity}
     for e in els:
         if e in span:
             continue
         chosen.append(e)
-        span = PermGroup(group.n, chosen).elements
+        old, reps = list(span), [identity]
+        for r in reps:  # the list grows while it is read
+            for g in chosen:
+                x = r * g
+                if x not in span:
+                    reps.append(x)
+                    span.update(h * x for h in old)
         if len(span) == group.order:
             break
     return chosen
@@ -498,61 +463,6 @@ def count_g_structures(image: PermGroup, G: PermGroup) -> int:
 
 
 # ---------------------------------------------------------------------------
-# resolvent images
-# ---------------------------------------------------------------------------
-
-def resolvent_image(phi_image: PermGroup, rho: dict) -> PermGroup:
-    """Image of phi_image under the homomorphism rho, given as a dict from
-    (at least) the generators of phi_image to permutations.
-
-    The map is extended to the whole group by extend_hom; inconsistency
-    (rho not a homomorphism) raises PermStructError.
-    """
-    gens = list(phi_image.generators)
-    for g in gens:
-        if g not in rho:
-            raise PermStructError(f"rho not defined on generator {g.to_cycles()}")
-    if not gens:
-        m = next(iter(rho.values())).n if rho else 1
-        return PermGroup(m, [])
-    m = rho[gens[0]].n
-    images = extend_hom(phi_image.n, {g: rho[g] for g in gens}, Perm.__mul__,
-                        Perm.identity(m))
-    if images is None:
-        raise PermStructError("rho is not a homomorphism")
-    return PermGroup(m, sorted(set(images.values())))
-
-
-def sign_map(G: PermGroup) -> dict:
-    """rho data for the sign character Sym(n) -> Sym(2)."""
-    swap = Perm((1, 0))
-    ident = Perm((0, 1))
-    out = {}
-    for g in G.generators:
-        n_trans = sum(l - 1 for l in g.cycle_type())
-        out[g] = swap if n_trans % 2 else ident
-    return out
-
-
-def s4_to_s3_map(G: PermGroup) -> dict:
-    """rho data for the natural surjection Sym(4) -> Sym(3) given by the
-    action on the three pairings {{01,23}, {02,13}, {03,12}}."""
-    if G.n != 4:
-        raise PermStructError("expected a subgroup of Sym(4)")
-    pairings = [frozenset([frozenset([0, 1]), frozenset([2, 3])]),
-                frozenset([frozenset([0, 2]), frozenset([1, 3])]),
-                frozenset([frozenset([0, 3]), frozenset([1, 2])])]
-    out = {}
-    for g in G.generators:
-        imgs = []
-        for pr in pairings:
-            moved = frozenset(frozenset(g(x) for x in blk) for blk in pr)
-            imgs.append(pairings.index(moved))
-        out[g] = Perm(tuple(imgs))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # stable partitions
 # ---------------------------------------------------------------------------
 
@@ -580,37 +490,4 @@ def stable_partitions(H: PermGroup):
                for g in H.generators for b in blocks):
             out.append(tuple(sorted(tuple(sorted(b)) for b in blocks)))
     out.sort(key=lambda p: (len(p), p))
-    return out
-
-
-def block_sizes(partition) -> tuple:
-    return tuple(sorted((len(b) for b in partition), reverse=True))
-
-
-def in_wreath_product(H: PermGroup, partition) -> bool:
-    """Whether H lies in the wreath product S_t wr S_b attached to a
-    partition into b blocks of equal size t."""
-    bset = {frozenset(b) for b in partition}
-    return all(frozenset(g(x) for x in b) in bset
-               for g in H.elements for b in bset)
-
-
-# ---------------------------------------------------------------------------
-# torsor structures
-# ---------------------------------------------------------------------------
-
-def torsor_structures(image: PermGroup, G: PermGroup):
-    """Conjugates of the Cayley-left image of G inside Sym(|G|) that
-    centralize `image`, each paired with its centralizer (a conjugate of the
-    Cayley-right image containing `image`: the matching G-structure side).
-    """
-    left, right = cayley_images(G)
-    if image.n != left.n:
-        raise PermStructError("image must act on the |G| Cayley points")
-    img_els = sorted(image.elements)
-    out = []
-    for conj_els in subgroup_conjugates(left):
-        if all(a * b == b * a for a in conj_els for b in img_els):
-            Lp = PermGroup(left.n, sorted(conj_els))
-            out.append((Lp, centralizer_in_sym(Lp)))
     return out

@@ -1,0 +1,396 @@
+"""Code that only the tests use, kept out of the library: the Aut M listing
+and Hol M built from it, Cayley images and torsor structures, resolvent
+images of the sign and Sym(4) -> Sym(3) maps, wreath-product checks on
+stable partitions, the crossed-homomorphism map into Hol M, cochain JSON,
+symbols on etale algebras, localization of Kummer data, radical algebras,
+Tate-dual twists and root-ball overlap.  The library computes |Aut M| by
+formula and builds none of these."""
+
+import json
+import math
+from fractions import Fraction
+from itertools import product
+
+from coclass import InternalError
+from coclass.etalealg import EtaleAlgebra, SquareClass, squarefree_part
+from coclass.exactpoly import RationalPoly
+from coclass.exactpoly.roots import ComplexBall
+from coclass.groupcoh import Cochain, FiniteGModule, GroupCohError, coboundary
+from coclass.kummerh1 import CoclassC3, CoclassV4, KummerError
+from coclass.localsym import (
+    LocalClass,
+    LocalFieldDesc,
+    LocalSymError,
+    Place,
+    ResidueField,
+    SymbolValue,
+    UnsupportedLocal,
+    _embed_split,
+    _QuadCtx,
+    hilbert2,
+    is_square_padic,
+    square_class,
+    tame_symbol_residue,
+    unit_part_mod,
+    vp,
+)
+from coclass.permstruct import (
+    FiniteAbelian,
+    Perm,
+    PermGroup,
+    PermStructError,
+    centralizer_in_sym,
+    extend_hom,
+    orbits,
+    subgroup_conjugates,
+)
+
+
+# ---------------------------------------------------------------------------
+# permutation groups
+# ---------------------------------------------------------------------------
+
+def same_group(A: PermGroup, B: PermGroup) -> bool:
+    return A.n == B.n and A.elements == B.elements
+
+
+def conjugate_group(G: PermGroup, by: Perm) -> PermGroup:
+    return PermGroup(G.n, [g.conjugate(by) for g in G.generators])
+
+
+def is_transitive(G: PermGroup) -> bool:
+    return len(orbits([0], G.generators, Perm.__call__)[0]) == G.n
+
+
+def multiplication_closed(G: PermGroup) -> bool:
+    els = G.elements
+    return all(a * b in els for a in els for b in els)
+
+
+# ---------------------------------------------------------------------------
+# Aut M and Hol M
+# ---------------------------------------------------------------------------
+
+def cyclic_orders_up_to(bound):
+    """Every tuple of cyclic orders >= 2 whose product is at most bound."""
+    out = [()]
+    for orders in out:  # the list grows while it is read
+        out += [orders + (d,) for d in range(2, bound // math.prod(orders) + 1)]
+    return out[1:]
+
+
+def element_order(M: FiniteAbelian, a) -> int:
+    return math.lcm(*(d // math.gcd(x, d) for x, d in zip(a, M.cyclic_orders)))
+
+
+def automorphisms_by_product(M: FiniteAbelian):
+    """Every tuple of images of the cyclic generators, of the same orders,
+    whose linear map is bijective, as dicts element -> element in the order
+    of itertools.product: Aut M by definition, the oracle for
+    FiniteAbelian.aut_order."""
+    els = M.elements
+    candidates = [[e for e in els if element_order(M, e) == d]
+                  for d in M.cyclic_orders]
+    out = []
+    for imgs in product(*candidates):
+        phi = {}
+        for x in els:
+            acc = M.zero()
+            for xi, im in zip(x, imgs):
+                acc = M.add(acc, M.smul(xi, im))
+            phi[x] = acc
+        if len(set(phi.values())) == len(els):
+            out.append(phi)
+    return out
+
+
+def holomorph_group(M: FiniteAbelian) -> PermGroup:
+    """Hol M = M x| Aut M as the group of affine maps x -> a(x) + t on the
+    points of M, generated by the translations and the automorphisms of
+    automorphisms_by_product."""
+    els = M.elements
+    translations = [M.affine(dict(zip(els, els)), t) for t in els]
+    auts = [M.affine(phi, M.zero()) for phi in automorphisms_by_product(M)]
+    return PermGroup(len(els), translations + auts)
+
+
+def maximal_order_elements(M: FiniteAbelian):
+    m = M.exponent
+    return [e for e in M.elements if element_order(M, e) == m]
+
+
+# ---------------------------------------------------------------------------
+# Cayley embeddings and torsor structures
+# ---------------------------------------------------------------------------
+
+def cayley_images(G: PermGroup):
+    """(left, right) multiplication images of G inside Sym(G).
+
+    Points are the elements of G sorted; left: x -> g x, right: x -> x g^-1.
+    Both are simply transitive subgroups of Sym(|G|) centralizing each other.
+    """
+    els = sorted(G.elements)
+    index = {e: i for i, e in enumerate(els)}
+    left_gens, right_gens = [], []
+    for g in (G.generators or [Perm.identity(G.n)]):
+        left_gens.append(Perm(tuple(index[g * x] for x in els)))
+        gi = g.inverse()
+        right_gens.append(Perm(tuple(index[x * gi] for x in els)))
+    m = len(els)
+    return PermGroup(m, left_gens), PermGroup(m, right_gens)
+
+
+def torsor_structures(image: PermGroup, G: PermGroup):
+    """Conjugates of the Cayley-left image of G inside Sym(|G|) that
+    centralize `image`, each paired with its centralizer (a conjugate of the
+    Cayley-right image containing `image`: the matching G-structure side).
+    """
+    left, _ = cayley_images(G)
+    if image.n != left.n:
+        raise PermStructError("image must act on the |G| Cayley points")
+    img_els = sorted(image.elements)
+    out = []
+    for conj_els in subgroup_conjugates(left):
+        if all(a * b == b * a for a in conj_els for b in img_els):
+            Lp = PermGroup(left.n, sorted(conj_els))
+            out.append((Lp, centralizer_in_sym(Lp)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# resolvent images
+# ---------------------------------------------------------------------------
+
+def resolvent_image(phi_image: PermGroup, rho: dict) -> PermGroup:
+    """Image of phi_image under the homomorphism rho, given as a dict from
+    (at least) the generators of phi_image to permutations.
+
+    The map is extended to the whole group by extend_hom; inconsistency
+    (rho not a homomorphism) raises PermStructError.
+    """
+    gens = list(phi_image.generators)
+    for g in gens:
+        if g not in rho:
+            raise PermStructError(f"rho not defined on generator {g.to_cycles()}")
+    if not gens:
+        m = next(iter(rho.values())).n if rho else 1
+        return PermGroup(m, [])
+    m = rho[gens[0]].n
+    images = extend_hom(phi_image.n, {g: rho[g] for g in gens}, Perm.__mul__,
+                        Perm.identity(m))
+    if images is None:
+        raise PermStructError("rho is not a homomorphism")
+    return PermGroup(m, sorted(set(images.values())))
+
+
+def sign_map(G: PermGroup) -> dict:
+    """rho data for the sign character Sym(n) -> Sym(2)."""
+    swap = Perm((1, 0))
+    ident = Perm((0, 1))
+    out = {}
+    for g in G.generators:
+        n_trans = sum(l - 1 for l in g.cycle_type())
+        out[g] = swap if n_trans % 2 else ident
+    return out
+
+
+def s4_to_s3_map(G: PermGroup) -> dict:
+    """rho data for the natural surjection Sym(4) -> Sym(3) given by the
+    action on the three pairings {{01,23}, {02,13}, {03,12}}."""
+    if G.n != 4:
+        raise PermStructError("expected a subgroup of Sym(4)")
+    pairings = [frozenset([frozenset([0, 1]), frozenset([2, 3])]),
+                frozenset([frozenset([0, 2]), frozenset([1, 3])]),
+                frozenset([frozenset([0, 3]), frozenset([1, 2])])]
+    out = {}
+    for g in G.generators:
+        imgs = []
+        for pr in pairings:
+            moved = frozenset(frozenset(g(x) for x in blk) for blk in pr)
+            imgs.append(pairings.index(moved))
+        out[g] = Perm(tuple(imgs))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# stable partitions
+# ---------------------------------------------------------------------------
+
+def block_sizes(partition) -> tuple:
+    return tuple(sorted((len(b) for b in partition), reverse=True))
+
+
+def in_wreath_product(H: PermGroup, partition) -> bool:
+    """Whether H lies in the wreath product S_t wr S_b attached to a
+    partition into b blocks of equal size t."""
+    bset = {frozenset(b) for b in partition}
+    return all(frozenset(g(x) for x in b) in bset
+               for g in H.elements for b in bset)
+
+
+# ---------------------------------------------------------------------------
+# G-modules, cochains and the holomorph dictionary
+# ---------------------------------------------------------------------------
+
+def fixed_points(gm: FiniteGModule):
+    return [m for m in gm.module.elements
+            if all(gm.act(g, m) == m for g in gm.group.generators)]
+
+
+def crossed_to_hol(gm: FiniteGModule, z: Cochain):
+    """The homomorphism psi: G -> Hol M, g -> lambda_{phi(g), z(g)}, as a
+    dict Perm -> Perm of affine maps (FiniteAbelian.affine)."""
+    if z.arity != 1:
+        raise GroupCohError("need a 1-cochain")
+    if not coboundary(z).is_zero():
+        raise GroupCohError("not a 1-cocycle")
+    psi = {g: gm.module.affine(gm.action[g], z(g)) for g in gm.elements}
+    for g in gm.elements:
+        for h in gm.elements:
+            if psi[g * h] != psi[g] * psi[h]:
+                raise InternalError("psi not a homomorphism (internal error)")
+    return psi
+
+
+def cochain_to_json(c: Cochain) -> str:
+    tab = {}
+    for key, val in sorted(c.table.items()):
+        tab["|".join(p.to_cycles() for p in key)] = list(val)
+    return json.dumps({"arity": c.arity, "table": tab}, sort_keys=True)
+
+
+def cochain_from_json(gm: FiniteGModule, text: str) -> Cochain:
+    data = json.loads(text)
+    n = gm.group.n
+    table = {}
+    for key, val in data["table"].items():
+        perms = tuple(Perm.from_cycles(p, n) for p in key.split("|")) \
+            if key else ()
+        table[perms] = tuple(val)
+    return Cochain(gm, data["arity"], table)
+
+
+# ---------------------------------------------------------------------------
+# local symbols on etale algebras and localization of Kummer data
+# ---------------------------------------------------------------------------
+
+def cube_class(a, F: LocalFieldDesc) -> LocalClass:
+    """Cube class of a nonzero rational in the tame field F (via the
+    residue character); f = e = 1 is Q_p itself."""
+    p = F.p
+    if p == 3:
+        raise UnsupportedLocal("wild: cube classes at p = 3")
+    a = Fraction(a)
+    v = (F.e * vp(a, p)) % 3
+    R = ResidueField(p, F.f)
+    if (R.q - 1) % 3:
+        return LocalClass(3, Place(p), v, 0, Fraction(p) ** v)
+    k = R.dlog_mu(R.pow(R.elem([unit_part_mod(a, p)]), (R.q - 1) // 3), 3)
+    return LocalClass(3, Place(p), v, k, a)
+
+
+def hilbert_etale(fields, a_parts, b_parts, m: int) -> SymbolValue:
+    """Product of per-factor symbols over an etale algebra given as a list
+    of LocalFieldDesc; rational entries are converted factor-wise."""
+    if not (len(fields) == len(a_parts) == len(b_parts)):
+        raise LocalSymError("length mismatch")
+    out = SymbolValue(m, 0)
+    for F, x, y in zip(fields, a_parts, b_parts):
+        out = out * tame_symbol(F, x, y, m)
+    return out
+
+
+def _to_valued(F: LocalFieldDesc, x, R: ResidueField):
+    """(valuation, unit residue) of a rational, or pass (v, residue)."""
+    if isinstance(x, tuple) and len(x) == 2 and not isinstance(x, Fraction):
+        v, r = x
+        return int(v), R.elem(r if isinstance(r, (list, tuple)) else [r])
+    x = Fraction(x)
+    return F.e * vp(x, F.p), R.elem([unit_part_mod(x, F.p)])
+
+
+def tame_symbol(F: LocalFieldDesc, a, b, m: int) -> SymbolValue:
+    """Tame symbol on F for m in {2, 3}; elements are rationals or pairs
+    (valuation, unit-residue coefficients)."""
+    if m not in (2, 3):
+        raise UnsupportedLocal("m must be 2 or 3")
+    if F.p == 2 and m == 2:
+        # wild for the residue formula; only rational entries via Q_2
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            raise UnsupportedLocal("p = 2 beyond Q_2 not supported")
+        if F.f != 1 or F.e != 1:
+            raise UnsupportedLocal("p = 2 beyond Q_2 not supported")
+        return hilbert2(a, b, Place(2))
+    if m == 3 and F.p == 3:
+        raise UnsupportedLocal("wild: m = 3 at p = 3")
+    R = ResidueField(F.p, F.f)
+    if (R.q - 1) % m:
+        raise UnsupportedLocal(f"mu_{m} not in the residue field")
+    va, ra = _to_valued(F, a, R)
+    vb, rb = _to_valued(F, b, R)
+    return tame_symbol_residue(R, va, ra, vb, rb, m)
+
+
+def localize(datum, p: int):
+    """Reduce a global Kummer datum to local class data at p."""
+    place = Place(p)
+    if isinstance(datum, (int, Fraction)):
+        return square_class(Fraction(datum), place)
+    if isinstance(datum, CoclassC3):
+        dp = datum.delta.d
+        if dp == 1:
+            u = datum.delta.x + datum.delta.y
+            return cube_class(u, LocalFieldDesc(p))
+        if is_square_padic(Fraction(dp), p):
+            u = _embed_split(datum.delta, dp, p, 1)
+            return cube_class(u, LocalFieldDesc(p))
+        # field case: sigma is a norm-one unit; class = residue character
+        ctx = _QuadCtx(p, Fraction(dp))
+        v, r = ctx.valued(datum.delta.x, datum.delta.y)
+        if (ctx.R.q - 1) % 3:
+            return LocalClass(3, place, v % 3, 0, Fraction(0))
+        k = ctx.R.dlog_mu(ctx.R.pow(r, (ctx.R.q - 1) // 3), 3)
+        return LocalClass(3, place, v % 3, k, Fraction(0))
+    if isinstance(datum, CoclassV4):
+        if any(f.degree != 1 for f in datum.R.factors):
+            raise UnsupportedLocal("only split R supported")
+        return tuple(square_class(d[0], place) for d in datum.delta)
+    raise UnsupportedLocal("unsupported datum type")
+
+
+# ---------------------------------------------------------------------------
+# radical algebras and Tate-dual twists
+# ---------------------------------------------------------------------------
+
+def kummer_radical(n: int, a) -> EtaleAlgebra:
+    """The etale algebra Q[x]/(x^n - a) for n in {2, 3, 4}, factored."""
+    if n not in (2, 3, 4):
+        raise KummerError("n must be 2, 3, or 4")
+    a = Fraction(a)
+    if a == 0:
+        raise KummerError("a must be nonzero")
+    coeffs = [-a] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    return EtaleAlgebra.from_poly(RationalPoly(coeffs))
+
+
+def tate_dual_twist(D: SquareClass) -> SquareClass:
+    """Twist class of the Tate dual of an order-3 module: D -> -3D."""
+    if isinstance(D, int):
+        D = SquareClass.of(D)
+    return SquareClass(squarefree_part(-3 * D.rep))
+
+
+def mu_power_dual(k: int, p: int) -> int:
+    """Dual twist exponent for M_k over Q_p-style coefficients:
+    k -> (1 - k) mod (p - 1)."""
+    if p < 3:
+        raise KummerError("need an odd prime")
+    return (1 - k) % (p - 1)
+
+
+# ---------------------------------------------------------------------------
+# complex root balls
+# ---------------------------------------------------------------------------
+
+def balls_overlap(a: ComplexBall, b: ComplexBall) -> bool:
+    return abs(a.mid - b.mid) < a.radius + b.radius

@@ -54,8 +54,8 @@ from coclass.permstruct import (
     FiniteAbelian,
     PermGroup,
     count_g_structures,
-    holomorph,
 )
+from helpers import holomorph_group, same_group
 
 
 def P(coeffs):
@@ -415,8 +415,9 @@ def test_acceptance_11_holomorph_sizes():
     expected = {(2,): 2, (3,): 6, (4,): 8, (2, 2): 24, (5,): 20,
                 (6,): 12, (7,): 42, (8,): 32, (2, 4): 64, (2, 2, 2): 1344}
     for orders in ABELIAN_UPTO_8:
-        hol = holomorph(FiniteAbelian(orders))
-        assert hol.order == expected[tuple(orders)], orders
+        M = FiniteAbelian(orders)
+        assert M.order * M.aut_order() == expected[tuple(orders)], orders
+        assert holomorph_group(M).order == expected[tuple(orders)], orders
 
 
 def test_acceptance_11_holomorph_equals_sym_list():
@@ -425,7 +426,9 @@ def test_acceptance_11_holomorph_equals_sym_list():
     sym_cases = []
     for orders in ABELIAN_UPTO_8:
         M = FiniteAbelian(orders)
-        hol = holomorph(M)
-        if hol.order == math.factorial(hol.n):
+        is_sym = M.order * M.aut_order() == math.factorial(M.order)
+        hol = holomorph_group(M)
+        assert same_group(hol, PermGroup.symmetric(hol.n)) == is_sym, orders
+        if is_sym:
             sym_cases.append(tuple(orders))
     assert sym_cases == [(2,), (3,), (2, 2)]

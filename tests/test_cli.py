@@ -8,15 +8,20 @@ and byte-identical output for identical inputs.
 """
 
 import json
+import math
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from coclass import InternalError, cli
 from coclass.cli import SUITES, main, run
+from coclass.permstruct import FiniteAbelian
+from helpers import cyclic_orders_up_to
 
 
 def ok(argv):
@@ -118,6 +123,50 @@ def test_group_hol_v4_golden():
     assert payload["order"] == 24
     assert payload["is_symmetric"] is True
     assert payload["degree"] == 4
+
+
+def test_group_hol_order_is_m_times_aut_m_up_to_the_cap():
+    for orders in cyclic_orders_up_to(16):
+        M = FiniteAbelian(orders)
+        payload = ok(["group", "hol", "--orders", ",".join(map(str, orders))])
+        assert payload["module"] == list(orders)
+        assert payload["degree"] == M.order
+        assert payload["order"] == M.order * M.aut_order()
+        assert payload["is_symmetric"] == (
+            payload["order"] == math.factorial(M.order))
+
+
+def _cold_seconds(argv):
+    """Wall time of one fresh `python -m coclass.cli` process, import
+    included, and its exit code."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    start = time.perf_counter()
+    code = subprocess.run([sys.executable, "-m", "coclass.cli", *argv],
+                          env=env, capture_output=True).returncode
+    return time.perf_counter() - start, code
+
+
+def test_group_hol_elementary_abelian_16_cold():
+    # |Aut (Z/2)^4| = 20,160 by formula, none of them built; the best of
+    # three runs keeps a busy host from failing it
+    runs = [_cold_seconds(["group", "hol", "--orders", "2,2,2,2"])
+            for _ in range(3)]
+    assert all(code == 0 for _, code in runs)
+    assert min(seconds for seconds, _ in runs) < 0.5
+
+
+@pytest.mark.parametrize("orders", ["2,2,2,2,2", "32"])
+def test_group_hol_past_module_cap_exit_3(orders):
+    # |M| = 32 is past the module cap of 16; Aut (Z/2)^5 = GL_5(F_2) has
+    # 9,999,360 elements, too many to list
+    start = time.perf_counter()
+    payload = err(["group", "hol", "--orders", orders], 3)
+    assert time.perf_counter() - start < 1
+    assert payload["code"] == "unsupported"
+    seconds, code = _cold_seconds(["group", "hol", "--orders", orders])
+    assert code == 3 and seconds < 1
 
 
 def test_group_structures_golden():

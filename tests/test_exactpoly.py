@@ -35,6 +35,7 @@ from coclass.exactpoly import (
 from coclass.exactpoly import modp
 from coclass.exactpoly.extension import _squarefree_norm, interpolate
 from coclass.kummerh1 import CoclassV4, v4_encode
+from helpers import balls_overlap
 
 P = RationalPoly.from_text
 F = Fraction
@@ -245,7 +246,7 @@ def test_numeric_roots_disjoint_and_conjugate():
     balls = numeric_roots(P("1,1,1,1,1"), 80)  # 5th cyclotomic
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
-            assert not balls[i].overlaps(balls[j])
+            assert not balls_overlap(balls[i], balls[j])
     with mp.workprec(200):
         mids = [b.mid for b in balls]
         for b in balls:

@@ -20,10 +20,7 @@ from coclass.groupcoh import (
     GroupCohError,
     UnsupportedSize,
     coboundary,
-    cochain_from_json,
-    cochain_to_json,
     cohomology,
-    crossed_to_hol,
     cup11,
     h1_via_hol,
     holomorph_homs_over_phi,
@@ -36,7 +33,15 @@ from coclass.groupcoh import (
     smith_normal_form,
     submodule_over,
 )
-from coclass.permstruct import FiniteAbelian, Perm, PermGroup, holomorph
+from coclass.permstruct import FiniteAbelian, Perm, PermGroup
+from helpers import (
+    automorphisms_by_product,
+    cochain_from_json,
+    cochain_to_json,
+    crossed_to_hol,
+    fixed_points,
+    holomorph_group,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +336,9 @@ def test_h1_s3_c3_sign_order_three():
 def test_h0_is_fixed_module():
     gm = s3_c3_sign()
     h0 = cohomology(gm, 0)
-    assert h0.order == len(gm.fixed_points()) == 1
+    assert h0.order == len(fixed_points(gm)) == 1
     gm2 = s3_on_v4()
-    assert cohomology(gm2, 0).order == len(gm2.fixed_points()) == 1
+    assert cohomology(gm2, 0).order == len(fixed_points(gm2)) == 1
 
 
 def test_h2_s3_c3_sign():
@@ -543,7 +548,7 @@ def test_crossed_to_hol_nonzero_is_iso():
         if rep.is_zero():
             continue
         psi = crossed_to_hol(gm, rep)
-        assert len(set(psi.values())) == 6 == holomorph(gm.module).order
+        assert len(set(psi.values())) == 6 == holomorph_group(gm.module).order
 
 
 def test_crossed_to_hol_does_not_list_aut_m():
@@ -610,7 +615,7 @@ def _hol_modules(group, orders):
     n, gens = _GROUPS[group]
     G = PermGroup.from_cycle_strings(n, gens)
     M = FiniteAbelian(orders)
-    auts = M.automorphisms()
+    auts = automorphisms_by_product(M)
     rng = random.Random(f"{group} {orders}")
     modules = [FiniteGModule.trivial(G, M)]
     for _ in range(6):
@@ -679,7 +684,7 @@ def test_inverse_coclass_pairing_sign_modules():
     # Hol-conjugate homomorphisms
     gm = s3_c3_sign()
     h1 = cohomology(gm, 1)
-    hol = holomorph(gm.module)
+    hol = holomorph_group(gm.module)
     seen = False
     for rep in h1.representatives:
         if rep.is_zero():

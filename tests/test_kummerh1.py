@@ -33,12 +33,10 @@ from coclass.kummerh1 import (
     c4_add,
     c4_decode,
     c4_encode,
-    kummer_radical,
-    mu_power_dual,
-    tate_dual_twist,
     v4_decode,
     v4_encode,
 )
+from helpers import kummer_radical, mu_power_dual, tate_dual_twist
 
 P = RationalPoly
 F = Fraction

@@ -23,22 +23,19 @@ from coclass.localsym import (
     SymbolValue,
     UnsupportedLocal,
     conic_has_point,
-    cube_class,
     cube_classes,
     enumerate_h1_local,
     hilbert2,
-    hilbert_etale,
     is_square_padic,
-    localize,
     sqrt_padic,
     square_class,
     square_classes,
-    tame_symbol,
     tate_pair_c3,
     tate_pair_v4,
     unit_part_mod,
     vp,
 )
+from helpers import cube_class, hilbert_etale, localize, tame_symbol
 
 F = Fraction
 

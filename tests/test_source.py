@@ -50,10 +50,9 @@ def test_no_environment_knobs_or_compiled_sources():
 
 def test_every_function_is_named_somewhere_else():
     # a function or method whose name appears only where it is defined is
-    # dead code; dunders are called by Python itself
+    # dead code; dunders are called by Python itself.  Only the library
+    # counts: code that only the tests reach belongs in the tests.
     texts = [p.read_text() for p in sorted(SRC.rglob("*.py"))]
-    tests = Path(__file__).resolve().parent
-    texts += [p.read_text() for p in sorted(tests.glob("*.py"))]
     defined = {}
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
