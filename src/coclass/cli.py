@@ -217,12 +217,7 @@ def cmd_group(args):
 
 def cmd_coh(args):
     if args.action_name == "lemma53":
-        rng = random.Random(args.seed)
-        passed = 0
-        for _ in range(args.cases):
-            X, Y, H, f, n = random_lemma53_instance(rng)
-            ok, _ = groupcoh.lemma53_check(X, Y, H, f, n)
-            passed += bool(ok)
+        passed = _lemma53_passes(random.Random(args.seed), args.cases)
         return {"cases": args.cases, "passed": passed,
                 "ok": passed == args.cases}
     gm = _build_gmodule(args)
@@ -392,6 +387,15 @@ def random_lemma53_instance(rng: random.Random):
     return X, Y, H, f, n
 
 
+def _lemma53_passes(rng: random.Random, cases: int) -> int:
+    """How many of `cases` random instances pass groupcoh.lemma53_check."""
+    passed = 0
+    for _ in range(cases):
+        ok, _ = groupcoh.lemma53_check(*random_lemma53_instance(rng))
+        passed += bool(ok)
+    return passed
+
+
 def _suite_hilbert_conic(rng):
     cases = passed = 0
     places = [Place(q) for q in (2, 3, 5, 7, 13)] + [Place.real()]
@@ -408,8 +412,7 @@ def _suite_hilbert_conic(rng):
         cases += 1
         total = localsym.hilbert2(a, b, Place.real()).k
         for q in range(2, 301):
-            if all(q % d for d in range(2, q)) and \
-                    (q == 2 or (a * b) % q == 0):
+            if etalealg.is_prime(q) and (q == 2 or (a * b) % q == 0):
                 total += localsym.hilbert2(a, b, Place(q)).k
         passed += (total % 2 == 0)
     return cases, passed
@@ -569,13 +572,7 @@ def _suite_structures(rng):
 
 
 def _suite_lemma53(rng):
-    cases = passed = 0
-    for _ in range(100):
-        X, Y, H, f, n = random_lemma53_instance(rng)
-        ok, _ = groupcoh.lemma53_check(X, Y, H, f, n)
-        cases += 1
-        passed += bool(ok)
-    return cases, passed
+    return 100, _lemma53_passes(rng, 100)
 
 
 SUITES = {

@@ -5,6 +5,7 @@ Galois-group tags, H^0 counting, mirror quartics, and torsor closures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -250,12 +251,15 @@ def frobenius_cycle_types(f: RationalPoly, count: int = 25):
     return types
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def _next_prime(p):
     n = p + 1
-    while True:
-        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
-            return n
+    while not is_prime(n):
         n += 1
+    return n
 
 
 def _transitive_tag(f: RationalPoly) -> str:
@@ -296,11 +300,6 @@ def galois_group(L: EtaleAlgebra, cross_check: bool = True) -> str:
                     f"cycle-type cross-check failed for tag {tag}")
         tags.append(tag)
     return "+".join(sorted(tags, reverse=True))
-
-
-def h0_count(L: EtaleAlgebra) -> int:
-    """Number of degree-1 field factors (= |H^0| for module extensions)."""
-    return L.h0_count()
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,6 @@ class RationalPoly:
         except ZeroDivisionError as exc:
             raise ExactPolyError(f"zero denominator in {text!r}") from exc
 
-    @staticmethod
-    def constant(c) -> "RationalPoly":
-        return RationalPoly([c])
-
     # -- basic queries ---------------------------------------------------
 
     @property

@@ -28,9 +28,6 @@ class ComplexBall:
     mid: complex  # mpmath mpc
     radius: object  # mpmath mpf
 
-    def contains(self, other: "ComplexBall") -> bool:
-        return abs(self.mid - other.mid) + other.radius <= self.radius
-
     def __repr__(self):
         return f"ComplexBall({complex(self.mid)}, r={float(self.radius):.3g})"
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import cycle, product
+from operator import add, neg, sub
 from typing import Callable, Dict, Sequence
 
 from . import InternalError
@@ -326,6 +327,7 @@ class FiniteGModule:
                     if gh[m] != self.action[g][self.action[h][m]]:
                         raise GroupCohError("action is not a homomorphism")
         self.elements = els
+        self.index = {g: i for i, g in enumerate(els)}
 
     @staticmethod
     def trivial(group: PermGroup, module: FiniteAbelian) -> "FiniteGModule":
@@ -350,6 +352,14 @@ class FiniteGModule:
     def act(self, g: Perm, m):
         return self.action[g][m]
 
+    def position(self, key) -> int:
+        """The place of the tuple key among the tuples of sorted G of its
+        length, in itertools.product order."""
+        i = 0
+        for g in key:
+            i = i * len(self.elements) + self.index[g]
+        return i
+
     def action_matrix(self, g: Perm):
         """Integer matrix of the action of g w.r.t. the cyclic coordinates."""
         M = self.module
@@ -363,133 +373,109 @@ class FiniteGModule:
 
 class Cochain:
     """An n-cochain: a total map from n-tuples of group elements to module
-    elements.  Arity 0 uses the single key ()."""
+    elements.  Arity 0 uses the single key ().
+
+    It is held as its coordinate vector: the values on the n-tuples of
+    sorted G in itertools.product order, in the cyclic coordinates, each
+    entry reduced modulo the order of its cyclic factor."""
+
+    __slots__ = ("gm", "arity", "vector")
 
     def __init__(self, gm: FiniteGModule, arity: int, table: Dict):
         if arity not in (0, 1, 2, 3):
             raise GroupCohError("arity must be 0..3")
-        self.gm = gm
-        self.arity = arity
-        keys = list(product(gm.elements, repeat=arity))
-        tab = {}
-        for key in keys:
+        vec = []
+        for key in product(gm.elements, repeat=arity):
             if key not in table:
                 raise GroupCohError(f"cochain table missing {key}")
-            tab[key] = tuple(table[key])
-        self.table = tab
+            vec.extend(table[key])
+        self._set(gm, arity, vec)
+
+    def _set(self, gm, arity, vec):
+        self.gm = gm
+        self.arity = arity
+        self.vector = tuple(x % d for x, d in
+                            zip(vec, cycle(gm.module.cyclic_orders)))
+        return self
+
+    @staticmethod
+    def from_vector(gm: FiniteGModule, arity: int, vec) -> "Cochain":
+        """The cochain with coordinate vector vec, taken modulo the orders."""
+        return Cochain.__new__(Cochain)._set(gm, arity, vec)
 
     @staticmethod
     def zero(gm: FiniteGModule, arity: int) -> "Cochain":
-        z = gm.module.zero()
-        return Cochain(gm, arity,
-                       {k: z for k in product(gm.elements, repeat=arity)})
+        size = len(gm.elements) ** arity * len(gm.module.cyclic_orders)
+        return Cochain.from_vector(gm, arity, [0] * size)
 
     def __call__(self, *args):
-        return self.table[tuple(args)]
+        if len(args) != self.arity:
+            raise GroupCohError(f"a {self.arity}-cochain takes "
+                                f"{self.arity} arguments")
+        k = len(self.gm.module.cyclic_orders)
+        i = self.gm.position(args) * k
+        return self.vector[i:i + k]
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.arity == other.arity
-                and self.table == other.table)
+                and self.vector == other.vector
+                and (self.gm is other.gm
+                     or self.gm.elements == other.gm.elements))
 
     def __hash__(self):
-        return hash((self.arity, tuple(sorted(self.table.items()))))
+        return hash((self.arity, self.vector))
+
+    def _map(self, f, *others) -> "Cochain":
+        """The cochain whose entries are f of the entries of self and others."""
+        return Cochain.from_vector(self.gm, self.arity, map(
+            f, self.vector, *(c.vector for c in others)))
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        M = self.gm.module
-        return Cochain(self.gm, self.arity,
-                       {k: M.add(v, other.table[k])
-                        for k, v in self.table.items()})
+        return self._map(add, other)
 
     def __neg__(self) -> "Cochain":
-        M = self.gm.module
-        return Cochain(self.gm, self.arity,
-                       {k: M.neg(v) for k, v in self.table.items()})
+        return self._map(neg)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
+        return self._map(sub, other)
 
     def smul(self, c: int) -> "Cochain":
-        M = self.gm.module
-        return Cochain(self.gm, self.arity,
-                       {k: M.smul(c, v) for k, v in self.table.items()})
+        return self._map(lambda x: c * x)
 
     def is_zero(self) -> bool:
-        z = self.gm.module.zero()
-        return all(v == z for v in self.table.values())
+        return not any(self.vector)
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """The differential: d0(u)(g) = g.u - u; d1(s)(g,h) = g.s(h) - s(gh) + s(g);
-    d2(s)(g,h,k) = g.s(h,k) - s(gh,k) + s(g,hk) - s(g,h)."""
-    gm = c.gm
-    M = gm.module
-    if c.arity == 0:
-        u = c.table[()]
-        return Cochain(gm, 1, {(g,): M.add(gm.act(g, u), M.neg(u))
-                               for g in gm.elements})
-    if c.arity == 1:
-        out = {}
-        for g in gm.elements:
-            for h in gm.elements:
-                v = gm.act(g, c(h))
-                v = M.add(v, M.neg(c(g * h)))
-                v = M.add(v, c(g))
-                out[(g, h)] = v
-        return Cochain(gm, 2, out)
-    if c.arity == 2:
-        out = {}
-        for g in gm.elements:
-            for h in gm.elements:
-                for k in gm.elements:
-                    v = gm.act(g, c(h, k))
-                    v = M.add(v, M.neg(c(g * h, k)))
-                    v = M.add(v, c(g, h * k))
-                    v = M.add(v, M.neg(c(g, h)))
-                    out[(g, h, k)] = v
-        return Cochain(gm, 3, out)
-    raise GroupCohError("coboundary defined for arity <= 2")
+    """The differential d^n of the bar resolution applied to c."""
+    out = [0] * (len(c.vector) * len(c.gm.elements))
+    for x, col in zip(c.vector, _boundary_matrix(c.gm, c.arity)):
+        if x:
+            for i, v in col.items():
+                out[i] += v * x
+    return Cochain.from_vector(c.gm, c.arity + 1, out)
 
 
 # ---------------------------------------------------------------------------
 # cohomology by sparse elimination modulo the orders of M
 # ---------------------------------------------------------------------------
 
-def _tuples(gm, n):
-    return list(product(gm.elements, repeat=n))
-
-
-def _cochain_to_vector(c: Cochain):
-    keys = _tuples(c.gm, c.arity)
-    out = []
-    for k in keys:
-        out.extend(c.table[k])
-    return out
-
-
-def _vector_to_cochain(gm, n, vec):
-    keys = _tuples(gm, n)
-    k = len(gm.module.cyclic_orders)
-    table = {}
-    for i, key in enumerate(keys):
-        table[key] = tuple(x % d for x, d in
-                           zip(vec[i * k:(i + 1) * k], gm.module.cyclic_orders))
-    return Cochain(gm, n, table)
-
-
 def _boundary_matrix(gm: FiniteGModule, n: int):
     """The coboundary C^n -> C^{n+1} as an integer matrix in the cyclic
     coordinates, given by its |G|^n * k columns (one per C^n coordinate),
-    each a dict from C^{n+1} coordinate (row) to nonzero entry."""
+    each a dict from C^{n+1} coordinate (row) to nonzero entry:
+    d0(u)(g) = g.u - u; d1(s)(g,h) = g.s(h) - s(gh) + s(g);
+    d2(s)(g,h,k) = g.s(h,k) - s(gh,k) + s(g,hk) - s(g,h)."""
     if n not in (0, 1, 2):
         raise GroupCohError("degree must be 0..2")
     k = len(gm.module.cyclic_orders)
-    src_index = {t: i for i, t in enumerate(_tuples(gm, n))}
-    cols = [{} for _ in range(len(src_index) * k)]
+    cols = [{} for _ in range(len(gm.elements) ** n * k)]
     act = {g: gm.action_matrix(g) for g in gm.elements}
+    pos = gm.position
 
     def add_block(dst_i, src_t, A):
         """Add the k x k block A, or A times the identity for an int A."""
-        j0 = src_index[src_t] * k
+        j0 = pos(src_t) * k
         i0 = dst_i * k
         for s in range(k):
             col = cols[j0 + s]
@@ -498,7 +484,7 @@ def _boundary_matrix(gm: FiniteGModule, n: int):
                 if v:
                     col[i0 + r] = col.get(i0 + r, 0) + v
 
-    for di, key in enumerate(_tuples(gm, n + 1)):
+    for di, key in enumerate(product(gm.elements, repeat=n + 1)):
         if n == 0:
             (g,) = key
             add_block(di, (), act[g])
@@ -611,15 +597,14 @@ class CoclassSet:
         for c, e in terms:
             for t, x in enumerate(e):
                 vec[t] += c * x
-        return _vector_to_cochain(self.gm, self.degree, vec)
+        return Cochain.from_vector(self.gm, self.degree, vec)
 
     def reduce(self, c: Cochain) -> Cochain:
         """The canonical representative cohomologous to the cocycle c."""
         if c.arity != self.degree or c.gm is not self.gm and \
                 (c.gm.elements != self.gm.elements):
             raise GroupCohError("cochain does not match this coclass set")
-        vec = _cochain_to_vector(c)
-        y = self._coords({j: x for j, x in enumerate(vec) if x})
+        y = self._coords({j: x for j, x in enumerate(c.vector) if x})
         if y is None:
             raise GroupCohError("not a cocycle")
         w = [sum(u * x for u, x in zip(row, y)) for row in self._U]
@@ -639,12 +624,14 @@ def cohomology(gm: FiniteGModule, n: int) -> CoclassSet:
 
 def holomorph_homs_over_phi(gm: FiniteGModule):
     """All homomorphisms psi: G -> Hol M lifting phi through Hol M -> Aut M,
-    i.e. psi(g) = lambda_{phi(g), t(g)}; returned as the list of t-tables.
+    i.e. psi(g) = lambda_{phi(g), t(g)}; returned as the list of coordinate
+    vectors of the crossed homomorphisms t (see Cochain).
 
     psi is fixed by its values on a small generating set S of G, so
     hom_search tries at most |M|^|S| choices of t on S, |S| <= log2 |G|.
-    Each psi becomes its t-table t(g) = psi(g)(0), a crossed homomorphism,
-    at once.  Hol M acts on the points of M; Aut M is never listed."""
+    Each psi becomes the vector of t(g) = psi(g)(0), a crossed
+    homomorphism, at once.  Hol M acts on the points of M; Aut M is never
+    listed."""
     M = gm.module
     pts = M.elements
     n, one = gm.group.n, Perm.identity(len(pts))
@@ -652,30 +639,29 @@ def holomorph_homs_over_phi(gm: FiniteGModule):
     choices = [[M.affine(gm.action[g], t) for t in pts] for g in gens]
     lifts = hom_search(gens, choices,
                        lambda images: extend_hom(n, images, Perm.__mul__, one))
-    return [{g: pts[psi[g](0)] for g in gm.elements} for psi in lifts]
+    return [tuple(x for g in gm.elements for x in pts[psi[g](0)])
+            for psi in lifts]
 
 
 def h1_via_hol(gm: FiniteGModule):
     """H^1 via Hol M: homomorphisms over phi modulo M-postconjugation.
 
-    Returns (classes, bijection) where classes is a list of t-tables (one
+    Returns (classes, bijection) where classes is a list of 1-cochains (one
     per M-conjugacy class) and bijection maps each class index to the
     matching representative of cohomology(gm, 1); a GroupCohError is raised
     if the correspondence fails to be bijective."""
-    M, els = gm.module, gm.elements
-    # t as its values on the sorted elements, so the least t heads each class
-    homs = sorted(tuple(t[g] for g in els)
-                  for t in holomorph_homs_over_phi(gm))
-    # conjugation by translation-by-u sends t(g) to u + t(g) - g.u; the
-    # cyclic generators u of M generate these translations
-    k = len(M.cyclic_orders)
-    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    shifts = [[M.add(u, M.neg(gm.act(g, u))) for g in els] for u in units]
-    classes = [dict(zip(els, orbit[0])) for orbit in orbits(
-        homs, shifts, lambda d, t: tuple(map(M.add, t, d)))]
+    # the vectors are sorted, so the least t (by its values on sorted G)
+    # heads each class
+    homs = [Cochain.from_vector(gm, 1, t)
+            for t in sorted(holomorph_homs_over_phi(gm))]
+    # conjugation by translation-by-u sends t to t - d0(u); the cyclic
+    # generators u of M generate these translations
+    k = len(gm.module.cyclic_orders)
+    shifts = [-coboundary(Cochain(gm, 0, {(): [int(i == j) for j in range(k)]}))
+              for i in range(k)]
+    classes = [orbit[0] for orbit in orbits(homs, shifts, Cochain.__add__)]
     h1 = cohomology(gm, 1)
-    bij = {i: h1.reduce(Cochain(gm, 1, {(g,): t[g] for g in els}))
-           for i, t in enumerate(classes)}
+    bij = {i: h1.reduce(t) for i, t in enumerate(classes)}
     if len(set(bij.values())) != len(classes) or len(classes) != h1.order:
         raise GroupCohError("Hol-dictionary bijection failed")
     return classes, bij
@@ -715,7 +701,7 @@ def res_cor(gm: FiniteGModule, H: PermGroup, c: Cochain, direction: str):
     hm = submodule_over(gm, H)
     if direction == "res":
         if c.arity == 0:
-            return Cochain(hm, 0, {(): c.table[()]})
+            return Cochain(hm, 0, {(): c()})
         if c.arity == 1:
             return Cochain(hm, 1, {(h,): c(h) for h in hm.elements})
         raise GroupCohError("res implemented in degrees 0 and 1")
@@ -723,7 +709,7 @@ def res_cor(gm: FiniteGModule, H: PermGroup, c: Cochain, direction: str):
         raise GroupCohError("direction must be 'res' or 'cor'")
     reps = _coset_reps(gm, H)
     if c.arity == 0:
-        u = c.table[()]
+        u = c()
         acc = M.zero()
         for r in reps:
             acc = M.add(acc, gm.act(r, u))
@@ -739,7 +725,7 @@ def res_cor(gm: FiniteGModule, H: PermGroup, c: Cochain, direction: str):
                 for rp in reps:
                     h = rp.inverse() * gr
                     if h in helems:
-                        acc = M.add(acc, gm.act(rp, c.table[(h,)]))
+                        acc = M.add(acc, gm.act(rp, c(h)))
                         break
                 else:
                     raise GroupCohError("coset decomposition failed")
@@ -781,7 +767,8 @@ def induced_map(X: FiniteGModule, Y: FiniteGModule, H: PermGroup, f: Dict):
 
 def pushforward(src: FiniteGModule, dst: FiniteGModule, f: Dict, c: Cochain):
     """Apply a module map to the values of a cochain (same group)."""
-    return Cochain(dst, c.arity, {k: f[v] for k, v in c.table.items()})
+    return Cochain(dst, c.arity, {k: f[c(*k)] for k in
+                                  product(c.gm.elements, repeat=c.arity)})
 
 
 def lemma53_check(X: FiniteGModule, Y: FiniteGModule, H: PermGroup,

@@ -433,10 +433,16 @@ def c4_encode(cc: CoclassC4) -> EtaleAlgebra:
         if a == c * c:
             return _l0(cc.D.rep)
         return _c4_degenerate(cc)
-    f = RationalPoly([2 * c * c - 2 * a, 0, -4 * c, 0, 1])
-    if not is_squarefree(f):
+    f = _c4_quartic(a, c)
+    if f is None:
         raise KummerError("unexpected degenerate quartic")
     return EtaleAlgebra.from_poly(f)
+
+
+def _c4_quartic(a, c):
+    """x^4 - 4c x^2 + (2c^2 - 2a), or None when it is not squarefree."""
+    f = RationalPoly([2 * c * c - 2 * a, 0, -4 * c, 0, 1])
+    return f if is_squarefree(f) else None
 
 
 def _c4_degenerate(cc: CoclassC4) -> EtaleAlgebra:
@@ -452,9 +458,8 @@ def _c4_degenerate(cc: CoclassC4) -> EtaleAlgebra:
         c = cc.c * n
         if al.x == c * c or al.x == -c * c:
             continue
-        cc2 = CoclassC4(cc.D, al.x, al.y, c)
-        f = RationalPoly([2 * c * c - 2 * al.x, 0, -4 * c, 0, 1])
-        if is_squarefree(f):
+        f = _c4_quartic(al.x, c)
+        if f is not None:
             return EtaleAlgebra.from_poly(f).canonical()
     raise KummerError("no separable representative found for degenerate "
                       "datum (bounded search exhausted)")

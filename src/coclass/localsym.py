@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import InternalError
 from ._kernels import conic_search
-from .etalealg import EtaleAlgebra, squarefree_part
+from .etalealg import EtaleAlgebra, is_prime, squarefree_part
 from .kummerh1 import QuadElem
 
 
@@ -23,12 +23,6 @@ class UnsupportedLocal(LocalSymError):
     pass
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 # ---------------------------------------------------------------------------
 # places and local fields
 # ---------------------------------------------------------------------------
@@ -38,12 +32,8 @@ class Place:
     p: int  # 0 means the real place
 
     def __post_init__(self):
-        if self.p != 0 and not _is_prime(self.p):
+        if self.p != 0 and not is_prime(self.p):
             raise LocalSymError(f"{self.p} is not prime")
-
-    @staticmethod
-    def finite(p: int) -> "Place":
-        return Place(p)
 
     @staticmethod
     def real() -> "Place":
@@ -63,7 +53,7 @@ class LocalFieldDesc:
     e: int = 1
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise LocalSymError("p must be prime")
         if self.f not in (1, 2, 3) or self.e not in (1, 2, 3):
             raise UnsupportedLocal("only f, e in {1, 2, 3}")
@@ -540,7 +530,7 @@ def tate_pair_c3(p: int, D, sigma, tau) -> SymbolValue:
     Hilbert pairing on E = T[mu_3], T = Q_p[sqrt(D)].  sigma lives on the
     dual side T' = Q_p[sqrt(-3D)], tau on T; both rationals (split data)
     or QuadElems."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise LocalSymError(f"{p} is not prime")
     if p in (2, 3):
         raise UnsupportedLocal("p must not divide 6")

@@ -1,9 +1,10 @@
 """Code that only the tests use, kept out of the library: the Aut M listing
 and Hol M built from it, Cayley images and torsor structures, resolvent
 images of the sign and Sym(4) -> Sym(3) maps, wreath-product checks on
-stable partitions, the crossed-homomorphism map into Hol M, cochain JSON,
-symbols on etale algebras, localization of Kummer data, radical algebras,
-Tate-dual twists and root-ball overlap.  The library computes |Aut M| by
+stable partitions, the crossed-homomorphism map into Hol M, the textbook
+coboundary, cochain JSON, symbols on etale algebras, localization of Kummer
+data, radical algebras, Tate-dual twists and root-ball overlap and
+containment.  The library computes |Aut M| by
 formula and builds none of these."""
 
 import json
@@ -252,10 +253,43 @@ def crossed_to_hol(gm: FiniteGModule, z: Cochain):
     return psi
 
 
+def coboundary_by_table(c: Cochain) -> Cochain:
+    """The differential written out on tables, as an oracle for the
+    library's matrix: d0(u)(g) = g.u - u; d1(s)(g,h) = g.s(h) - s(gh) + s(g);
+    d2(s)(g,h,k) = g.s(h,k) - s(gh,k) + s(g,hk) - s(g,h)."""
+    gm = c.gm
+    M = gm.module
+    if c.arity == 0:
+        u = c()
+        return Cochain(gm, 1, {(g,): M.add(gm.act(g, u), M.neg(u))
+                               for g in gm.elements})
+    if c.arity == 1:
+        out = {}
+        for g in gm.elements:
+            for h in gm.elements:
+                v = gm.act(g, c(h))
+                v = M.add(v, M.neg(c(g * h)))
+                v = M.add(v, c(g))
+                out[(g, h)] = v
+        return Cochain(gm, 2, out)
+    if c.arity == 2:
+        out = {}
+        for g in gm.elements:
+            for h in gm.elements:
+                for k in gm.elements:
+                    v = gm.act(g, c(h, k))
+                    v = M.add(v, M.neg(c(g * h, k)))
+                    v = M.add(v, c(g, h * k))
+                    v = M.add(v, M.neg(c(g, h)))
+                    out[(g, h, k)] = v
+        return Cochain(gm, 3, out)
+    raise GroupCohError("coboundary defined for arity <= 2")
+
+
 def cochain_to_json(c: Cochain) -> str:
     tab = {}
-    for key, val in sorted(c.table.items()):
-        tab["|".join(p.to_cycles() for p in key)] = list(val)
+    for key in product(c.gm.elements, repeat=c.arity):
+        tab["|".join(p.to_cycles() for p in key)] = list(c(*key))
     return json.dumps({"arity": c.arity, "table": tab}, sort_keys=True)
 
 
@@ -394,3 +428,7 @@ def mu_power_dual(k: int, p: int) -> int:
 
 def balls_overlap(a: ComplexBall, b: ComplexBall) -> bool:
     return abs(a.mid - b.mid) < a.radius + b.radius
+
+
+def ball_contains(a: ComplexBall, b: ComplexBall) -> bool:
+    return abs(a.mid - b.mid) + b.radius <= a.radius

@@ -45,7 +45,7 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 def test_place_validation():
-    assert Place.finite(7).p == 7
+    assert Place(7).p == 7
     assert Place.real().is_real
     with pytest.raises(LocalSymError):
         Place(6)
