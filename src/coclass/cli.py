@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import etalealg, groupcoh, kummerh1, localsym, permstruct
 from .etalealg import EtaleAlgebra, SquareClass, UnsupportedStructure
 from .exactpoly import RationalPoly, discriminant, factor_rationals, is_squarefree
+from .exactpoly.modp import is_prime
 from .groupcoh import FiniteGModule, GroupCohError
 from .kummerh1 import CoclassC3, CoclassC4, CoclassV4, QuadElem
 from .localsym import LocalFieldDesc, Place, UnsupportedLocal
@@ -412,7 +413,7 @@ def _suite_hilbert_conic(rng):
         cases += 1
         total = localsym.hilbert2(a, b, Place.real()).k
         for q in range(2, 301):
-            if etalealg.is_prime(q) and (q == 2 or (a * b) % q == 0):
+            if is_prime(q) and (q == 2 or (a * b) % q == 0):
                 total += localsym.hilbert2(a, b, Place(q)).k
         passed += (total % 2 == 0)
     return cases, passed

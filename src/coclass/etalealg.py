@@ -5,9 +5,9 @@ Galois-group tags, H^0 counting, mirror quartics, and torsor closures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .exactpoly import (
     RationalPoly,
@@ -235,31 +235,8 @@ def frobenius_cycle_types(f: RationalPoly, count: int = 25):
     distinct-degree factorization alone."""
     _, fz = f.monic().primitive_int()
     ints = [int(c) for c in fz.coeffs]
-    types = set()
-    p = 2
-    found = 0
-    while found < count and p < 10000:
-        p = _next_prime(p)
-        if ints[-1] % p == 0:
-            continue
-        fp = modp.gf_from_int_poly(ints, p)
-        if len(fp) - 1 != f.degree or not modp.gf_is_squarefree(fp, p):
-            continue
-        degs = modp.gf_factor_degrees(modp.gf_monic(fp, p), p)
-        types.add(tuple(reversed(degs)))
-        found += 1
-    return types
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def _next_prime(p):
-    n = p + 1
-    while not is_prime(n):
-        n += 1
-    return n
+    return {tuple(reversed(modp.factor_degrees(pieces)))
+            for _, pieces in islice(modp.reductions(ints), count)}
 
 
 def _transitive_tag(f: RationalPoly) -> str:

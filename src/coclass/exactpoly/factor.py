@@ -1,10 +1,10 @@
 """Rational factorization: Yun squarefree split, Hensel lifting, and
 Zassenhaus subset recombination with the Mignotte bound.
 
-The modular prime is chosen by distinct-degree counts alone: the first
-usable prime with at most two factors mod p, else the one with the fewest
-among the first `_MAX_PRIMES` usable primes.  Cantor-Zassenhaus then runs
-once, at that prime."""
+The modular prime is chosen by distinct-degree counts alone, over the
+usable primes of `modp.reductions`: the first with at most two factors mod p,
+else the one with the fewest among the first `_MAX_PRIMES`.  Cantor-Zassenhaus
+then splits that prime's distinct-degree pieces, so no step runs twice."""
 
 from __future__ import annotations
 
@@ -16,15 +16,7 @@ from .. import InternalError
 from . import modp
 from .poly import ExactPolyError, RationalPoly, gcd
 
-# Primes tried for the modular factorization, in order.  Each usable prime
-# (not dividing the discriminant) is scored by its factor count from
-# distinct-degree factorization; the scan stops at a count <= 2 or after
-# _MAX_PRIMES usable primes, and the fewest factors wins.
 _MAX_PRIMES = 7
-_PRIME_POOL = [
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
-]
 
 
 def squarefree_decomposition(f: RationalPoly):
@@ -127,25 +119,18 @@ def _factor_monic_int(f_int):
     if n == 1:
         return [f_int]
     best = None
-    usable = 0
-    for p in _PRIME_POOL:
-        if f_int[-1] % p == 0:
-            continue
-        fp = modp.gf_from_int_poly(f_int, p)
-        if len(fp) - 1 != n or not modp.gf_is_squarefree(fp, p):
-            continue
-        count = len(modp.gf_factor_degrees(fp, p))
+    for usable, (p, pieces) in enumerate(modp.reductions(f_int), 1):
+        count = len(modp.factor_degrees(pieces))
         if best is None or count < best[0]:
-            best = (count, p, fp)
-        usable += 1
+            best = (count, p, pieces)
         if count <= 2 or usable == _MAX_PRIMES:
             break
     if best is None:
         raise ExactPolyError("no usable prime found")
-    count, p, fp = best
+    count, p, pieces = best
     if count == 1:
         return [f_int]
-    fac = modp.gf_factor_squarefree(fp, p)
+    fac = modp.gf_factor_squarefree(pieces, p)
 
     # Mignotte-style bound on coefficients of any monic factor
     norm = math.isqrt(sum(c * c for c in f_int)) + 1

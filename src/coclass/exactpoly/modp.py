@@ -3,11 +3,19 @@
 Polynomials are lists of ints in [0, p), ascending degree, trailing zeros
 stripped.  Factorization is distinct-degree followed by Cantor-Zassenhaus
 equal-degree splitting; the degree pattern alone needs only the first step.
+`reductions` is the one scan over primes: it runs distinct-degree
+factorization once per usable prime, and its pieces feed both the degree
+pattern and the equal-degree split.
 """
 
 from __future__ import annotations
 
+import math
 import random
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def trim(a):
@@ -159,18 +167,32 @@ def _equal_degree(f, d, p, rng):
     return left + right
 
 
-def gf_factor_degrees(f, p):
-    """Sorted degrees of the irreducible factors of monic squarefree f over
-    GF(p), by distinct-degree factorization alone."""
-    return sorted(d for g, d in _distinct_degree(f, p)
-                  for _ in range((len(g) - 1) // d))
+def factor_degrees(pieces):
+    """Sorted degrees of the irreducible factors, read from the pieces of a
+    distinct-degree factorization."""
+    return sorted(d for g, d in pieces for _ in range((len(g) - 1) // d))
 
 
-def gf_factor_squarefree(f, p):
-    """Factor monic squarefree f over GF(p) into monic irreducibles."""
-    rng = random.Random(p * 1000003 + len(f))
+def reductions(f_int):
+    """Yield (p, pieces) for the primes 3 <= p < 10000, in increasing order,
+    at which the integer polynomial f_int stays squarefree of full degree;
+    pieces is the distinct-degree factorization of its monic reduction."""
+    n = len(f_int) - 1
+    for p in range(3, 10000, 2):
+        if not is_prime(p):
+            continue
+        fp = gf_from_int_poly(f_int, p)
+        if len(fp) - 1 == n and gf_is_squarefree(fp, p):
+            yield p, _distinct_degree(gf_monic(fp, p), p)
+
+
+def gf_factor_squarefree(pieces, p):
+    """Factor a monic squarefree polynomial over GF(p) into monic
+    irreducibles, given its distinct-degree pieces."""
+    n = sum(len(g) - 1 for g, _ in pieces)
+    rng = random.Random(p * 1000003 + n + 1)
     factors = []
-    for g, d in _distinct_degree(gf_monic(f, p), p):
+    for g, d in pieces:
         factors.extend(_equal_degree(g, d, p, rng))
     factors.sort(key=lambda a: (len(a), a))
     return factors

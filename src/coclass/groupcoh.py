@@ -715,20 +715,14 @@ def res_cor(gm: FiniteGModule, H: PermGroup, c: Cochain, direction: str):
             acc = M.add(acc, gm.act(r, u))
         return Cochain(gm, 0, {(): acc})
     if c.arity == 1:
-        helems = H.elements
+        # every g r is r' h for exactly one r' in reps and h in H
+        split = {r * h: (r, h) for r in reps for h in H.elements}
         out = {}
         for g in gm.elements:
             acc = M.zero()
             for r in reps:
-                gr = g * r
-                # find r' in reps and h in H with g r = r' h
-                for rp in reps:
-                    h = rp.inverse() * gr
-                    if h in helems:
-                        acc = M.add(acc, gm.act(rp, c(h)))
-                        break
-                else:
-                    raise GroupCohError("coset decomposition failed")
+                rp, h = split[g * r]
+                acc = M.add(acc, gm.act(rp, c(h)))
             out[(g,)] = acc
         return Cochain(gm, 1, out)
     raise GroupCohError("cor implemented in degrees 0 and 1")

@@ -11,8 +11,10 @@ from fractions import Fraction
 
 from . import InternalError
 from ._kernels import conic_search
-from .etalealg import EtaleAlgebra, is_prime, squarefree_part
-from .kummerh1 import QuadElem
+from .etalealg import EtaleAlgebra, squarefree_part
+from .exactpoly import modp
+from .exactpoly.modp import is_prime
+from .kummerh1 import QuadElem, _frac_sqrt
 
 
 class LocalSymError(ValueError):
@@ -177,23 +179,14 @@ def sqrt_padic(x, p: int, prec: int = 60) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class ResidueField:
-    """F_{p^f} = F_p[s]/(g) with g the lexicographically smallest monic
-    irreducible of degree f; elements are f-tuples of ints mod p."""
+    """F_{p^f} = F_p[s]/(modulus) for a monic irreducible modulus of degree
+    f, or F_p itself when no modulus is given; elements are f-tuples of
+    ints mod p."""
 
-    def __init__(self, p: int, f: int):
-        self.p, self.f = p, f
-        self.q = p ** f
-        self.modulus = self._find_modulus() if f > 1 else None
-
-    def _find_modulus(self):
-        from .exactpoly import modp
-        import itertools
-        for tail in itertools.product(range(self.p), repeat=self.f):
-            g = list(tail) + [1]
-            if modp.gf_is_squarefree(g, self.p) and \
-                    modp.gf_factor_degrees(g, self.p) == [self.f]:
-                return g
-        raise LocalSymError("no irreducible found")
+    def __init__(self, p: int, modulus=None):
+        self.p, self.modulus = p, modulus
+        self.f = len(modulus) - 1 if modulus else 1
+        self.q = p ** self.f
 
     def elem(self, coeffs) -> tuple:
         out = list(coeffs)[: self.f] + [0] * max(0, self.f - len(coeffs))
@@ -203,7 +196,6 @@ class ResidueField:
         return self.elem([1])
 
     def mul(self, a, b):
-        from .exactpoly import modp
         prod = modp.gf_mul(list(a), list(b), self.p)
         if self.f > 1:
             prod = modp.gf_rem(prod, self.modulus, self.p)
@@ -333,9 +325,8 @@ def cube_classes(F: LocalFieldDesc):
     p = F.p
     if p == 3:
         raise UnsupportedLocal("wild: cube classes at p = 3")
-    R = ResidueField(p, F.f)
     vals = range(3)
-    if (R.q - 1) % 3:
+    if (F.q - 1) % 3:
         return [LocalClass(3, Place(p), v, 0, Fraction(p) ** v) for v in vals]
     if F.f == 1:
         u = _noncube_unit(p)
@@ -412,12 +403,9 @@ class _QuadCtx:
         if is_square_padic(self.d, p):
             raise LocalSymError("d is a p-adic square")
         self.ramified = vp(self.d, p) % 2 == 1
-        if self.ramified:
-            self.R = ResidueField(p, 1)
-        else:
-            self.R = ResidueField(p, 2)
-            # align s with sqrt(d): replace the abstract modulus by s^2 = d
-            self.R.modulus = [(-unit_part_mod(self.d, p)) % p, 0, 1]
+        # unramified: s^2 = d aligns the residue generator s with sqrt(d)
+        self.R = ResidueField(p) if self.ramified else \
+            ResidueField(p, [(-unit_part_mod(self.d, p)) % p, 0, 1])
 
     def valued(self, x: Fraction, y: Fraction):
         """(valuation, unit residue) of x + y sqrt(d); no cross-basis
@@ -460,8 +448,7 @@ class _QuarticCtx:
             raise LocalSymError("d3 must be an inert unit class")
         if vp(self.dpi, p) % 2 == 0:
             raise LocalSymError("dpi must be ramified")
-        self.R = ResidueField(p, 2)
-        self.R.modulus = [(-unit_part_mod(self.d3, p)) % p, 0, 1]
+        self.R = ResidueField(p, [(-unit_part_mod(self.d3, p)) % p, 0, 1])
 
     def valued(self, a, b, c, d):
         """(valuation, unit residue) of a + b s3 + c pi + d s3 pi."""
@@ -476,20 +463,16 @@ class _QuarticCtx:
         if not cands:
             raise LocalSymError("zero element")
         v = min(cands)
-        if v % 2 == 0:
-            w = v // 2
-            ra = unit_part_mod(a / D ** w, p) if a and vp(a / D ** w, p) == 0 else 0
-            rb = unit_part_mod(b / D ** w, p) if b and vp(b / D ** w, p) == 0 else 0
-            return v, self.R.elem([ra, rb])
-        w = (v - 1) // 2
-        rc = unit_part_mod(c / D ** w, p) if c and vp(c / D ** w, p) == 0 else 0
-        rd = unit_part_mod(d / D ** w, p) if d and vp(d / D ** w, p) == 0 else 0
-        return v, self.R.elem([rc, rd])
+        scale = D ** (v // 2)
 
-    def symbol(self, e1, e2, m: int) -> SymbolValue:
-        v1, r1 = self.valued(*e1)
-        v2, r2 = self.valued(*e2)
-        return tame_symbol_residue(self.R, v1, r1, v2, r2, m)
+        def residue(t):
+            t = t / scale
+            return unit_part_mod(t, p) if t and vp(t, p) == 0 else 0
+
+        pair = (a, b) if v % 2 == 0 else (c, d)
+        return v, self.R.elem([residue(t) for t in pair])
+
+    symbol = _QuadCtx.symbol
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +529,7 @@ def tate_pair_c3(p: int, D, sigma, tau) -> SymbolValue:
         # everything splits: one symbol per component of E = T[mu_3]; the
         # second component sees the conjugate root of unity, so its
         # exponent enters with the opposite sign
-        R = ResidueField(p, 1)
+        R = ResidueField(p)
         if (R.q - 1) % 3:
             raise InternalError("internal: -3 square forces p = 1 mod 3")
         u1 = _embed_split(sigma, dp, p, 1, norm_one=True)
@@ -565,12 +548,9 @@ def tate_pair_c3(p: int, D, sigma, tau) -> SymbolValue:
         xt, yt = _coords(tau, d)
         # exact relation: dp * g^2 = -3 d, g rational, so
         # sqrt(dp) = sqrt(-3) sqrt(d) / g
-        g2 = Fraction(-3 * d, dp)
-        from math import isqrt
-        gn, gd = g2.numerator, g2.denominator
-        if isqrt(gn) ** 2 != gn or isqrt(gd) ** 2 != gd:
+        g = _frac_sqrt(Fraction(-3 * d, dp))
+        if g is None:
             raise InternalError("internal: twist classes inconsistent")
-        g = Fraction(isqrt(gn), isqrt(gd))
         if s3:
             # sqrt(-3) is rational p-adically: one symbol on Q_p(sqrt(d))
             ctx = _QuadCtx(p, Fraction(d))

@@ -2,10 +2,10 @@
 and Hol M built from it, Cayley images and torsor structures, resolvent
 images of the sign and Sym(4) -> Sym(3) maps, wreath-product checks on
 stable partitions, the crossed-homomorphism map into Hol M, the textbook
-coboundary, cochain JSON, symbols on etale algebras, localization of Kummer
-data, radical algebras, Tate-dual twists and root-ball overlap and
-containment.  The library computes |Aut M| by
-formula and builds none of these."""
+coboundary, cochain JSON, residue fields modulo the least irreducible,
+symbols on etale algebras, localization of Kummer data, radical algebras,
+Tate-dual twists and root-ball overlap and containment.  The library
+computes |Aut M| by formula and builds none of these."""
 
 import json
 import math
@@ -14,7 +14,7 @@ from itertools import product
 
 from coclass import InternalError
 from coclass.etalealg import EtaleAlgebra, SquareClass, squarefree_part
-from coclass.exactpoly import RationalPoly
+from coclass.exactpoly import RationalPoly, modp
 from coclass.exactpoly.roots import ComplexBall
 from coclass.groupcoh import Cochain, FiniteGModule, GroupCohError, coboundary
 from coclass.kummerh1 import CoclassC3, CoclassV4, KummerError
@@ -308,6 +308,19 @@ def cochain_from_json(gm: FiniteGModule, text: str) -> Cochain:
 # local symbols on etale algebras and localization of Kummer data
 # ---------------------------------------------------------------------------
 
+def residue_field(p: int, f: int) -> ResidueField:
+    """F_{p^f} modulo the lexicographically smallest monic irreducible of
+    degree f; F_p itself when f = 1."""
+    if f == 1:
+        return ResidueField(p)
+    for tail in product(range(p), repeat=f):
+        g = list(tail) + [1]
+        if modp.gf_is_squarefree(g, p) and \
+                modp.factor_degrees(modp._distinct_degree(g, p)) == [f]:
+            return ResidueField(p, g)
+    raise LocalSymError("no irreducible found")
+
+
 def cube_class(a, F: LocalFieldDesc) -> LocalClass:
     """Cube class of a nonzero rational in the tame field F (via the
     residue character); f = e = 1 is Q_p itself."""
@@ -316,7 +329,7 @@ def cube_class(a, F: LocalFieldDesc) -> LocalClass:
         raise UnsupportedLocal("wild: cube classes at p = 3")
     a = Fraction(a)
     v = (F.e * vp(a, p)) % 3
-    R = ResidueField(p, F.f)
+    R = residue_field(p, F.f)
     if (R.q - 1) % 3:
         return LocalClass(3, Place(p), v, 0, Fraction(p) ** v)
     k = R.dlog_mu(R.pow(R.elem([unit_part_mod(a, p)]), (R.q - 1) // 3), 3)
@@ -357,7 +370,7 @@ def tame_symbol(F: LocalFieldDesc, a, b, m: int) -> SymbolValue:
         return hilbert2(a, b, Place(2))
     if m == 3 and F.p == 3:
         raise UnsupportedLocal("wild: m = 3 at p = 3")
-    R = ResidueField(F.p, F.f)
+    R = residue_field(F.p, F.f)
     if (R.q - 1) % m:
         raise UnsupportedLocal(f"mu_{m} not in the residue field")
     va, ra = _to_valued(F, a, R)

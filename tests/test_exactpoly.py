@@ -411,8 +411,9 @@ def test_gf_factor_degrees_match_full_factorization(p):
     for n in range(1, 17):
         for _ in range(3):
             f = _random_squarefree_gf(rng, n, p)
-            factors = modp.gf_factor_squarefree(f, p)
-            assert modp.gf_factor_degrees(f, p) == sorted(len(g) - 1 for g in factors)
+            pieces = modp._distinct_degree(f, p)
+            factors = modp.gf_factor_squarefree(pieces, p)
+            assert modp.factor_degrees(pieces) == sorted(len(g) - 1 for g in factors)
             prod = [1]
             for g in factors:
                 prod = modp.gf_mul(prod, g, p)
@@ -432,7 +433,8 @@ def _frobenius_types_by_full_factoring(f, count):
         fp = modp.gf_from_int_poly(ints, p)
         if len(fp) - 1 != f.degree or not modp.gf_is_squarefree(fp, p):
             continue
-        degs = [len(g) - 1 for g in modp.gf_factor_squarefree(modp.gf_monic(fp, p), p)]
+        pieces = modp._distinct_degree(modp.gf_monic(fp, p), p)
+        degs = [len(g) - 1 for g in modp.gf_factor_squarefree(pieces, p)]
         types.add(tuple(sorted(degs, reverse=True)))
         found += 1
     return types
@@ -565,14 +567,14 @@ def test_trager_norm_factorizations_frozen(monkeypatch):
     norms = _golden_norms()
     assert sorted({N.degree for N in norms}) == [8, 16]
     scans = []
-    ddf = modp.gf_factor_degrees
+    read = modp.factor_degrees
 
-    def spy(f, p):
-        degs = ddf(f, p)
+    def spy(pieces):
+        degs = read(pieces)
         scans[-1].append(len(degs))
         return degs
 
-    monkeypatch.setattr(modp, "gf_factor_degrees", spy)
+    monkeypatch.setattr(modp, "factor_degrees", spy)
     for N, want in zip(norms, _GOLDEN_NORM_FACTORS):
         scans.append([])
         assert factor_rationals(N) == [(P(t), 1) for t in want]
@@ -582,3 +584,23 @@ def test_trager_norm_factorizations_frozen(monkeypatch):
         assert scan[-1] <= 2 or len(scan) == 7
     capped = [scan for scan in scans if min(scan) > 2]
     assert capped and all(len(scan) == 7 for scan in capped)
+
+
+def test_distinct_degree_runs_once_per_scored_prime(monkeypatch):
+    # the equal-degree split reuses the scored pieces of the chosen prime,
+    # so the primes reaching distinct-degree factorization strictly increase
+    norms = _golden_norms()
+    ddf = modp._distinct_degree
+    primes = []
+
+    def spy(f, p):
+        primes[-1].append(p)
+        return ddf(f, p)
+
+    monkeypatch.setattr(modp, "_distinct_degree", spy)
+    for N, want in zip(norms, _GOLDEN_NORM_FACTORS):
+        primes.append([])
+        factor_rationals(N)
+        assert primes[-1] == sorted(set(primes[-1])), (want, primes[-1])
+    # the check bites where a split runs: most norms have several factors
+    assert sum(len(want) > 1 for want in _GOLDEN_NORM_FACTORS) >= 8

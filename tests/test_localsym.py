@@ -35,7 +35,7 @@ from coclass.localsym import (
     unit_part_mod,
     vp,
 )
-from helpers import cube_class, hilbert_etale, localize, tame_symbol
+from helpers import cube_class, hilbert_etale, localize, residue_field, tame_symbol
 
 F = Fraction
 
@@ -218,7 +218,7 @@ def test_tame_symbol_unramified_q25():
     # [DERIVED: residue-field exponentiation] <u, pi> = -1 for a
     # non-square unit u of F_25
     FD = LocalFieldDesc(5, 2)
-    R = ResidueField(5, 2)
+    R = residue_field(5, 2)
     u = next(e for e in ([i, j] for i in range(5) for j in range(1, 5))
              if R.pow(R.elem(e), 12) != R.one())
     assert tame_symbol(FD, (0, u), 5, 2).to_str() == "-1"
@@ -443,8 +443,7 @@ def test_localize_c3_spec_example():
     assert cls.m == 3 and cls.valuation == 0
     # oracle: delta's residue is (1 + s)/4 in F_49 = F_7[s], s^2 = -15;
     # its cube character exponent must match
-    R = ResidueField(7, 2)
-    R.modulus = [(-(-15)) % 7, 0, 1]
+    R = ResidueField(7, [(-(-15)) % 7, 0, 1])
     val = R.pow(R.elem([unit_part_mod(F(1, 4), 7), unit_part_mod(F(1, 4), 7)]),
                 (49 - 1) // 3)
     assert cls.unit_part == R.dlog_mu(val, 3)

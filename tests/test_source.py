@@ -112,3 +112,22 @@ def test_internal_faults_raise_internal_error():
                 if name != "InternalError":
                     wrong.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not wrong, wrong
+
+
+def test_one_prime_scan_over_gf_p():
+    # `modp.reductions` is the one scan over primes: one primality test,
+    # and no other module runs the squarefree test or distinct-degree
+    # factorization that each scanned prime needs
+    defs, calls = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "is_prime":
+                defs.append(rel)
+            elif isinstance(node, ast.Call) and rel != os.path.join("exactpoly", "modp.py"):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("gf_is_squarefree", "_distinct_degree"):
+                    calls.append(f"{rel}:{node.lineno}")
+    assert defs == [os.path.join("exactpoly", "modp.py")], defs
+    assert not calls, calls
