@@ -2,6 +2,10 @@
 `permstruct.centralizer_in_sym`, a backtrack over one point per orbit, and
 the brute-force conic point search mod p^k that `localsym.conic_has_point`
 uses as an oracle independent of the Hilbert-symbol formula.
+
+The conic search tests its sums a small block at a time and stops at the
+first square: most conics have a point, and the first block almost always
+holds one, so only the conics without a point pay for a full scan.
 """
 
 from __future__ import annotations
@@ -11,8 +15,10 @@ import numpy as np
 # The benchmark harness records this in every result file.
 BACKEND = "pure"
 
-# Most entries of one block of sums in `conic_search`.
-_BLOCK = 1 << 20
+# Most entries of one block of sums in `conic_search`. Small, so that a
+# conic with a point stops after one block instead of filling the whole
+# table of sums (about a million at p = 13) before testing any of them.
+_BLOCK = 1 << 12
 
 
 def perm_centralizer(n: int, gens):

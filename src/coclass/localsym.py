@@ -6,13 +6,15 @@ local Tate pairings for the order-3 and C2 x C2 modules.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import InternalError
 from ._kernels import conic_search
 from .etalealg import EtaleAlgebra, squarefree_part
-from .exactpoly import modp
+from .exactpoly import discriminant, modp
 from .exactpoly.modp import is_prime
 from .kummerh1 import QuadElem, _frac_sqrt
 
@@ -107,31 +109,34 @@ EPSILON_FORM = {
 # rational p-adic utilities
 # ---------------------------------------------------------------------------
 
-def vp(x, p: int) -> int:
-    x = Fraction(x)
-    if x == 0:
+def _rational(x):
+    """x itself when it is an int or a Fraction, else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _split(x, p: int):
+    """(v, n, d) with x = p^v * n / d and p dividing neither n nor d."""
+    x = _rational(x)
+    n, d = x.numerator, x.denominator
+    if n == 0:
         raise LocalSymError("valuation of zero")
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1
-    return v
+    return v, n, d
+
+
+def vp(x, p: int) -> int:
+    return _split(x, p)[0]
 
 
 def unit_part_mod(x, p: int, k: int = 1) -> int:
     """The unit x / p^v(x) as a residue mod p^k."""
-    x = Fraction(x)
-    v = vp(x, p)
-    n, d = x.numerator, x.denominator
-    if v > 0:
-        n //= p ** v
-    elif v < 0:
-        d //= p ** (-v)
+    _, n, d = _split(x, p)
     m = p ** k
     return n * pow(d, -1, m) % m
 
@@ -146,13 +151,12 @@ def legendre(a: int, p: int) -> int:
 
 def is_square_padic(x, p: int) -> bool:
     """Whether a nonzero rational is a square in Q_p."""
-    x = Fraction(x)
-    v = vp(x, p)
+    v, n, d = _split(x, p)
     if v % 2:
         return False
     if p == 2:
-        return unit_part_mod(x, 2, 3) == 1
-    return legendre(unit_part_mod(x, p), p) == 1
+        return n * pow(d, -1, 8) % 8 == 1
+    return legendre(n * pow(d, -1, p), p) == 1
 
 
 def sqrt_padic(x, p: int, prec: int = 60) -> Fraction:
@@ -225,7 +229,6 @@ class ResidueField:
         if m == 2:
             return self.elem([-1])
         # smallest generator-power convention: first element of order m
-        import itertools
         for tail in itertools.product(range(self.p), repeat=self.f):
             cand = self.elem(tail)
             if self.is_zero(cand):
@@ -237,13 +240,24 @@ class ResidueField:
 
     def dlog_mu(self, val, m: int) -> int:
         """Exponent k with val = zeta(m)^k."""
-        z = self.zeta(m)
-        cur = self.one()
-        for k in range(m):
-            if val == cur:
-                return k
-            cur = self.mul(cur, z)
-        raise LocalSymError("value not in mu_m")
+        modulus = tuple(self.modulus) if self.modulus else None
+        k = _mu_logs(self.p, modulus, m).get(val)
+        if k is None:
+            raise LocalSymError("value not in mu_m")
+        return k
+
+
+@functools.lru_cache(maxsize=64)
+def _mu_logs(p: int, modulus, m: int) -> dict:
+    """{zeta(m)^k: k} in F_p[s]/(modulus).  Fields are rebuilt for every
+    symbol, so the search for zeta is kept here, once per field and m."""
+    R = ResidueField(p, list(modulus) if modulus else None)
+    z = R.zeta(m)
+    out, cur = {}, R.one()
+    for k in range(m):
+        out.setdefault(cur, k)
+        cur = R.mul(cur, z)
+    return out
 
 
 def tame_symbol_residue(R: ResidueField, va: int, ra, vb: int, rb,
@@ -343,19 +357,21 @@ def cube_classes(F: LocalFieldDesc):
 
 def hilbert2(a, b, place: Place) -> SymbolValue:
     """The quadratic Hilbert symbol at a place of Q."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational(a), _rational(b)
     if a == 0 or b == 0:
         raise LocalSymError("arguments must be nonzero")
     if place.is_real:
         return SymbolValue(2, 1 if (a < 0 and b < 0) else 0)
     p = place.p
-    al, be = vp(a, p), vp(b, p)
+    m = 8 if p == 2 else p
+    al, n, d = _split(a, p)
+    u = n * pow(d, -1, m) % m
+    be, n, d = _split(b, p)
+    v = n * pow(d, -1, m) % m
     if p == 2:
-        u, v = unit_part_mod(a, 2, 3), unit_part_mod(b, 2, 3)
         eps = ((u - 1) // 2) * ((v - 1) // 2)
         om_u, om_v = (u * u - 1) // 8, (v * v - 1) // 8
         return SymbolValue(2, eps + al * om_v + be * om_u)
-    u, v = unit_part_mod(a, p), unit_part_mod(b, p)
     sign = 1
     if (al * be * (p - 1) // 2) % 2:
         sign = -sign
@@ -366,24 +382,24 @@ def hilbert2(a, b, place: Place) -> SymbolValue:
 
 def conic_has_point(a, b, place: Place) -> bool:
     """Independent oracle: does a x^2 + b y^2 = z^2 have a point?"""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational(a), _rational(b)
     if a == 0 or b == 0:
         raise LocalSymError("arguments must be nonzero")
     if place.is_real:
         return a > 0 or b > 0
     p = place.p
+    m = 8 if p == 2 else p
 
-    def reduce(x: Fraction) -> int:
+    def reduce(x) -> int:
         # dividing a coefficient by a rational square rescales a coordinate
         # and preserves solvability; reduce to valuation 0 or 1 with a
         # small unit part
-        v = vp(x, p) % 2
-        u = unit_part_mod(x, p, 3 if p == 2 else 1)
-        return p ** v * u
+        v, n, d = _split(x, p)
+        return p ** (v % 2) * (n * pow(d, -1, m) % m)
 
     ai, bi = reduce(a), reduce(b)
     if p == 2:
-        k = 1 + 2 * vp(Fraction(2 * ai * bi), 2) + 2
+        k = 1 + 2 * vp(2 * ai * bi, 2) + 2
     else:
         # square-reduced coefficients: solvability is decided mod p^3
         k = 3
@@ -593,21 +609,21 @@ def tate_pair_v4(p: int, R, sigma, tau) -> SymbolValue:
         factors = tuple(R)
     if len(sigma) != len(factors) or len(tau) != len(factors):
         raise LocalSymError("coordinate count mismatch")
+    place = Place(p)
     out = SymbolValue(2, 0)
     for f, s, t in zip(factors, sigma, tau):
         deg = f.degree if hasattr(f, "degree") else 1
         if deg == 1:
-            out = out * hilbert2(Fraction(s), Fraction(t), Place(p))
+            out = out * hilbert2(s, t, place)
             continue
         if deg != 2:
             raise UnsupportedLocal("factors of degree > 2 not supported")
-        from .exactpoly import discriminant
         m = squarefree_part(discriminant(f))
-        if is_square_padic(Fraction(m), p):
+        if is_square_padic(m, p):
             for sign in (1, -1):
                 u = _embed_split(s, m, p, sign)
                 w = _embed_split(t, m, p, sign)
-                out = out * hilbert2(u, w, Place(p))
+                out = out * hilbert2(u, w, place)
         else:
             ctx = _QuadCtx(p, Fraction(m))
             out = out * ctx.symbol(_coords(s, m), _coords(t, m), 2)

@@ -8,10 +8,12 @@ and well-definedness under change of representatives.
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from coclass import _kernels
 from coclass.etalealg import EtaleAlgebra, squarefree_part
 from coclass.kummerh1 import CoclassC3, CoclassV4, QuadElem
 from coclass.localsym import (
@@ -67,11 +69,44 @@ def test_symbol_value_arithmetic():
     assert SymbolValue(2, 1).to_str() == "-1"
 
 
+def _vp_by_definition(x, p):
+    """The v with x / p^v a p-adic unit, found by trying each v."""
+    x = F(x)
+    for v in range(-40, 41):
+        u = x / F(p) ** v
+        if u.numerator % p and u.denominator % p:
+            return v
+    raise AssertionError("valuation out of range")
+
+
+def _unit_part_by_search(x, p, k):
+    """The residue r mod p^k with r = x / p^v(x), by trying every r."""
+    u = F(x) / F(p) ** _vp_by_definition(x, p)
+    m = p ** k
+    return next(r for r in range(m)
+                if (r * u.denominator - u.numerator) % m == 0)
+
+
 def test_vp_and_unit_part():
     assert vp(F(50), 5) == 2
     assert vp(F(3, 25), 5) == -2
     assert unit_part_mod(F(50), 5) == 2
     assert unit_part_mod(F(-1), 2, 3) == 7
+    rng = random.Random(29)
+    for p in (2, 3, 13):
+        for _ in range(60):
+            num = rng.choice((1, -1)) * p ** rng.randint(0, 4) * rng.randint(1, 500)
+            den = p ** rng.randint(0, 4) * rng.randint(1, 500)
+            for x in (num, F(num, den)):
+                assert vp(x, p) == _vp_by_definition(x, p), (x, p)
+                for k in (1, 3):
+                    assert unit_part_mod(x, p, k) == \
+                        _unit_part_by_search(x, p, k), (x, p, k)
+    for zero in (0, F(0)):
+        with pytest.raises(LocalSymError):
+            vp(zero, 3)
+        with pytest.raises(LocalSymError):
+            unit_part_mod(zero, 3)
 
 
 def test_sqrt_padic_squares():
@@ -164,6 +199,29 @@ def test_hilbert_equals_conic_exhaustive():
                     conic_has_point(a, b, pl), (pl, a, b)
 
 
+def _conic_by_scan(a, b, p, k):
+    """Whether a x^2 + b y^2 is a square mod p^k for some (x, y) not both
+    divisible by p, trying every pair."""
+    m = p ** k
+    squares = {z * z % m for z in range(m)}
+    return any((a * x * x + b * y * y) % m in squares
+               for x in range(m) for y in range(m) if x % p or y % p)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_conic_search_matches_scan_for_any_block(block, monkeypatch):
+    # the block size of the sums only changes when the search stops
+    if block is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+    for p in (2, 3, 5, 7):
+        reps = [int(c.rep) for c in square_classes(Place(p))]
+        for a in reps:
+            for b in reps:
+                k = 3 + 2 * vp(2 * a * b, 2) if p == 2 else 3
+                assert _kernels.conic_search(a, b, p, k) == \
+                    _conic_by_scan(a, b, p, k), (p, a, b, block)
+
+
 @pytest.mark.parametrize("p", [29, 31])
 def test_conic_search_memory_stays_bounded(p):
     # all (p^3)^2 sums at once would take gigabytes at these primes
@@ -174,7 +232,7 @@ def test_conic_search_memory_stays_bounded(p):
     finally:
         tracemalloc.stop()
     assert found == hilbert2(3, p, Place(p)).is_trivial()
-    assert peak < 64 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_hilbert2_bilinear_symmetric():
@@ -315,6 +373,29 @@ def test_tate_c3_nonsplit_dual_perfect():
     assert rows[0] == (0, 0, 0)
     assert len(set(rows)) == 3
     assert len(set(zip(*rows))) == 3
+
+
+def test_zeta_search_runs_once_per_field(monkeypatch):
+    # every symbol rebuilds its residue field; the search for zeta must not
+    # run again for a field and m it has already seen
+    searches = Counter()
+    zeta = ResidueField.zeta
+
+    def spy(R, m):
+        searches[R.p, tuple(R.modulus or ()), m] += 1
+        return zeta(R, m)
+
+    monkeypatch.setattr(ResidueField, "zeta", spy)
+    reps = [c.rep for c in cube_classes(LocalFieldDesc(7))]
+    tables = [[[tate_pair_c3(7, 1, u, w).k for w in reps] for u in reps]
+              for _ in range(2)]
+    assert tables[0] == tables[1]
+    # p = 5, D = 1: the symbol lives on the inert Q_5(sqrt(-3))
+    sigmas = (ZETA6, ZETA6 * ZETA6)
+    rows = [[tate_pair_c3(5, 1, s, t).k for s in sigmas for t in (F(5), F(25))]
+            for _ in range(2)]
+    assert rows[0] == rows[1] == [1, 2, 2, 1]
+    assert max(searches.values(), default=0) <= 1, searches
 
 
 def test_tate_c3_field_cases_bilinear():
