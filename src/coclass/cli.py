@@ -17,7 +17,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import etalealg, groupcoh, kummerh1, localsym, permstruct
+from . import UnsupportedSize, etalealg, groupcoh, kummerh1, localsym, permstruct
 from .etalealg import EtaleAlgebra, SquareClass, UnsupportedStructure
 from .exactpoly import RationalPoly, discriminant, factor_rationals, is_squarefree
 from .exactpoly.modp import is_prime
@@ -29,7 +29,7 @@ from .permstruct import FiniteAbelian, PermGroup, UnsupportedDegree
 SCHEMA = 1
 
 _UNSUPPORTED = (UnsupportedStructure, UnsupportedLocal, UnsupportedDegree,
-                groupcoh.UnsupportedSize)
+                UnsupportedSize)
 
 
 class CliError(ValueError):
@@ -193,7 +193,7 @@ def cmd_group(args):
     if args.action_name == "hol":
         M = FiniteAbelian([int(t) for t in args.orders.split(",")])
         if M.order > groupcoh.MODULE_CAP:
-            raise groupcoh.UnsupportedSize("module size exceeds desk caps")
+            raise UnsupportedSize("module size exceeds desk caps")
         order = M.order * M.aut_order()
         return {"module": list(M.cyclic_orders), "degree": M.order,
                 "order": order,

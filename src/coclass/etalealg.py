@@ -5,10 +5,12 @@ Galois-group tags, H^0 counting, mirror quartics, and torsor closures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
+from . import UnsupportedSize
 from .exactpoly import (
     RationalPoly,
     compositum_factors,
@@ -34,9 +36,15 @@ class UnsupportedStructure(EtaleError):
 # square classes
 # ---------------------------------------------------------------------------
 
+TRIAL_BOUND = 2 ** 20
+
+
 def squarefree_part(q) -> int:
     """The squarefree integer representing the square class of a nonzero
-    rational."""
+    rational.  Trial division stops at B = TRIAL_BOUND: the cofactor left
+    then has no prime factor below B, so below B^3 it is 1, a prime, p*q or
+    p^2, and `math.isqrt` tells p^2 apart.  A larger cofactor raises
+    UnsupportedSize."""
     q = Fraction(q)
     if q == 0:
         raise EtaleError("zero has no square class")
@@ -46,13 +54,28 @@ def squarefree_part(q) -> int:
     out = 1
     d = 2
     while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-        if n % d == 0:
-            out *= d
+        if d >= TRIAL_BOUND:
+            if n >= TRIAL_BOUND ** 3:
+                raise UnsupportedSize(
+                    f"square class needs a factor of {n.bit_length()} bits "
+                    f"past trial division to {TRIAL_BOUND}")
+            r = math.isqrt(n)
+            return sign * out * (1 if r * r == n else n)
+        odd = False
+        while n % d == 0:
             n //= d
-        d += 1
+            odd = not odd
+        if odd:
+            out *= d
+        d += 1 if d == 2 else 2
     return sign * out * n
+
+
+def _is_square(q) -> bool:
+    """True iff the rational q is the square of a rational."""
+    q = Fraction(q)
+    return q >= 0 and all(math.isqrt(a) ** 2 == a
+                          for a in (q.numerator, q.denominator))
 
 
 @dataclass(frozen=True)
@@ -240,27 +263,27 @@ def frobenius_cycle_types(f: RationalPoly, count: int = 25):
 
 
 def _transitive_tag(f: RationalPoly) -> str:
-    """Tag of an irreducible polynomial of degree <= 4."""
+    """Tag of an irreducible polynomial of degree <= 4.  A quartic
+    whose resolvent has one rational root r is C4 or D4, and by Kappe &
+    Warren (Amer. Math. Monthly 96, 1989) it is C4 iff r^2 - 4s and
+    4(r - p) are each a square or disc times a square, for the depressed
+    quartic x^4 + p x^2 + q x + s."""
     n = f.degree
-    if n == 1:
-        return "C1"
-    if n == 2:
-        return "C2"
+    if n < 3:
+        return f"C{n}"
+    disc = discriminant(f)
     if n == 3:
-        d = discriminant(f)
-        return "C3" if squarefree_part(d) == 1 else "S3"
-    res = cubic_resolvent_poly(f)
-    parts = factor_rationals(res)
-    degs = sorted(h.degree for h, _ in parts)
-    disc_class = squarefree_part(discriminant(f))
-    if degs == [3]:
-        return "A4" if disc_class == 1 else "S4"
-    if degs == [1, 1, 1]:
+        return "C3" if _is_square(disc) else "S3"
+    linear = [h for h, _ in factor_rationals(cubic_resolvent_poly(f))
+              if h.degree == 1]
+    if not linear:
+        return "A4" if _is_square(disc) else "S4"
+    if len(linear) == 3:
         return "V4"
-    # one linear + one quadratic: C4 iff sqrt(disc) lies in the quartic field
-    from .exactpoly import has_root_in_extension
-    quad = RationalPoly([-disc_class, 0, 1])
-    return "C4" if has_root_in_extension(quad, f) else "D4"
+    r = -linear[0][0]
+    p, _, s, _ = depress_quartic(f)
+    return "C4" if all(_is_square(u) or _is_square(u / disc)
+                       for u in (r * r - 4 * s, 4 * (r - p))) else "D4"
 
 
 def galois_group(L: EtaleAlgebra, cross_check: bool = True) -> str:

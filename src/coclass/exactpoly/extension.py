@@ -4,65 +4,112 @@ For f irreducible defining K = Q[y]/(f) and g squarefree, the norm
 N_lam(x) = Res_y(f(y), g(x - lam*y)) has, for generic lam, squarefree
 value whose irreducible factors of degree deg(f) correspond exactly to the
 linear factors of g over K.
+
+The norm is built as a composed sum (Bostan, Flajolet, Salvy & Schost, "Fast
+computation of special resultants", J. Symbolic Comput. 41, 2006): its roots
+are lam*alpha + beta over the roots alpha of f and beta of g, and scaled by
+an integer t they are algebraic integers, so power sums and Newton's
+identities give the monic t^N N(x/t) / lc(N) in Python ints.  Zassenhaus
+factors that monic integer polynomial, never N monicized by a power of its
+leading coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .factor import factor_rationals, factor_squarefree, is_irreducible
-from .poly import ExactPolyError, RationalPoly, is_squarefree, resultant
+from .. import InternalError
+from . import factor, modp
+from .factor import factor_rationals, is_irreducible
+from .poly import ExactPolyError, RationalPoly, is_squarefree
+
+
+def _root_scale(f: RationalPoly, g: RationalPoly) -> int:
+    """lcm of the leading coefficients of the primitive integer forms of f
+    and g: times it, every root of f and of g is an algebraic integer."""
+    return math.lcm(int(f.primitive_int()[1].lc), int(g.primitive_int()[1].lc))
+
+
+def _power_sums(f: RationalPoly, s: int, count: int):
+    """Power sums p_0..p_count of s*alpha over the roots alpha of f, by
+    Newton's identities on the monic integer polynomial s^m f(x/s)/lc(f)."""
+    m = f.degree
+    c = [int(a / f.lc * s ** (m - i)) for i, a in enumerate(f.coeffs)]
+    p = [m]
+    for k in range(1, count + 1):
+        acc = k * c[m - k] if k <= m else 0
+        for i in range(1, min(k - 1, m) + 1):
+            acc += c[m - i] * p[k - i]
+        p.append(-acc)
+    return p
 
 
 def trager_norm(f: RationalPoly, g: RationalPoly, lam: Fraction) -> RationalPoly:
-    """Res_y(f(y), g(x - lam*y)) as a polynomial in x, by interpolation."""
-    n = f.degree * g.degree
+    """Res_y(f(y), g(x - lam*y)) as a polynomial in x, as a composed sum.
+
+    For lam != 0 it is lc(f)^n lc(g)^m prod (x - lam*alpha - beta), m = deg f,
+    n = deg g.  With lam = a/b and s = `_root_scale(f, g)`, the roots
+    delta = b*s*(lam*alpha + beta) = a*(s*alpha) + b*(s*beta) are algebraic
+    integers with power sums P_k = sum_j C(k, j) a^j b^(k-j) s_j(s*alpha)
+    s_(k-j)(s*beta), and Newton's identities turn those into the integer
+    coefficients of prod (x - delta).  At lam = 0 the norm is g(x)^m."""
+    if f.is_zero() or g.is_zero():
+        raise ExactPolyError("resultant of zero polynomial")
     lam = Fraction(lam)
-    xs, ys = [], []
-    x0 = 0
-    while len(xs) < n + 1:
-        shifted = _eval_shift(g, x0, lam)
-        if shifted.degree == g.degree:
-            xs.append(Fraction(x0))
-            ys.append(resultant(f, shifted))
-        x0 = -x0 + (0 if x0 > 0 else 1)  # 0, 1, -1, 2, -2, ...
-    return interpolate(xs, ys)
+    m, n = f.degree, g.degree
+    if lam == 0:
+        return g ** m
+    N = m * n
+    a, b = lam.numerator, lam.denominator
+    s = _root_scale(f, g)
+    ps, qs = _power_sums(f, s, N), _power_sums(g, s, N)
+    P = [sum(math.comb(k, j) * a ** j * b ** (k - j) * ps[j] * qs[k - j]
+             for j in range(k + 1)) for k in range(N + 1)]
+    d = [0] * N + [1]
+    for k in range(1, N + 1):
+        q, r = divmod(-sum(d[N - j] * P[k - j] for j in range(k)), k)
+        if r:
+            raise InternalError("internal: composed sum is not integral")
+        d[N - k] = q
+    lead, t = f.lc ** n * g.lc ** m, b * s
+    return RationalPoly([lead * c / t ** (N - i) for i, c in enumerate(d)])
 
 
-def _eval_shift(g: RationalPoly, x0, lam) -> RationalPoly:
-    """g(x0 - lam*y) as a polynomial in y."""
-    base = RationalPoly([Fraction(x0), -Fraction(lam)])
-    return g.compose(base)
-
-
-def interpolate(xs, ys) -> RationalPoly:
-    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
-    xs distinct: Newton divided differences, then the Newton form expanded
-    by Horner's rule, O(n^2) field operations."""
-    c = [Fraction(y) for y in ys]
-    n = len(c)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    out = []
-    for k in range(n - 1, -1, -1):
-        # out <- out * (x - xs[k]) + c[k]
-        shifted = [Fraction(0)] + out
-        for i, a in enumerate(out):
-            shifted[i] -= xs[k] * a
-        shifted[0] += c[k]
-        out = shifted
-    return RationalPoly(out)
+def _scaled_monic(norm: RationalPoly, t: int):
+    """t^N norm(x/t) / lc(norm) as integer coefficients, ascending; t must
+    make every root of norm times t an algebraic integer."""
+    N = norm.degree
+    out = [c / norm.lc * t ** (N - i) for i, c in enumerate(norm.coeffs)]
+    if any(c.denominator != 1 for c in out):
+        raise InternalError("internal: scaled Trager norm is not integral")
+    return [c.numerator for c in out]
 
 
 def _squarefree_norm(f: RationalPoly, g: RationalPoly):
-    """Find lam with squarefree Trager norm; returns (lam, norm)."""
+    """The first lam of 1, -1, 2, -2, ... whose Trager norm is squarefree,
+    and that norm: (lam, norm).  Squarefree modulo a prime proves it; the
+    exact gcd decides the rest."""
+    s = _root_scale(f, g)
     for k in range(1, 80):
         lam = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
         norm = trager_norm(f, g, lam)
-        if norm.degree == f.degree * g.degree and is_squarefree(norm):
+        if modp.squarefree_mod_prime(_scaled_monic(norm, s)) \
+                or is_squarefree(norm):
             return lam, norm
     raise ExactPolyError("no squarefree Trager norm found")
+
+
+def _norm_factors(f: RationalPoly, g: RationalPoly):
+    """(lam, the monic irreducible factors over Q of the squarefree norm
+    N_lam), sorted.  Zassenhaus factors the monic integer s^N N_lam(x/s),
+    s = `_root_scale(f, g)`, and each factor h of degree d maps back to
+    h(s*x)/s^d."""
+    lam, norm = _squarefree_norm(f, g)
+    s = _root_scale(f, g)
+    out = [RationalPoly([Fraction(c, s ** (len(h) - 1 - i)) for i, c in enumerate(h)])
+           for h in factor._factor_monic_int(_scaled_monic(norm, s))]
+    return lam, sorted(out, key=lambda h: (h.degree, h.coeffs))
 
 
 def _trager_roots(g: RationalPoly, f: RationalPoly):
@@ -76,8 +123,8 @@ def _trager_roots(g: RationalPoly, f: RationalPoly):
     n = f.degree
 
     def norm_factors(h):
-        lam, norm = _squarefree_norm(f, h)
-        for q in factor_squarefree(norm):
+        lam, qs = _norm_factors(f, h)
+        for q in qs:
             if q.degree == n:
                 yield lam, q
 
@@ -195,8 +242,7 @@ def extension_automorphisms(f: RationalPoly):
 def compositum_factors(f: RationalPoly, g: RationalPoly):
     """Irreducible factors (min polys over Q) of Q[x]/(f) (x) Q[y]/(g),
     both inputs irreducible."""
-    _, norm = _squarefree_norm(g, f)
-    return factor_squarefree(norm)
+    return _norm_factors(g, f)[1]
 
 
 def fields_isomorphic(f: RationalPoly, g: RationalPoly) -> bool:

@@ -5,13 +5,15 @@ stripped.  Factorization is distinct-degree followed by Cantor-Zassenhaus
 equal-degree splitting; the degree pattern alone needs only the first step.
 `reductions` is the one scan over primes: it runs distinct-degree
 factorization once per usable prime, and its pieces feed both the degree
-pattern and the equal-degree split.
+pattern and the equal-degree split.  `squarefree_mod_prime` runs the same
+squarefree test over a few larger primes, as a proof of squarefreeness.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 
 
 def is_prime(n: int) -> bool:
@@ -173,17 +175,35 @@ def factor_degrees(pieces):
     return sorted(d for g, d in pieces for _ in range((len(g) - 1) // d))
 
 
+def _primes(start: int):
+    """The odd primes from `start` up to 10000, in increasing order."""
+    return (p for p in range(start | 1, 10000, 2) if is_prime(p))
+
+
+def _squarefree_at(f_int, primes):
+    """Yield (p, f_int mod p) for each p of `primes` at which the integer
+    polynomial f_int keeps its degree and stays squarefree."""
+    n = len(f_int) - 1
+    for p in primes:
+        fp = gf_from_int_poly(f_int, p)
+        if len(fp) - 1 == n and gf_is_squarefree(fp, p):
+            yield p, fp
+
+
 def reductions(f_int):
     """Yield (p, pieces) for the primes 3 <= p < 10000, in increasing order,
     at which the integer polynomial f_int stays squarefree of full degree;
     pieces is the distinct-degree factorization of its monic reduction."""
-    n = len(f_int) - 1
-    for p in range(3, 10000, 2):
-        if not is_prime(p):
-            continue
-        fp = gf_from_int_poly(f_int, p)
-        if len(fp) - 1 == n and gf_is_squarefree(fp, p):
-            yield p, _distinct_degree(gf_monic(fp, p), p)
+    for p, fp in _squarefree_at(f_int, _primes(3)):
+        yield p, _distinct_degree(gf_monic(fp, p), p)
+
+
+def squarefree_mod_prime(f_int) -> bool:
+    """True if the integer polynomial f_int stays squarefree of full degree
+    modulo one of the first three primes above 1000, which proves it
+    squarefree over Q; False proves nothing.  Small primes are skipped: they
+    often divide the discriminants of scaled Trager norms."""
+    return next(_squarefree_at(f_int, islice(_primes(1000), 3)), None) is not None
 
 
 def gf_factor_squarefree(pieces, p):

@@ -234,6 +234,26 @@ def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
     return r * b.lc ** a.degree
 
 
+def interpolate(xs, ys) -> RationalPoly:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
+    xs distinct: Newton divided differences, then the Newton form expanded
+    by Horner's rule, O(n^2) field operations."""
+    c = [Fraction(y) for y in ys]
+    n = len(c)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    out = []
+    for k in range(n - 1, -1, -1):
+        # out <- out * (x - xs[k]) + c[k]
+        shifted = [Fraction(0)] + out
+        for i, a in enumerate(out):
+            shifted[i] -= xs[k] * a
+        shifted[0] += c[k]
+        out = shifted
+    return RationalPoly(out)
+
+
 def discriminant(f: RationalPoly) -> Fraction:
     """disc f = (-1)^(n(n-1)/2) res(f, f') / lc(f)."""
     n = f.degree

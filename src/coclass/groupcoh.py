@@ -13,7 +13,7 @@ from itertools import cycle, product
 from operator import add, neg, sub
 from typing import Callable, Dict, Sequence
 
-from . import InternalError
+from . import InternalError, UnsupportedSize
 from .permstruct import (
     FiniteAbelian,
     Perm,
@@ -30,10 +30,6 @@ MODULE_CAP = 16
 
 
 class GroupCohError(ValueError):
-    pass
-
-
-class UnsupportedSize(GroupCohError):
     pass
 
 

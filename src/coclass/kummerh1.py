@@ -21,7 +21,7 @@ from .etalealg import (
     squarefree_part,
 )
 from .exactpoly import RationalPoly, factor_rationals, is_squarefree, resultant
-from .exactpoly.extension import interpolate
+from .exactpoly.poly import interpolate
 
 
 class KummerError(ValueError):

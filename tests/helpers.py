@@ -4,7 +4,8 @@ images of the sign and Sym(4) -> Sym(3) maps, wreath-product checks on
 stable partitions, the crossed-homomorphism map into Hol M, the textbook
 coboundary, cochain JSON, residue fields modulo the least irreducible,
 symbols on etale algebras, localization of Kummer data, radical algebras,
-Tate-dual twists and root-ball overlap and containment.  The library
+Tate-dual twists, Trager norms by resultants and interpolation, the C4/D4
+split by a Trager norm, and root-ball overlap and containment.  The library
 computes |Aut M| by formula and builds none of these."""
 
 import json
@@ -13,8 +14,16 @@ from fractions import Fraction
 from itertools import product
 
 from coclass import InternalError
-from coclass.etalealg import EtaleAlgebra, SquareClass, squarefree_part
-from coclass.exactpoly import RationalPoly, modp
+from coclass.etalealg import EtaleAlgebra, SquareClass, cubic_resolvent_poly, squarefree_part
+from coclass.exactpoly import (
+    RationalPoly,
+    discriminant,
+    factor_rationals,
+    has_root_in_extension,
+    modp,
+    resultant,
+)
+from coclass.exactpoly.poly import interpolate
 from coclass.exactpoly.roots import ComplexBall
 from coclass.groupcoh import Cochain, FiniteGModule, GroupCohError, coboundary
 from coclass.kummerh1 import CoclassC3, CoclassV4, KummerError
@@ -433,6 +442,47 @@ def mu_power_dual(k: int, p: int) -> int:
     if p < 3:
         raise KummerError("need an odd prime")
     return (1 - k) % (p - 1)
+
+
+# ---------------------------------------------------------------------------
+# Trager norms by resultants and the C4/D4 split by a norm
+# ---------------------------------------------------------------------------
+
+def trager_norm_by_resultants(f: RationalPoly, g: RationalPoly, lam) -> RationalPoly:
+    """Res_y(f(y), g(x - lam*y)) by interpolation through deg f * deg g + 1
+    resultants Res_y(f(y), g(x0 - lam*y)) at x0 = 0, 1, -1, 2, ...; lam != 0,
+    else every x0 would be skipped while g(x0) has degree 0 in y."""
+    lam = Fraction(lam)
+    if lam == 0 and g.degree > 0:
+        raise ValueError("lam = 0 leaves g(x0 - lam*y) constant in y")
+    xs, ys = [], []
+    x0 = 0
+    while len(xs) < f.degree * g.degree + 1:
+        shifted = g.compose(RationalPoly([Fraction(x0), -lam]))
+        if shifted.degree == g.degree:
+            xs.append(Fraction(x0))
+            ys.append(resultant(f, shifted))
+        x0 = -x0 + (0 if x0 > 0 else 1)  # 0, 1, -1, 2, -2, ...
+    return interpolate(xs, ys)
+
+
+def transitive_tag_by_norm(f: RationalPoly) -> str:
+    """Galois tag of an irreducible polynomial of degree <= 4, deciding C4
+    against D4 by whether sqrt(disc) lies in the quartic field, and square
+    discriminants by their squarefree part."""
+    n = f.degree
+    if n < 3:
+        return f"C{n}"
+    disc_class = squarefree_part(discriminant(f))
+    if n == 3:
+        return "C3" if disc_class == 1 else "S3"
+    degs = sorted(h.degree for h, _ in factor_rationals(cubic_resolvent_poly(f)))
+    if degs == [3]:
+        return "A4" if disc_class == 1 else "S4"
+    if degs == [1, 1, 1]:
+        return "V4"
+    quad = RationalPoly([-disc_class, 0, 1])
+    return "C4" if has_root_in_extension(quad, f) else "D4"
 
 
 # ---------------------------------------------------------------------------

@@ -136,15 +136,16 @@ def test_group_hol_order_is_m_times_aut_m_up_to_the_cap():
             payload["order"] == math.factorial(M.order))
 
 
-def _cold_seconds(argv):
+def _cold_seconds(argv, timeout=None):
     """Wall time of one fresh `python -m coclass.cli` process, import
-    included, and its exit code."""
+    included, and its exit code; past `timeout` seconds the process is
+    killed and `subprocess.TimeoutExpired` fails the caller."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     start = time.perf_counter()
     code = subprocess.run([sys.executable, "-m", "coclass.cli", *argv],
-                          env=env, capture_output=True).returncode
+                          env=env, capture_output=True, timeout=timeout).returncode
     return time.perf_counter() - start, code
 
 
@@ -167,6 +168,18 @@ def test_group_hol_past_module_cap_exit_3(orders):
     assert payload["code"] == "unsupported"
     seconds, code = _cold_seconds(["group", "hol", "--orders", orders])
     assert code == 3 and seconds < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["etale", "info", "--f", "100000000003,1,0,0,1"],
+    ["h1", "c4", "decode", "--f", "100000000003,0,-8,0,1"],
+])
+def test_large_discriminant_quartics_finish(argv):
+    # quartics inside the degree cap with 118-bit discriminants, which
+    # unbounded trial division did not take apart within 20 s: an exact
+    # answer or exit 3, within the budget, never an internal fault
+    seconds, code = _cold_seconds(argv, timeout=5)
+    assert code in (0, 3) and seconds < 5
 
 
 def test_group_structures_golden():

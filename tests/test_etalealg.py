@@ -5,11 +5,15 @@ sampler; resolvent and closure values are frozen from exact computation
 verified by root-in-extension oracles.
 """
 
+import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from coclass import UnsupportedSize, etalealg
 from coclass.etalealg import (
     EtaleAlgebra,
     EtaleError,
@@ -24,6 +28,7 @@ from coclass.etalealg import (
     mirror_quartic,
     quadratic_resolvent,
     squarefree_part,
+    _transitive_tag,
     torsor_closure,
 )
 from coclass.exactpoly import (
@@ -31,7 +36,9 @@ from coclass.exactpoly import (
     discriminant,
     fields_isomorphic,
     has_root_in_extension,
+    is_irreducible,
 )
+from helpers import transitive_tag_by_norm
 from coclass import permstruct
 from coclass.permstruct import PermGroup
 
@@ -49,6 +56,35 @@ def test_squarefree_part():
     assert squarefree_part(49) == 1
     with pytest.raises(EtaleError):
         squarefree_part(0)
+
+
+def _squarefree_part_by_trial_division(n):
+    n, out, d = abs(n), 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+        if n % d == 0:
+            out, n = out * d, n // d
+        d += 1
+    return out * n
+
+
+def test_squarefree_part_past_the_trial_bound():
+    # cofactors with no prime factor below the bound B: below B^3 they are
+    # p, p*q or p^2 and stay exact; past it, exit 3 rather than a long scan
+    p, q = 1048583, 1048589  # the first primes past B = 2^20
+    assert etalealg.TRIAL_BOUND < p < q
+    for n, part in [(p, p), (p * q, p * q), (p * p, 1), (12 * p * p, 3),
+                    (-8 * p * q, -2 * p * q), (18 * p, 2 * p), (35 * q * q, 35),
+                    (Fraction(p * q, 4 * p), q)]:
+        assert squarefree_part(n) == part, n
+    rng = random.Random(15)
+    for n in [rng.randint(1, 10 ** 6) * rng.choice((1, -1)) for _ in range(400)]:
+        assert squarefree_part(n) == (1 if n > 0 else -1) * _squarefree_part_by_trial_division(n), n
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedSize):
+        squarefree_part(7 * p * p * q)
+    assert time.perf_counter() - start < 1
 
 
 def test_square_class_group():
@@ -182,6 +218,48 @@ def test_galois_tags_random_quartics():
             continue
         galois_group(EtaleAlgebra.from_poly(f))  # cross-check is internal
         done += 1
+
+
+def _seeded_quartics():
+    """Irreducible x^4 + p x^2 + q: over a grid, and the C4 ones of a wider
+    grid (q(p^2 - 4q) a square, q not); the A4 quartic x^4 + 8x + 12; each
+    also moved by a seeded x -> x + t so that it is not depressed; then
+    seeded general quartics."""
+    rng = random.Random(15)
+    pq = [(p, q) for p in range(-6, 7) for q in range(-10, 11)]
+    pq += [(p, q) for p in range(-40, 41) for q in range(21, 200)
+           if math.isqrt(q) ** 2 != q and q * (p * p - 4 * q) > 0
+           and math.isqrt(q * (p * p - 4 * q)) ** 2 == q * (p * p - 4 * q)]
+    out = []
+    for f in [P([q, 0, p, 0, 1]) for p, q in pq] + [P([12, 8, 0, 0, 1])]:
+        if f[0] and is_irreducible(f):
+            out += [f, f.shift(Fraction(rng.randint(-7, 7), rng.randint(1, 3)))]
+    for _ in range(200):
+        f = P([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)] + [1])
+        if is_irreducible(f):
+            out.append(f)
+    return out
+
+
+def test_kappe_warren_matches_norm_oracle():
+    # C4 against D4 by the Kappe-Warren square tests, against whether
+    # sqrt(disc) lies in the quartic field; square discriminants by isqrt
+    # against their squarefree part
+    tags = Counter()
+    for f in _seeded_quartics():
+        tag = _transitive_tag(f)
+        assert tag == transitive_tag_by_norm(f), f
+        tags[tag] += 1
+    assert tags["C4"] >= 80 and tags["D4"] >= 300 and set(tags) == {"C4", "V4", "D4", "A4", "S4"}
+
+
+def test_galois_group_takes_no_square_class(monkeypatch):
+    def refuse(q):
+        raise AssertionError("squarefree_part called")
+
+    monkeypatch.setattr(etalealg, "squarefree_part", refuse)
+    for f, tag in CURATED:
+        assert galois_group(EtaleAlgebra.from_poly(f)) == tag
 
 
 # ---------------------------------------------------------------------------

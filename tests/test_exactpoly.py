@@ -6,6 +6,7 @@ evaluation, a numeric root-matching oracle) and frozen here.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,6 +20,7 @@ from coclass.exactpoly import (
     RationalPoly,
     compositum_factors,
     discriminant,
+    extension_automorphisms,
     factor_rationals,
     fields_isomorphic,
     gcd,
@@ -32,10 +34,11 @@ from coclass.exactpoly import (
     squarefree_decomposition,
     trager_norm,
 )
-from coclass.exactpoly import modp
-from coclass.exactpoly.extension import _squarefree_norm, interpolate
+from coclass.exactpoly import factor, modp
+from coclass.exactpoly.extension import _squarefree_norm
+from coclass.exactpoly.poly import interpolate
 from coclass.kummerh1 import CoclassV4, v4_encode
-from helpers import ball_contains, balls_overlap
+from helpers import ball_contains, balls_overlap, trager_norm_by_resultants
 
 P = RationalPoly.from_text
 F = Fraction
@@ -490,6 +493,45 @@ def test_trager_norm_at_fresh_points_is_the_resultant():
         assert norm(F(x0)) == resultant(f, gy)
 
 
+def _seeded_poly(rng, degree, monic):
+    coeffs = [F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(degree)]
+    lead = F(1) if monic else F(rng.choice((1, -1)) * rng.randint(1, 7), rng.choice((1, 2, 3, 5)))
+    return RationalPoly(coeffs + [lead])
+
+
+def test_trager_norm_matches_resultant_oracle():
+    # the composed sum against interpolated resultants, f and g of degree
+    # 1-4, monic and not, integer and rational lam
+    rng = random.Random(15)
+    for i in range(160):
+        f = _seeded_poly(rng, rng.randint(1, 4), i % 2 == 0)
+        g = _seeded_poly(rng, rng.randint(1, 4), i % 4 < 2)
+        if i % 3:
+            lam = F(rng.choice((1, -1, 2, -2, 3)))
+        else:
+            lam = F(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(2, 4))
+        assert trager_norm(f, g, lam) == trager_norm_by_resultants(f, g, lam), (f, g, lam)
+
+
+def test_trager_norm_at_lam_zero_is_a_power_of_g():
+    # Res_y(f(y), g(x)) = g(x)^deg f: no interpolation point is skipped
+    start = time.perf_counter()
+    f, g = P("-2,0,1"), P("-3,0,1")
+    assert trager_norm(f, g, F(0)) == g ** 2
+    assert trager_norm(P("-2,0,0,1/3"), g, 0) == g ** 3
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ExactPolyError):
+        trager_norm(RationalPoly([]), g, 1)
+
+
+def test_squarefree_mod_prime_proves_only_squarefree():
+    square = P("-2,0,1") * P("-2,0,1") * P("1,1")
+    assert not modp.squarefree_mod_prime([int(c) for c in square.coeffs])
+    assert modp.squarefree_mod_prime([int(c) for c in P("-2,0,1").coeffs])
+    # 1009 * 1013 * 1019 divides the discriminant 4 * 1009 * 1013 * 1019
+    assert not modp.squarefree_mod_prime([-1009 * 1013 * 1019, 0, 1])
+
+
 # ---------------------------------------------------------------------------
 # frozen factorizations of Trager norms from the codec-roundtrip draws
 # ---------------------------------------------------------------------------
@@ -526,19 +568,25 @@ def _v4_quartic(rng):
             return L.factors[0]
 
 
-def _golden_norms():
-    """Squarefree Trager norms, as the C4/V4 tag and isomorphism tests build
-    them: f against f (degree 16) and the discriminant's quadratic against f
-    (degree 8) for four C4 quartics, f against f for four V4 quartics."""
+def _golden_quartics():
+    """Four C4-or-D4 quartics, then four V4 quartics, seeded."""
     rng = random.Random(2025)
+    c4 = [_c4_quartic(rng) for _ in range(4)]
+    return c4, [_v4_quartic(rng) for _ in range(4)]
+
+
+def _golden_norms():
+    """Squarefree Trager norms, as the isomorphism tests and the former C4
+    tag test build them: f against f (degree 16) and the discriminant's
+    quadratic against f (degree 8) for four C4 quartics, f against f for
+    four V4 quartics."""
+    c4, v4 = _golden_quartics()
     norms = []
-    for _ in range(4):
-        f = _c4_quartic(rng)
+    for f in c4:
         quad = RationalPoly([-squarefree_part(discriminant(f)), 0, 1])
         norms.append(_squarefree_norm(f, f)[1])
         norms.append(_squarefree_norm(f, quad)[1])
-    for _ in range(4):
-        f = _v4_quartic(rng)
+    for f in v4:
         norms.append(_squarefree_norm(f, f)[1])
     return norms
 
@@ -604,3 +652,19 @@ def test_distinct_degree_runs_once_per_scored_prime(monkeypatch):
         assert primes[-1] == sorted(set(primes[-1])), (want, primes[-1])
     # the check bites where a split runs: most norms have several factors
     assert sum(len(want) > 1 for want in _GOLDEN_NORM_FACTORS) >= 8
+
+
+def test_norm_factoring_keeps_coefficients_small(monkeypatch):
+    # the norms reach Zassenhaus as s^N N(x/s), not monicized by the
+    # (N-1)-th power of their leading coefficient (622 bits that way)
+    bits = []
+    monic_int = factor._factor_monic_int
+
+    def spy(f_int):
+        bits.append(max(abs(c).bit_length() for c in f_int))
+        return monic_int(f_int)
+
+    monkeypatch.setattr(factor, "_factor_monic_int", spy)
+    c4, v4 = _golden_quartics()
+    assert [len(extension_automorphisms(f)) for f in c4 + v4] == [4, 2, 2, 2, 4, 4, 4, 4]
+    assert max(bits) <= 256
