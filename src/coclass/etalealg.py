@@ -71,11 +71,16 @@ def squarefree_part(q) -> int:
     return sign * out * n
 
 
-def _is_square(q) -> bool:
-    """True iff the rational q is the square of a rational."""
+def _frac_sqrt(q):
+    """The exact square root of a nonnegative rational, or None."""
     q = Fraction(q)
-    return q >= 0 and all(math.isqrt(a) ** 2 == a
-                          for a in (q.numerator, q.denominator))
+    if q < 0:
+        return None
+    rn = math.isqrt(q.numerator)
+    rd = math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,14 @@ class SquareClass:
 
     @staticmethod
     def of(q) -> "SquareClass":
-        return SquareClass(squarefree_part(q))
+        """The class of a nonzero rational; its squarefree part is the
+        representative, so it is not checked again."""
+        c = object.__new__(SquareClass)
+        object.__setattr__(c, "rep", squarefree_part(q))
+        return c
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return SquareClass(squarefree_part(self.rep * other.rep))
+        return SquareClass.of(self.rep * other.rep)
 
     def is_trivial(self) -> bool:
         return self.rep == 1
@@ -273,27 +282,29 @@ def _transitive_tag(f: RationalPoly) -> str:
         return f"C{n}"
     disc = discriminant(f)
     if n == 3:
-        return "C3" if _is_square(disc) else "S3"
+        return "C3" if _frac_sqrt(disc) is not None else "S3"
     linear = [h for h, _ in factor_rationals(cubic_resolvent_poly(f))
               if h.degree == 1]
     if not linear:
-        return "A4" if _is_square(disc) else "S4"
+        return "A4" if _frac_sqrt(disc) is not None else "S4"
     if len(linear) == 3:
         return "V4"
     r = -linear[0][0]
     p, _, s, _ = depress_quartic(f)
-    return "C4" if all(_is_square(u) or _is_square(u / disc)
+    return "C4" if all(_frac_sqrt(u) is not None
+                       or _frac_sqrt(u / disc) is not None
                        for u in (r * r - 4 * s, 4 * (r - p))) else "D4"
 
 
-def galois_group(L: EtaleAlgebra, cross_check: bool = True) -> str:
-    """Galois tag; intransitive algebras get the '+'-joined factor tags."""
+def galois_group(L: EtaleAlgebra) -> str:
+    """Galois tag; intransitive algebras get the '+'-joined factor tags.
+    Each tag is checked against the Frobenius cycle types of its factor."""
     if L.degree > 4:
         raise UnsupportedStructure("tags implemented for degree <= 4")
     tags = []
     for f in L.factors:
         tag = _transitive_tag(f)
-        if cross_check and f.degree >= 2:
+        if f.degree >= 2:
             observed = frobenius_cycle_types(f)
             if not observed <= _ALLOWED_TYPES[tag]:
                 raise EtaleError(

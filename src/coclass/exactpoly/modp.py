@@ -61,10 +61,10 @@ def gf_divmod(a, b, p):
     if not b:
         raise ZeroDivisionError("gf division by zero")
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, p - 2, p)
+    db = len(b) - 1
     if len(a) - 1 < db:
         return [], trim(a)
+    inv = pow(b[-1], p - 2, p)
     q = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] % p

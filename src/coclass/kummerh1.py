@@ -5,7 +5,6 @@ and coclass-bearing etale algebras, with their group laws.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ from .etalealg import (
     EtaleError,
     SquareClass,
     UnsupportedStructure,
+    _frac_sqrt,
     cubic_resolvent_poly,
     depress_quartic,
     quadratic_resolvent,
@@ -30,18 +30,6 @@ class KummerError(ValueError):
 
 def _frac(x) -> Fraction:
     return Fraction(x)
-
-
-def _frac_sqrt(q: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +56,7 @@ class QuadElem:
 
     @staticmethod
     def of(d, x, y=0) -> "QuadElem":
-        return QuadElem(SquareClass(squarefree_part(d) if d != 0 else 1),
+        return QuadElem(SquareClass.of(d) if d != 0 else SquareClass(1),
                         _frac(x), _frac(y))
 
     def _check(self, other: "QuadElem"):
@@ -506,13 +494,26 @@ def c4_decode(f) -> CoclassC4:
         if m1 == m2:
             return CoclassC4(SquareClass(m1), Fraction(-4), Fraction(0),
                              Fraction(2))
-        t = Fraction(m1 if abs(m1) <= abs(m2) else m2)
-        D = squarefree_part(m1 * m2)
-        a, b, c = _c4_reduce(SquareClass(D), t * t, Fraction(0), t)
-        return CoclassC4(SquareClass(D), a, b, c)
-    if degs != [4]:
+        # the even model (x^2 - m1)(x^2 - 4 m2), read as c4_encode's
+        # x^4 - 4c x^2 + (2c^2 - 2a)
+        c = Fraction(m1 + 4 * m2, 4)
+        a = c * c - 2 * m1 * m2
+    elif degs == [4]:
+        a, c = _c4_model(L.factors[0])
+    else:
         raise UnsupportedStructure("no C4-module structure on this algebra")
-    fq = L.factors[0]
+    db2 = c ** 4 - a * a
+    if db2 == 0:
+        raise InternalError("internal: irreducible quartic gave b = 0")
+    D = SquareClass.of(db2)
+    b = _frac_sqrt(db2 / D.rep)
+    a, b, c = _c4_reduce(D, a, b, c)
+    return CoclassC4(D, a, abs(b), c)
+
+
+def _c4_model(fq: RationalPoly):
+    """(a, c) with fq isomorphic to x^4 - 4c x^2 + (2c^2 - 2a), for an
+    irreducible quartic fq with a quadratic subfield."""
     p, q, r, _ = depress_quartic(fq)
     y1 = _rational_resolvent_root(fq)
     if y1 is None:
@@ -534,16 +535,9 @@ def c4_decode(f) -> CoclassC4:
         v = (QuadElem.of(dE, y1, 0) - qu) * Fraction(1, 2)
     w = u * u - 4 * v  # eta = 2*theta + u satisfies eta^2 = w in E
     c = w.trace() / 4
-    a = c * c - w.norm() / 2
     if c == 0:
         raise UnsupportedStructure("degenerate biquadratic model (c = 0)")
-    db2 = c ** 4 - a * a
-    if db2 == 0:
-        raise InternalError("internal: irreducible quartic gave b = 0")
-    D = squarefree_part(db2)
-    b = _frac_sqrt(db2 / D)
-    a, b, c = _c4_reduce(SquareClass(D), a, b, c)
-    return CoclassC4(SquareClass(D), a, abs(b), c)
+    return c * c - w.norm() / 2, c
 
 
 def _quad_disc(f: RationalPoly) -> Fraction:

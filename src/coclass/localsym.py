@@ -1,8 +1,10 @@
 """Local fields at desk scale: square and cube class groups of Q_p and
 small tame extensions, the Hilbert symbol with an independent conic oracle,
-tame symbols over residue fields F_{p^f}, local H^1 enumeration, and the
-local Tate pairings for the order-3 and C2 x C2 modules.
-"""
+local H^1 enumeration, and the local Tate pairings for the order-3 and
+C2 x C2 modules.  The pairings take tame symbols (Serre, Local Fields,
+ch. XIV) on one context, Q_p(sqrt(u), sqrt(r)) with e, f <= 2 and p odd,
+whose residue-field arithmetic is `exactpoly.modp`; the order-3 pairing
+covers every twist at the primes p not dividing 6."""
 
 from __future__ import annotations
 
@@ -13,10 +15,10 @@ from fractions import Fraction
 
 from . import InternalError
 from ._kernels import conic_search
-from .etalealg import EtaleAlgebra, squarefree_part
+from .etalealg import EtaleAlgebra, _frac_sqrt, squarefree_part
 from .exactpoly import discriminant, modp
 from .exactpoly.modp import is_prime
-from .kummerh1 import QuadElem, _frac_sqrt
+from .kummerh1 import QuadElem
 
 
 class LocalSymError(ValueError):
@@ -179,98 +181,56 @@ def sqrt_padic(x, p: int, prec: int = 60) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# residue fields F_{p^f}
+# tame symbols over residue fields F_q = F_p[s]/(modulus)
 # ---------------------------------------------------------------------------
 
-class ResidueField:
-    """F_{p^f} = F_p[s]/(modulus) for a monic irreducible modulus of degree
-    f, or F_p itself when no modulus is given; elements are f-tuples of
-    ints mod p."""
-
-    def __init__(self, p: int, modulus=None):
-        self.p, self.modulus = p, modulus
-        self.f = len(modulus) - 1 if modulus else 1
-        self.q = p ** self.f
-
-    def elem(self, coeffs) -> tuple:
-        out = list(coeffs)[: self.f] + [0] * max(0, self.f - len(coeffs))
-        return tuple(c % self.p for c in out)
-
-    def one(self):
-        return self.elem([1])
-
-    def mul(self, a, b):
-        prod = modp.gf_mul(list(a), list(b), self.p)
-        if self.f > 1:
-            prod = modp.gf_rem(prod, self.modulus, self.p)
-        out = prod + [0] * self.f
-        return tuple(out[: self.f])
-
-    def pow(self, a, n: int):
-        if n < 0:
-            a = self.pow(a, self.q - 2)  # inverse
-            n = -n
-        out = self.one()
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    def is_zero(self, a) -> bool:
-        return all(c % self.p == 0 for c in a)
-
-    def zeta(self, m: int):
-        """A fixed primitive m-th root of unity (q = 1 mod m required)."""
-        if (self.q - 1) % m:
-            raise UnsupportedLocal(f"mu_{m} not in F_{self.q}")
-        if m == 2:
-            return self.elem([-1])
-        # smallest generator-power convention: first element of order m
-        for tail in itertools.product(range(self.p), repeat=self.f):
-            cand = self.elem(tail)
-            if self.is_zero(cand):
-                continue
-            z = self.pow(cand, (self.q - 1) // m)
-            if z != self.one():
+def _zeta(p: int, modulus: tuple, m: int) -> list:
+    """The fixed primitive m-th root of unity of F_p[s]/(modulus): -1 for
+    m = 2, else c^((q-1)/m) for the first nonzero c, in itertools.product
+    order of its coefficients, at which that power is not 1."""
+    if m == 2:
+        return [p - 1]
+    f = len(modulus) - 1
+    for tail in itertools.product(range(p), repeat=f):
+        c = modp.trim(list(tail))
+        if c:
+            z = modp.gf_pow_mod(c, (p ** f - 1) // m, list(modulus), p)
+            if z != [1]:
                 return z
-        raise LocalSymError("no primitive root found")
-
-    def dlog_mu(self, val, m: int) -> int:
-        """Exponent k with val = zeta(m)^k."""
-        modulus = tuple(self.modulus) if self.modulus else None
-        k = _mu_logs(self.p, modulus, m).get(val)
-        if k is None:
-            raise LocalSymError("value not in mu_m")
-        return k
+    raise LocalSymError("no primitive root found")
 
 
 @functools.lru_cache(maxsize=64)
-def _mu_logs(p: int, modulus, m: int) -> dict:
-    """{zeta(m)^k: k} in F_p[s]/(modulus).  Fields are rebuilt for every
-    symbol, so the search for zeta is kept here, once per field and m."""
-    R = ResidueField(p, list(modulus) if modulus else None)
-    z = R.zeta(m)
-    out, cur = {}, R.one()
+def _mu_logs(p: int, modulus: tuple, m: int) -> dict:
+    """{zeta^k: k} in F_p[s]/(modulus), keyed by coefficient tuples.
+    Symbols are taken field by field, so the search for zeta is kept here,
+    once per field and m."""
+    q = p ** (len(modulus) - 1)
+    if (q - 1) % m:
+        raise UnsupportedLocal(f"mu_{m} not in F_{q}")
+    z = _zeta(p, modulus, m)
+    out, cur = {}, [1]
     for k in range(m):
-        out.setdefault(cur, k)
-        cur = R.mul(cur, z)
+        out.setdefault(tuple(cur), k)
+        cur = modp.gf_rem(modp.gf_mul(cur, z, p), list(modulus), p)
     return out
 
 
-def tame_symbol_residue(R: ResidueField, va: int, ra, vb: int, rb,
-                        m: int) -> SymbolValue:
+def tame_symbol_residue(p: int, modulus: tuple, va: int, ra: list, vb: int,
+                        rb: list, m: int) -> SymbolValue:
     """omega((-1)^{v(a)v(b)} a^{v(b)} b^{-v(a)})^{(q-1)/m} from valuations
-    and unit residues."""
-    u = R.one()
-    if (va * vb) % 2:
-        u = R.mul(u, R.elem([-1]))
-    u = R.mul(u, R.pow(ra, vb))
-    u = R.mul(u, R.pow(rb, -va))
-    val = R.pow(u, (R.q - 1) // m)
-    return SymbolValue(m, R.dlog_mu(val, m))
+    and unit residues in F_q = F_p[s]/(modulus) (Serre, Local Fields,
+    ch. XIV).  Its value lies in mu_m, so the exponents of the residues
+    are taken mod m."""
+    logs, mod = _mu_logs(p, modulus, m), list(modulus)
+    x = [p - 1] if va * vb % 2 else [1]
+    for r in [ra] * (vb % m) + [rb] * (-va % m):
+        x = modp.gf_rem(modp.gf_mul(x, r, p), mod, p)
+    q = p ** (len(mod) - 1)
+    log = logs.get(tuple(modp.gf_pow_mod(x, (q - 1) // m, mod, p)))
+    if log is None:
+        raise LocalSymError("value not in mu_m")
+    return SymbolValue(m, log)
 
 
 # ---------------------------------------------------------------------------
@@ -407,88 +367,59 @@ def conic_has_point(a, b, place: Place) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# quadratic local contexts (for the Tate pairings)
+# tame fields of degree <= 4 (for the Tate pairings)
 # ---------------------------------------------------------------------------
 
-class _QuadCtx:
-    """Q_p(sqrt(d)) for d a rational non-square in Q_p, p odd: valuations,
-    residues, and tame symbols for coordinate pairs (x, y) = x + y sqrt(d)."""
+class _TameField:
+    """Q_p(sqrt(u), sqrt(r)) for p odd, u an inert unit class and r a class
+    of valuation 1, each optional: f = 2 with u, e = 2 with r.  Elements
+    are coordinates over 1, sqrt(u), then the same times sqrt(r).  The
+    residue field is F_p[s]/(modulus) with s^2 = u, or F_p as modulus
+    (0, 1)."""
 
-    def __init__(self, p: int, d: Fraction):
-        self.p, self.d = p, Fraction(d)
-        if is_square_padic(self.d, p):
+    def __init__(self, p: int, u=None, r=None):
+        self.p, self.f, self.e = p, 1, 1
+        self.modulus = (0, 1)
+        if u is not None:
+            uv, n, d = _split(u, p)
+            if uv % 2 or is_square_padic(u, p):
+                raise LocalSymError("u must be an inert unit class")
+            self.f, self.modulus = 2, (-n * pow(d, -1, p) % p, 0, 1)
+        if r is not None:
+            rv, n, d = _split(r, p)
+            if rv != 1:
+                raise LocalSymError("r must have valuation 1")
+            self.e, self.r_inv = 2, d * pow(n, -1, p) % p
+
+    @staticmethod
+    def quadratic(p: int, d) -> "_TameField":
+        """Q_p(sqrt(d)) for a squarefree d that is no square in Q_p."""
+        if is_square_padic(d, p):
             raise LocalSymError("d is a p-adic square")
-        self.ramified = vp(self.d, p) % 2 == 1
-        # unramified: s^2 = d aligns the residue generator s with sqrt(d)
-        self.R = ResidueField(p) if self.ramified else \
-            ResidueField(p, [(-unit_part_mod(self.d, p)) % p, 0, 1])
+        return _TameField(p, r=d) if vp(d, p) % 2 else _TameField(p, u=d)
 
-    def valued(self, x: Fraction, y: Fraction):
-        """(valuation, unit residue) of x + y sqrt(d); no cross-basis
-        cancellation is possible, so this is exact."""
-        p, d = self.p, self.d
-        if x == 0 and y == 0:
+    def valued(self, coords):
+        """(valuation, unit residue) of A + B sqrt(r): the valuation is
+        min(e v(A), 2 v(B) + 1), and no cross-basis cancellation is
+        possible, so this is exact.  The residue is that of A or of B,
+        divided by r^k for v = 2k or 2k + 1."""
+        p, f = self.p, self.f
+        parts = [_split(t, p) if t else None for t in coords]
+        vals = [self.e * s[0] + i // f for i, s in enumerate(parts) if s]
+        if not vals:
             raise LocalSymError("zero element")
-        if not self.ramified:
-            vx = vp(x, p) if x else None
-            vy = vp(y, p) if y else None
-            v = min(w for w in (vx, vy) if w is not None)
-            rx = unit_part_mod(x, p) if x and vx == v else 0
-            ry = unit_part_mod(y, p) if y and vy == v else 0
-            return v, self.R.elem([rx, ry])
-        # ramified: pi = sqrt(d), pi^2 = d
-        va = 2 * vp(x, p) if x else None
-        vb = 2 * vp(y, p) + 1 if y else None
-        v = min(w for w in (va, vb) if w is not None)
-        if v % 2 == 0:
-            a = x / d ** (v // 2)
-            return v, self.R.elem([unit_part_mod(a, p)])
-        b = y / d ** ((v - 1) // 2)
-        return v, self.R.elem([unit_part_mod(b, p)])
+        v = min(vals)
+        k, i = divmod(v, self.e)
+        # pi = sqrt(r), and pi^v is r^k or r^k sqrt(r)
+        scale = pow(self.r_inv, k, p) if self.e == 2 else 1
+        res = [s[1] * pow(s[2], -1, p) * scale % p if s and s[0] == k else 0
+               for s in parts[i * f:(i + 1) * f]]
+        return v, modp.trim(res)
 
-    def symbol(self, e1, e2, m: int) -> SymbolValue:
-        v1, r1 = self.valued(*e1)
-        v2, r2 = self.valued(*e2)
-        return tame_symbol_residue(self.R, v1, r1, v2, r2, m)
-
-
-class _QuarticCtx:
-    """Q_p(sqrt(d3), sqrt(dpi)) with d3 an inert unit class and dpi a
-    ramified class, p odd: e = 2, f = 2.  Elements are 4-tuples over the
-    basis {1, sqrt(d3), sqrt(dpi), sqrt(d3)sqrt(dpi)}."""
-
-    def __init__(self, p: int, d3: Fraction, dpi: Fraction):
-        self.p = p
-        self.d3, self.dpi = Fraction(d3), Fraction(dpi)
-        if vp(self.d3, p) % 2 or is_square_padic(self.d3, p):
-            raise LocalSymError("d3 must be an inert unit class")
-        if vp(self.dpi, p) % 2 == 0:
-            raise LocalSymError("dpi must be ramified")
-        self.R = ResidueField(p, [(-unit_part_mod(self.d3, p)) % p, 0, 1])
-
-    def valued(self, a, b, c, d):
-        """(valuation, unit residue) of a + b s3 + c pi + d s3 pi."""
-        p, D = self.p, self.dpi
-        vA = min((vp(t, p) for t in (a, b) if t), default=None)
-        vB = min((vp(t, p) for t in (c, d) if t), default=None)
-        cands = []
-        if vA is not None:
-            cands.append(2 * vA)
-        if vB is not None:
-            cands.append(2 * vB + 1)
-        if not cands:
-            raise LocalSymError("zero element")
-        v = min(cands)
-        scale = D ** (v // 2)
-
-        def residue(t):
-            t = t / scale
-            return unit_part_mod(t, p) if t and vp(t, p) == 0 else 0
-
-        pair = (a, b) if v % 2 == 0 else (c, d)
-        return v, self.R.elem([residue(t) for t in pair])
-
-    symbol = _QuadCtx.symbol
+    def symbol(self, x, y, m: int) -> SymbolValue:
+        vx, rx = self.valued(x)
+        vy, ry = self.valued(y)
+        return tame_symbol_residue(self.p, self.modulus, vx, rx, vy, ry, m)
 
 
 # ---------------------------------------------------------------------------
@@ -541,60 +472,45 @@ def tate_pair_c3(p: int, D, sigma, tau) -> SymbolValue:
     sD = is_square_padic(Fraction(d), p) if d != 1 else True
     s3 = is_square_padic(Fraction(-3), p)
     s3D = is_square_padic(Fraction(dp), p) if dp != 1 else True
-    if sD and s3D:
-        # everything splits: one symbol per component of E = T[mu_3]; the
-        # second component sees the conjugate root of unity, so its
-        # exponent enters with the opposite sign
-        R = ResidueField(p)
-        if (R.q - 1) % 3:
-            raise InternalError("internal: -3 square forces p = 1 mod 3")
-        u1 = _embed_split(sigma, dp, p, 1, norm_one=True)
-        u2 = _embed_split(sigma, dp, p, -1, norm_one=True)
-        w1 = _embed_split(tau, d, p, 1)
-        w2 = _embed_split(tau, d, p, -1)
-        s1 = tame_symbol_residue(
-            R, vp(u1, p), R.elem([unit_part_mod(u1, p)]),
-            vp(w1, p), R.elem([unit_part_mod(w1, p)]), 3)
-        s2 = tame_symbol_residue(
-            R, vp(u2, p), R.elem([unit_part_mod(u2, p)]),
-            vp(w2, p), R.elem([unit_part_mod(w2, p)]), 3)
+    if sD:
+        # T splits: one symbol per embedding of T.  The conjugate embedding
+        # sees the conjugate root of unity, so its exponent enters with the
+        # opposite sign (the components multiply to the trivial norm).
+        if s3D:
+            # T' splits too: both symbols live on Q_p
+            if (p - 1) % 3:
+                raise InternalError("internal: -3 square forces p = 1 mod 3")
+            ctx, pad = _TameField(p), ()
+            sigmas = [(_embed_split(sigma, dp, p, sign, norm_one=True),)
+                      for sign in (1, -1)]
+        else:
+            # T' is the field Q_p(sqrt(-3)), and sqrt(-3D) = t sqrt(-3)
+            ctx, pad = _TameField.quadratic(p, -3), (0,)
+            xs, ys = _coords(sigma, dp)
+            t = sqrt_padic(Fraction(dp, -3), p)
+            sigmas = [(xs, sign * ys * t) for sign in (1, -1)]
+        taus = [(_embed_split(tau, d, p, sign),) + pad for sign in (1, -1)]
+        s1, s2 = (ctx.symbol(x, y, 3) for x, y in zip(sigmas, taus))
         return s1 * s2.inverse()
-    if not sD and not s3D:
-        xs, ys = _coords(sigma, dp)
-        xt, yt = _coords(tau, d)
-        # exact relation: dp * g^2 = -3 d, g rational, so
-        # sqrt(dp) = sqrt(-3) sqrt(d) / g
-        g = _frac_sqrt(Fraction(-3 * d, dp))
-        if g is None:
-            raise InternalError("internal: twist classes inconsistent")
-        if s3:
-            # sqrt(-3) is rational p-adically: one symbol on Q_p(sqrt(d))
-            ctx = _QuadCtx(p, Fraction(d))
-            r3 = sqrt_padic(Fraction(-3), p)
-            return ctx.symbol((xs, ys * r3 / g), (xt, yt), 3)
-        # quartic field E = Q_p(sqrt(-3), sqrt(d)): s3 inert, pi^2 = d
-        ctx = _QuarticCtx(p, Fraction(-3), Fraction(d))
-        e_sigma = (xs, Fraction(0), Fraction(0), ys / g)
-        e_tau = (xt, Fraction(0), yt, Fraction(0))
-        return ctx.symbol(e_sigma, e_tau, 3)
-    if sD and not s3D:
-        # T splits, T' is the field Q_p(sqrt(-3)): two conjugate symbols;
-        # the embedding conjugating sqrt(-3D) contributes with the
-        # opposite sign (the components multiply to the trivial norm)
-        ctx = _QuadCtx(p, Fraction(-3))
-        xs, ys = _coords(sigma, dp)
-        t = sqrt_padic(Fraction(dp, -3), p)
-        out = SymbolValue(3, 0)
-        for sign in (1, -1):
-            w = _embed_split(tau, d, p, sign)
-            s = ctx.symbol((xs, sign * ys * t), (w, Fraction(0)), 3)
-            out = out * (s if sign > 0 else s.inverse())
-        return out
-    # T field, T' splits: single symbol on the inert field Q_p(sqrt(d))
-    ctx = _QuadCtx(p, Fraction(d))
-    u = _embed_split(sigma, dp, p, 1, norm_one=True)
+    if s3D:
+        # T field, T' splits: one symbol on the inert field Q_p(sqrt(d))
+        u = _embed_split(sigma, dp, p, 1, norm_one=True)
+        return _TameField.quadratic(p, d).symbol((u, 0), _coords(tau, d), 3)
+    xs, ys = _coords(sigma, dp)
     xt, yt = _coords(tau, d)
-    return ctx.symbol((u, Fraction(0)), (xt, yt), 3)
+    # exact relation: dp * g^2 = -3 d, g rational, so
+    # sqrt(dp) = sqrt(-3) sqrt(d) / g
+    g = _frac_sqrt(Fraction(-3 * d, dp))
+    if g is None:
+        raise InternalError("internal: twist classes inconsistent")
+    if s3:
+        # sqrt(-3) is rational p-adically: one symbol on Q_p(sqrt(d))
+        r3 = sqrt_padic(Fraction(-3), p)
+        return _TameField.quadratic(p, d).symbol((xs, ys * r3 / g),
+                                                 (xt, yt), 3)
+    # E = Q_p(sqrt(-3), sqrt(d)): sqrt(-3) inert, d ramified
+    return _TameField(p, u=-3, r=d).symbol((xs, 0, 0, ys / g),
+                                           (xt, 0, yt, 0), 3)
 
 
 def tate_pair_v4(p: int, R, sigma, tau) -> SymbolValue:
@@ -625,7 +541,7 @@ def tate_pair_v4(p: int, R, sigma, tau) -> SymbolValue:
                 w = _embed_split(t, m, p, sign)
                 out = out * hilbert2(u, w, place)
         else:
-            ctx = _QuadCtx(p, Fraction(m))
+            ctx = _TameField.quadratic(p, m)
             out = out * ctx.symbol(_coords(s, m), _coords(t, m), 2)
     return out
 

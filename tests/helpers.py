@@ -2,7 +2,7 @@
 and Hol M built from it, Cayley images and torsor structures, resolvent
 images of the sign and Sym(4) -> Sym(3) maps, wreath-product checks on
 stable partitions, the crossed-homomorphism map into Hol M, the textbook
-coboundary, cochain JSON, residue fields modulo the least irreducible,
+coboundary, cochain JSON, residue-field moduli of least irreducibles,
 symbols on etale algebras, localization of Kummer data, radical algebras,
 Tate-dual twists, Trager norms by resultants and interpolation, the C4/D4
 split by a Trager norm, and root-ball overlap and containment.  The library
@@ -32,11 +32,11 @@ from coclass.localsym import (
     LocalFieldDesc,
     LocalSymError,
     Place,
-    ResidueField,
     SymbolValue,
     UnsupportedLocal,
     _embed_split,
-    _QuadCtx,
+    _mu_logs,
+    _TameField,
     hilbert2,
     is_square_padic,
     square_class,
@@ -317,17 +317,24 @@ def cochain_from_json(gm: FiniteGModule, text: str) -> Cochain:
 # local symbols on etale algebras and localization of Kummer data
 # ---------------------------------------------------------------------------
 
-def residue_field(p: int, f: int) -> ResidueField:
-    """F_{p^f} modulo the lexicographically smallest monic irreducible of
-    degree f; F_p itself when f = 1."""
+def residue_field(p: int, f: int) -> tuple:
+    """The modulus of F_{p^f}: the lexicographically smallest monic
+    irreducible of degree f, or (0, 1) for F_p itself."""
     if f == 1:
-        return ResidueField(p)
+        return (0, 1)
     for tail in product(range(p), repeat=f):
         g = list(tail) + [1]
         if modp.gf_is_squarefree(g, p) and \
                 modp.factor_degrees(modp._distinct_degree(g, p)) == [f]:
-            return ResidueField(p, g)
+            return tuple(g)
     raise LocalSymError("no irreducible found")
+
+
+def residue_cube_log(p: int, modulus: tuple, r: list) -> int:
+    """Exponent k with r^((q-1)/3) = zeta3^k in F_p[s]/(modulus)."""
+    q = p ** (len(modulus) - 1)
+    val = modp.gf_pow_mod(r, (q - 1) // 3, list(modulus), p)
+    return _mu_logs(p, modulus, 3)[tuple(val)]
 
 
 def cube_class(a, F: LocalFieldDesc) -> LocalClass:
@@ -338,10 +345,9 @@ def cube_class(a, F: LocalFieldDesc) -> LocalClass:
         raise UnsupportedLocal("wild: cube classes at p = 3")
     a = Fraction(a)
     v = (F.e * vp(a, p)) % 3
-    R = residue_field(p, F.f)
-    if (R.q - 1) % 3:
+    if (F.q - 1) % 3:
         return LocalClass(3, Place(p), v, 0, Fraction(p) ** v)
-    k = R.dlog_mu(R.pow(R.elem([unit_part_mod(a, p)]), (R.q - 1) // 3), 3)
+    k = residue_cube_log(p, residue_field(p, F.f), [unit_part_mod(a, p)])
     return LocalClass(3, Place(p), v, k, a)
 
 
@@ -356,13 +362,14 @@ def hilbert_etale(fields, a_parts, b_parts, m: int) -> SymbolValue:
     return out
 
 
-def _to_valued(F: LocalFieldDesc, x, R: ResidueField):
+def _to_valued(F: LocalFieldDesc, x):
     """(valuation, unit residue) of a rational, or pass (v, residue)."""
     if isinstance(x, tuple) and len(x) == 2 and not isinstance(x, Fraction):
         v, r = x
-        return int(v), R.elem(r if isinstance(r, (list, tuple)) else [r])
+        r = r if isinstance(r, (list, tuple)) else [r]
+        return int(v), modp.trim([c % F.p for c in list(r)[:F.f]])
     x = Fraction(x)
-    return F.e * vp(x, F.p), R.elem([unit_part_mod(x, F.p)])
+    return F.e * vp(x, F.p), [unit_part_mod(x, F.p)]
 
 
 def tame_symbol(F: LocalFieldDesc, a, b, m: int) -> SymbolValue:
@@ -379,12 +386,10 @@ def tame_symbol(F: LocalFieldDesc, a, b, m: int) -> SymbolValue:
         return hilbert2(a, b, Place(2))
     if m == 3 and F.p == 3:
         raise UnsupportedLocal("wild: m = 3 at p = 3")
-    R = residue_field(F.p, F.f)
-    if (R.q - 1) % m:
+    if (F.q - 1) % m:
         raise UnsupportedLocal(f"mu_{m} not in the residue field")
-    va, ra = _to_valued(F, a, R)
-    vb, rb = _to_valued(F, b, R)
-    return tame_symbol_residue(R, va, ra, vb, rb, m)
+    return tame_symbol_residue(F.p, residue_field(F.p, F.f),
+                               *_to_valued(F, a), *_to_valued(F, b), m)
 
 
 def localize(datum, p: int):
@@ -401,11 +406,11 @@ def localize(datum, p: int):
             u = _embed_split(datum.delta, dp, p, 1)
             return cube_class(u, LocalFieldDesc(p))
         # field case: sigma is a norm-one unit; class = residue character
-        ctx = _QuadCtx(p, Fraction(dp))
-        v, r = ctx.valued(datum.delta.x, datum.delta.y)
-        if (ctx.R.q - 1) % 3:
+        ctx = _TameField.quadratic(p, dp)
+        v, r = ctx.valued((datum.delta.x, datum.delta.y))
+        if (p ** ctx.f - 1) % 3:
             return LocalClass(3, place, v % 3, 0, Fraction(0))
-        k = ctx.R.dlog_mu(ctx.R.pow(r, (ctx.R.q - 1) // 3), 3)
+        k = residue_cube_log(p, ctx.modulus, r)
         return LocalClass(3, place, v % 3, k, Fraction(0))
     if isinstance(datum, CoclassV4):
         if any(f.degree != 1 for f in datum.R.factors):

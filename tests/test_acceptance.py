@@ -375,7 +375,7 @@ def test_acceptance_10_galois_tags_curated():
     for coeffs, tag in CURATED:
         f = P(coeffs)
         L = EtaleAlgebra.from_poly(f)
-        assert galois_group(L, cross_check=False) == tag, coeffs
+        assert galois_group(L) == tag, coeffs
         assert _frobenius_tag(f) == tag, coeffs
 
 
@@ -390,7 +390,7 @@ def test_acceptance_10_galois_tags_random():
         if len(L.factors) != 1:
             continue
         done += 1
-        assert galois_group(L, cross_check=False) == _frobenius_tag(f), f
+        assert galois_group(L) == _frobenius_tag(f), f
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import pytest
 
 from coclass import InternalError, cli
 from coclass.cli import SUITES, main, run
+from coclass.etalealg import EtaleAlgebra
 from coclass.permstruct import FiniteAbelian
 from helpers import cyclic_orders_up_to
 
@@ -276,6 +277,18 @@ def test_h1_c4_decode_golden():
     payload = ok(["h1", "c4", "decode", "--f", "7,0,-6,0,1"])
     assert payload["datum"] == {"D": 14, "a": "-5/4", "b": "1/2", "c": "3/2"}
     assert payload["flags"] == ["b_sign_ambiguous"]
+
+
+def test_h1_c4_decode_two_quadratic_fields():
+    # Q(sqrt(30)) x Q(sqrt(6)): its datum re-encodes to the same algebra,
+    # not to the split one
+    payload = ok(["h1", "c4", "decode", "--f", "20/9,0,-4,0,1"])
+    datum = payload["datum"]
+    assert datum == {"D": 5, "a": "-79/36", "b": "2/9", "c": "3/2"}
+    back = ok(["h1", "c4", "encode", "--D", "5", "--a", datum["a"],
+               "--b", datum["b"], "--c", datum["c"]])
+    assert EtaleAlgebra.from_text(back["algebra"]).isomorphic(
+        EtaleAlgebra.from_text("-10/3,0,1|-2/3,0,1"))
 
 
 def test_h1_c4_add_golden():

@@ -95,6 +95,25 @@ def test_square_class_group():
         SquareClass(4)
 
 
+def test_square_class_of_takes_one_squarefree_part(monkeypatch):
+    # the squarefree part is the representative, so `of` does not check it
+    # again; direct construction still does
+    calls = []
+    part = etalealg.squarefree_part
+
+    def spy(q):
+        calls.append(q)
+        return part(q)
+
+    monkeypatch.setattr(etalealg, "squarefree_part", spy)
+    p, q = 1048583, 1048589
+    assert SquareClass.of(p * q).rep == p * q
+    assert calls == [p * q]
+    assert SquareClass(p * q) == SquareClass.of(p * q)
+    with pytest.raises(EtaleError):
+        SquareClass(p * p)
+
+
 # ---------------------------------------------------------------------------
 # algebra construction and text round trips
 # ---------------------------------------------------------------------------

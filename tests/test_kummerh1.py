@@ -335,6 +335,19 @@ def test_c4_decode_examples():
     assert (triv.D.rep, triv.a, triv.b, triv.c) == (14, 1, 0, 1)
 
 
+def test_c4_decode_products_of_two_quadratic_fields():
+    # Q(sqrt(m1)) x Q(sqrt(m2)) decodes through the even model
+    # (x^2 - m1)(x^2 - 4 m2) and re-encodes to the same algebra
+    ms = [2, 3, 5, 6, 7, -1, -2, -3, -5, -6, 10, -10, 15]
+    pairs = [(m1, m2) for m1 in ms for m2 in ms if m1 != m2]
+    assert len(pairs) == 156
+    for m1, m2 in pairs:
+        L = EtaleAlgebra.from_text(f"{-m1},0,1|{-m2},0,1")
+        back = c4_decode(L)
+        assert back.D.rep == squarefree_part(m1 * m2), (m1, m2)
+        assert c4_encode(back).isomorphic(L), (m1, m2)
+
+
 def test_c4_decode_unsupported():
     from coclass.etalealg import UnsupportedStructure
     with pytest.raises(UnsupportedStructure):
