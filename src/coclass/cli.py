@@ -18,10 +18,10 @@ import sys
 from fractions import Fraction
 
 from . import UnsupportedSize, etalealg, groupcoh, kummerh1, localsym, permstruct
-from .etalealg import EtaleAlgebra, SquareClass, UnsupportedStructure
+from .etalealg import EtaleAlgebra, UnsupportedStructure
 from .exactpoly import RationalPoly, discriminant, factor_rationals, is_squarefree
 from .exactpoly.modp import is_prime
-from .groupcoh import FiniteGModule, GroupCohError
+from .groupcoh import FiniteGModule
 from .kummerh1 import CoclassC3, CoclassC4, CoclassV4, QuadElem
 from .localsym import LocalFieldDesc, Place, UnsupportedLocal
 from .permstruct import FiniteAbelian, PermGroup, UnsupportedDegree
@@ -285,8 +285,10 @@ def cmd_local(args):
     if args.action_name == "classes":
         if args.m == 2:
             reps = localsym.square_classes(_parse_place(args.p))
-        else:
+        elif args.m == 3:
             reps = localsym.cube_classes(LocalFieldDesc(int(args.p)))
+        else:
+            raise UnsupportedLocal("only square (m = 2) and cube (m = 3) classes")
         return {"m": args.m, "classes": [_frac_str(c.rep) for c in reps]}
     if args.action_name == "h1":
         D = int(args.D) if args.D else None

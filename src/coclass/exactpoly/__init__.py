@@ -2,6 +2,7 @@
 factorization over Q, certified numeric roots, and extension-field tests."""
 
 from .extension import (
+    charpoly,
     compositum_factors,
     extension_automorphisms,
     fields_isomorphic,
@@ -32,7 +33,7 @@ def __getattr__(name):
 
 __all__ = [
     "ComplexBall", "ExactPolyError", "PrecisionExceeded",
-    "RationalPoly", "compositum_factors", "discriminant", "factor_rationals",
+    "RationalPoly", "charpoly", "compositum_factors", "discriminant", "factor_rationals",
     "extension_automorphisms",
     "factor_squarefree", "fields_isomorphic", "gcd", "has_root_in_extension",
     "is_irreducible", "is_squarefree", "numeric_roots", "real_roots",

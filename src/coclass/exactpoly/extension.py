@@ -1,4 +1,5 @@
-"""Root-in-extension tests and compositum factorizations via Trager norms.
+"""Characteristic polynomials in Q[y]/(f), root-in-extension tests and
+compositum factorizations via Trager norms.
 
 For f irreducible defining K = Q[y]/(f) and g squarefree, the norm
 N_lam(x) = Res_y(f(y), g(x - lam*y)) has, for generic lam, squarefree
@@ -11,7 +12,9 @@ are lam*alpha + beta over the roots alpha of f and beta of g, and scaled by
 an integer t they are algebraic integers, so power sums and Newton's
 identities give the monic t^N N(x/t) / lc(N) in Python ints.  Zassenhaus
 factors that monic integer polynomial, never N monicized by a power of its
-leading coefficient.
+leading coefficient.  Characteristic polynomials of elements r(y) of
+Q[y]/(f), and so their norms, come from the same power sums of f and the
+same Newton step, applied to the traces of the powers of r.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from .factor import factor_rationals, is_irreducible
 from .poly import ExactPolyError, RationalPoly, is_squarefree
 
 
-def _root_scale(f: RationalPoly, g: RationalPoly) -> int:
-    """lcm of the leading coefficients of the primitive integer forms of f
-    and g: times it, every root of f and of g is an algebraic integer."""
-    return math.lcm(int(f.primitive_int()[1].lc), int(g.primitive_int()[1].lc))
+def _root_scale(*polys: RationalPoly) -> int:
+    """lcm of the leading coefficients of the primitive integer forms of the
+    polys: times it, every root of each is an algebraic integer."""
+    return math.lcm(*(int(h.primitive_int()[1].lc) for h in polys))
 
 
 def _power_sums(f: RationalPoly, s: int, count: int):
@@ -43,6 +46,33 @@ def _power_sums(f: RationalPoly, s: int, count: int):
             acc += c[m - i] * p[k - i]
         p.append(-acc)
     return p
+
+
+def _from_power_sums(P):
+    """Coefficients, ascending, of the monic polynomial of degree
+    N = len(P) - 1 whose roots have power sums P_0..P_N, by Newton's
+    identities.  Integral coefficients stay Python ints, so integer power
+    sums run in int arithmetic throughout."""
+    N = len(P) - 1
+    d = [0] * N + [1]
+    for k in range(1, N + 1):
+        c = Fraction(-sum(d[N - j] * P[k - j] for j in range(k)), k)
+        d[N - k] = c.numerator if c.denominator == 1 else c
+    return d
+
+
+def charpoly(r: RationalPoly, f: RationalPoly) -> RationalPoly:
+    """prod (x - r(alpha)) over the roots alpha of f, with multiplicity: the
+    characteristic polynomial of multiplication by r on Q[y]/(f).  The trace
+    of r^k is read off r^k mod f and the power sums of the roots of f."""
+    n = f.degree
+    s = _root_scale(f)
+    ps = [Fraction(P, s ** i) for i, P in enumerate(_power_sums(f, s, n - 1))]
+    traces, rk = [n], RationalPoly([1])
+    for _ in range(n):
+        rk = rk * r % f
+        traces.append(sum(c * P for c, P in zip(rk.coeffs, ps)))
+    return RationalPoly(_from_power_sums(traces))
 
 
 def trager_norm(f: RationalPoly, g: RationalPoly, lam: Fraction) -> RationalPoly:
@@ -66,24 +96,11 @@ def trager_norm(f: RationalPoly, g: RationalPoly, lam: Fraction) -> RationalPoly
     ps, qs = _power_sums(f, s, N), _power_sums(g, s, N)
     P = [sum(math.comb(k, j) * a ** j * b ** (k - j) * ps[j] * qs[k - j]
              for j in range(k + 1)) for k in range(N + 1)]
-    d = [0] * N + [1]
-    for k in range(1, N + 1):
-        q, r = divmod(-sum(d[N - j] * P[k - j] for j in range(k)), k)
-        if r:
-            raise InternalError("internal: composed sum is not integral")
-        d[N - k] = q
+    d = _from_power_sums(P)
+    if any(c.denominator != 1 for c in d):
+        raise InternalError("internal: composed sum is not integral")
     lead, t = f.lc ** n * g.lc ** m, b * s
     return RationalPoly([lead * c / t ** (N - i) for i, c in enumerate(d)])
-
-
-def _scaled_monic(norm: RationalPoly, t: int):
-    """t^N norm(x/t) / lc(norm) as integer coefficients, ascending; t must
-    make every root of norm times t an algebraic integer."""
-    N = norm.degree
-    out = [c / norm.lc * t ** (N - i) for i, c in enumerate(norm.coeffs)]
-    if any(c.denominator != 1 for c in out):
-        raise InternalError("internal: scaled Trager norm is not integral")
-    return [c.numerator for c in out]
 
 
 def _squarefree_norm(f: RationalPoly, g: RationalPoly):
@@ -94,7 +111,7 @@ def _squarefree_norm(f: RationalPoly, g: RationalPoly):
     for k in range(1, 80):
         lam = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
         norm = trager_norm(f, g, lam)
-        if modp.squarefree_mod_prime(_scaled_monic(norm, s)) \
+        if modp.squarefree_mod_prime(factor._scaled_monic(norm, s)) \
                 or is_squarefree(norm):
             return lam, norm
     raise ExactPolyError("no squarefree Trager norm found")
@@ -102,14 +119,10 @@ def _squarefree_norm(f: RationalPoly, g: RationalPoly):
 
 def _norm_factors(f: RationalPoly, g: RationalPoly):
     """(lam, the monic irreducible factors over Q of the squarefree norm
-    N_lam), sorted.  Zassenhaus factors the monic integer s^N N_lam(x/s),
-    s = `_root_scale(f, g)`, and each factor h of degree d maps back to
-    h(s*x)/s^d."""
+    N_lam), sorted, from its monic integer model scaled by
+    s = `_root_scale(f, g)`."""
     lam, norm = _squarefree_norm(f, g)
-    s = _root_scale(f, g)
-    out = [RationalPoly([Fraction(c, s ** (len(h) - 1 - i)) for i, c in enumerate(h)])
-           for h in factor._factor_monic_int(_scaled_monic(norm, s))]
-    return lam, sorted(out, key=lambda h: (h.degree, h.coeffs))
+    return lam, factor._factor_scaled(norm, _root_scale(f, g))
 
 
 def _trager_roots(g: RationalPoly, f: RationalPoly):

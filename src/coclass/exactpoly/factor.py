@@ -187,25 +187,29 @@ def _int_divmod_monic(a, b):
     return q, r
 
 
+def _scaled_monic(f: RationalPoly, s: int):
+    """s^N f(x/s) / lc(f) as integer coefficients, ascending; s must make
+    every root of f times s an algebraic integer."""
+    N = f.degree
+    out = [c / f.lc * s ** (N - i) for i, c in enumerate(f.coeffs)]
+    if any(c.denominator != 1 for c in out):
+        raise InternalError("internal: scaled monic model is not integral")
+    return [c.numerator for c in out]
+
+
+def _factor_scaled(f: RationalPoly, s: int):
+    """Monic irreducible factors of a squarefree f over Q, sorted.
+    Zassenhaus factors the monic integer model s^N f(x/s) / lc(f), and each
+    factor h of degree d maps back to h(s*x)/s^d."""
+    out = [RationalPoly([Fraction(c, s ** (len(h) - 1 - i)) for i, c in enumerate(h)])
+           for h in _factor_monic_int(_scaled_monic(f, s))]
+    return sorted(out, key=lambda h: (h.degree, h.coeffs))
+
+
 def factor_squarefree(f: RationalPoly):
-    """Monic irreducible factors of a squarefree f over Q."""
-    _, fz = f.primitive_int()
-    ints = [int(c) for c in fz.coeffs]
-    l = ints[-1]
-    if l != 1:
-        # monicize via y = l*x: F(y) = l^(n-1) f(y/l)
-        n = len(ints) - 1
-        F = [ints[i] * l ** (n - 1 - i) for i in range(n)] + [1]
-        facs = _factor_monic_int(F)
-        out = []
-        for G in facs:
-            # map back x -> l*x and take monic form over Q
-            d = len(G) - 1
-            coeffs = [Fraction(G[i]) * l ** i for i in range(d + 1)]
-            out.append(RationalPoly(coeffs).monic())
-        return sorted(out, key=lambda h: (h.degree, h.coeffs))
-    facs = _factor_monic_int(ints)
-    return sorted((RationalPoly(g) for g in facs), key=lambda h: (h.degree, h.coeffs))
+    """Monic irreducible factors of a squarefree f over Q, scaled by the
+    leading coefficient of its primitive integer form."""
+    return _factor_scaled(f, int(f.primitive_int()[1].lc))
 
 
 def factor_rationals(f: RationalPoly):

@@ -171,12 +171,7 @@ class RationalPoly:
 
     def shift(self, a) -> "RationalPoly":
         """f(x + a)."""
-        a = _frac(a)
-        out = RationalPoly([])
-        xa = RationalPoly([a, 1])
-        for c in reversed(self.coeffs):
-            out = out * xa + RationalPoly([c])
-        return out
+        return self.compose(RationalPoly([a, 1]))
 
     def compose(self, g: "RationalPoly") -> "RationalPoly":
         out = RationalPoly([])
@@ -232,26 +227,6 @@ def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
         r *= Fraction(-1) ** (a.degree * b.degree) * b.lc ** (a.degree - rem.degree)
         a, b = b, rem
     return r * b.lc ** a.degree
-
-
-def interpolate(xs, ys) -> RationalPoly:
-    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
-    xs distinct: Newton divided differences, then the Newton form expanded
-    by Horner's rule, O(n^2) field operations."""
-    c = [Fraction(y) for y in ys]
-    n = len(c)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    out = []
-    for k in range(n - 1, -1, -1):
-        # out <- out * (x - xs[k]) + c[k]
-        shifted = [Fraction(0)] + out
-        for i, a in enumerate(out):
-            shifted[i] -= xs[k] * a
-        shifted[0] += c[k]
-        out = shifted
-    return RationalPoly(out)
 
 
 def discriminant(f: RationalPoly) -> Fraction:

@@ -11,14 +11,13 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import cycle, product
 from operator import add, neg, sub
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict
 
 from . import InternalError, UnsupportedSize
 from .permstruct import (
     FiniteAbelian,
     Perm,
     PermGroup,
-    PermStructError,
     _small_generating_set,
     extend_hom,
     hom_search,
@@ -52,9 +51,9 @@ def _unit_to_gcd(x, N):
 
 
 def smith_normal_form(M, N):
-    """Smith normal form over Z/N: (S, U, Uinv, V, Vinv) with S = U*M*V
-    diagonal modulo N, U and V invertible modulo N with inverses Uinv and
-    Vinv, and diagonal entries dividing N and each other, 0 standing for N.
+    """Smith normal form over Z/N: (S, U, Uinv, V) with S = U*M*V diagonal
+    modulo N, U and V invertible modulo N, Uinv the inverse of U, and
+    diagonal entries dividing N and each other, 0 standing for N.
 
     Every entry stays reduced modulo N.  The pivot is scaled by a unit to
     gcd(pivot, N) and merged by an extended gcd with each entry it does not
@@ -64,7 +63,7 @@ def smith_normal_form(M, N):
     rows = len(S)
     cols = len(S[0]) if rows else 0
     U, Uinv = _identity_mat(rows), _identity_mat(rows)
-    V, Vinv = _identity_mat(cols), _identity_mat(cols)
+    V = _identity_mat(cols)
 
     def mix_rows(A, i, j, a, b, c, d):
         """(A[i], A[j]) <- (a A[i] + b A[j], c A[i] + d A[j])."""
@@ -86,10 +85,8 @@ def smith_normal_form(M, N):
         mix_cols(Uinv, i, j, e * d, -e * c, -e * b, e * a)
 
     def col_op(i, j, a, b, c, d):
-        e = a * d - b * c
         mix_cols(S, i, j, a, b, c, d)
         mix_cols(V, i, j, a, b, c, d)
-        mix_rows(Vinv, i, j, e * d, -e * c, -e * b, e * a)
 
     for t in range(min(rows, cols)):
         # pivot: an entry generating the largest ideal; G generates the
@@ -140,7 +137,7 @@ def smith_normal_form(M, N):
             bad = next(i for i in range(t + 1, rows)
                        if any(S[i][j] % p for j in range(t + 1, cols)))
             row_op(t, bad, 1, 1, 0, 1)
-    return S, U, Uinv, V, Vinv
+    return S, U, Uinv, V
 
 
 def _diag(S):
@@ -162,12 +159,10 @@ def _xgcd(a, b):
 
 def _axpy(y, c, x, mods):
     """y += c * x in place for sparse vectors (dicts index -> nonzero
-    entry), entry i reduced modulo mods[i] when mods is given."""
+    entry), entry i reduced modulo mods[i]."""
     get = y.get
     for i, v in x.items():
-        t = get(i, 0) + c * v
-        if mods:
-            t %= mods[i]
+        t = (get(i, 0) + c * v) % mods[i]
         if t:
             y[i] = t
         else:
@@ -183,10 +178,10 @@ def _combine(c, u, d, v, mods):
     return out
 
 
-def _echelon(pool, row_mods=None, col_mods=None):
+def _echelon(pool, row_mods, col_mods=()):
     """Echelon form of the columns (image, source) in pool, both parts
     sparse dicts; image entry r is taken modulo row_mods[r] and source entry
-    j modulo col_mods[j] where these are given, over Z otherwise.
+    j modulo col_mods[j], which may be left out when every source is empty.
 
     Returns (pivots, kernel): pivots maps a row r to the one column whose
     image leads at r, and kernel lists the nonzero sources whose image
@@ -194,7 +189,7 @@ def _echelon(pool, row_mods=None, col_mods=None):
     the bottom keeps the bar-resolution coboundaries sparse, with about a
     fifth of the work of eliminating from the top when |G| is 12 to 24.
     Two columns leading at the same row are merged by an extended gcd.
-    Modulo m_r a column leading with g is scaled to lead with gcd(g, m_r),
+    A column leading with g modulo m_r is scaled to lead with gcd(g, m_r),
     and its multiple by m_r / gcd(g, m_r) from before the scaling, whose
     row r vanishes, goes back into the pool.  That is the Howell step of
     Storjohann and Mulders ("Fast algorithms for linear algebra modulo N",
@@ -220,14 +215,13 @@ def _echelon(pool, row_mods=None, col_mods=None):
             x = col[0].get(r)
             if not x:
                 continue
-            m = row_mods[r] if row_mods else 0
+            m = row_mods[r]
             piv = pivots.get(r)
             if piv is None:
-                if m:
-                    g, u, _ = _xgcd(x, m)
-                    pool.append(lin(m // g, col))
-                    if u != 1:
-                        col = lin(u, col)
+                g, u, _ = _xgcd(x, m)
+                pool.append(lin(m // g, col))
+                if u != 1:
+                    col = lin(u, col)
                 pivots[r] = col
                 break
             for i in piv[0]:  # rows below r that the pivot brings in
@@ -241,50 +235,40 @@ def _echelon(pool, row_mods=None, col_mods=None):
             g, s, t = _xgcd(p, x)
             piv, col = lin(s, piv, t, col), lin(x // g, piv, -p // g, col)
             pivots[r] = piv
-            if m:
-                pool.append(lin(m // g, piv))
+            pool.append(lin(m // g, piv))
         else:
             if col[1]:
                 kernel.append(col[1])
     return pivots, kernel
 
 
-def kernel_basis(W, row_mods=None, col_mods=None):
-    """Kernel of the integer matrix W, by sparse column elimination.
+def kernel_basis(W, row_mods, col_mods):
+    """Kernel of the integer matrix W modulo its row moduli, by sparse
+    column elimination.
 
-    W is a list of dense rows, or a list of sparse columns (dicts row ->
-    nonzero entry).  Without moduli the result is a basis of the integer
-    kernel, as a list of vectors.  With row_mods, row r is an equation
-    modulo row_mods[r], and with col_mods coordinate j is reduced modulo
+    W is a list of sparse columns (dicts row -> nonzero entry).  Row r is an
+    equation modulo row_mods[r], and coordinate j is reduced modulo
     col_mods[j], where W must send col_mods[j] * e_j to zero modulo the row
-    moduli.  The result together with the vectors col_mods[j] * e_j then
-    generates the lattice of integer x with W x = 0 modulo the row moduli.
+    moduli.  The result, sparse vectors (dicts coordinate -> nonzero entry),
+    together with the vectors col_mods[j] * e_j generates the lattice of
+    integer x with W x = 0 modulo the row moduli.
     """
-    if W and not isinstance(W[0], dict):
-        W = [{i: row[j] for i, row in enumerate(W) if row[j]}
-             for j in range(len(W[0]))]
     _, kernel = _echelon([(col, {j: 1}) for j, col in enumerate(W)],
                          row_mods, col_mods)
-    return [[v.get(j, 0) for j in range(len(W))] for v in kernel]
+    return kernel
 
 
-def lattice_basis(gens, modulus=None):
+def lattice_basis(gens, modulus):
     """Basis of the lattice spanned by the given column vectors (each a list
-    of length a), in echelon form; returns a list of basis columns.
-
-    With a modulus N the lattice is the one spanned by the vectors and by
-    N * Z^a, and entries are reduced modulo N as the echelon form is built,
-    so they stay below N; the basis then has a columns."""
+    of length a) and by modulus * Z^a: a columns in echelon form.  Entries
+    are reduced modulo the modulus as the echelon form is built, so none
+    exceeds it."""
     if not gens:
         return []
     a = len(gens[0])
     pivots, _ = _echelon([({i: x for i, x in enumerate(g) if x}, {})
-                          for g in gens], [modulus] * a if modulus else None)
-    if modulus:
-        cols = [pivots[r][0] if r in pivots else {r: modulus}
-                for r in range(a)]
-    else:
-        cols = [pivots[r][0] for r in sorted(pivots)]
+                          for g in gens], [modulus] * a)
+    cols = [pivots[r][0] if r in pivots else {r: modulus} for r in range(a)]
     return [[c.get(i, 0) for i in range(a)] for c in cols]
 
 
@@ -526,8 +510,7 @@ class CoclassSet:
         # Z^n: cochains x with d^n(x) = 0 modulo the target moduli
         zgens = kernel_basis(_boundary_matrix(gm, degree),
                              mods * len(gm.elements), mods)
-        howell, _ = _echelon([({j: x for j, x in enumerate(v) if x}, {})
-                              for v in zgens], mods)
+        howell, _ = _echelon([(v, {}) for v in zgens], mods)
         self._howell = {r: h for r, (h, _) in howell.items()}
         self._lead = sorted(howell, reverse=True)
         z = len(self._lead)
@@ -550,7 +533,7 @@ class CoclassSet:
                 rels.append(y)
         # M has exponent e, so e * Z^z lies among the relations
         basis = lattice_basis(rels, M.exponent)
-        S, self._U, Uinv, _, _ = smith_normal_form(
+        S, self._U, Uinv, _ = smith_normal_form(
             [[col[i] for col in basis] for i in range(z)], M.exponent)
         d = [s or M.exponent for s in _diag(S)]
         self.invariants = [1] * (a - z) + d

@@ -5,13 +5,14 @@ and coclass-bearing etale algebras, with their group laws.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import InternalError
 from .etalealg import (
     EtaleAlgebra,
-    EtaleError,
     SquareClass,
     UnsupportedStructure,
     _frac_sqrt,
@@ -20,8 +21,7 @@ from .etalealg import (
     quadratic_resolvent,
     squarefree_part,
 )
-from .exactpoly import RationalPoly, factor_rationals, is_squarefree, resultant
-from .exactpoly.poly import interpolate
+from .exactpoly import RationalPoly, charpoly, factor_rationals, gcd, is_squarefree
 
 
 class KummerError(ValueError):
@@ -155,11 +155,18 @@ class CoclassV4:
         if self.norm() != 1:
             raise KummerError("delta must have norm 1")
 
-    def norm(self) -> Fraction:
-        out = Fraction(1)
+    @cached_property
+    def _charpoly(self) -> RationalPoly:
+        """Characteristic polynomial of multiplication by delta on R, a
+        cubic; the norm check and the V4 quartic both read it."""
+        char = RationalPoly([Fraction(1)])
         for d, f in zip(self.delta, self.R.factors):
-            out *= _algebra_norm(d, f)
-        return out
+            char = char * charpoly(d, f)
+        return char
+
+    def norm(self) -> Fraction:
+        """(-1)^3 times the constant term of the cubic charpoly of delta."""
+        return -self._charpoly[0]
 
 
 @dataclass(frozen=True)
@@ -261,33 +268,8 @@ def c3_add(a: CoclassC3, b: CoclassC3) -> CoclassC3:
 # V4 codec
 # ---------------------------------------------------------------------------
 
-def _algebra_norm(r: RationalPoly, f: RationalPoly) -> Fraction:
-    """Norm of the residue r in Q[y]/(f), f monic."""
-    if f.degree == 1:
-        return r(-f[0])
-    if r.is_zero():
-        return Fraction(0)
-    return resultant(f, r)
-
-
-def _charpoly_mod(r: RationalPoly, f: RationalPoly) -> RationalPoly:
-    """Characteristic polynomial of multiplication by r on Q[y]/(f), monic
-    of degree deg f, via interpolation of Res_y(f(y), x - r(y))."""
-    n = f.degree
-    xs, ys = [], []
-    x0 = 0
-    while len(xs) < n + 1:
-        val = _algebra_norm(RationalPoly([Fraction(x0)]) - r, f)
-        xs.append(Fraction(x0))
-        ys.append(val)
-        x0 = -x0 + (0 if x0 > 0 else 1)
-    return interpolate(xs, ys)
-
-
 def _v4_quartic(cc: CoclassV4) -> RationalPoly:
-    char = RationalPoly([Fraction(1)])
-    for d, f in zip(cc.delta, cc.R.factors):
-        char = char * _charpoly_mod(d, f)
+    char = cc._charpoly
     e1, e2 = -char[2], char[1]
     return RationalPoly([e1 * e1 - 4 * e2, -8, -2 * e1, 0, 1])
 
@@ -311,16 +293,17 @@ def _v4_rescalers(R: EtaleAlgebra):
             cands = [RationalPoly([c, 1]) for c in
                      (0, 1, -1, 2, -2, 3, Fraction(1, 2))]
             cands += [RationalPoly([v]) for v in small[:4]]
-        pool.append((i, [c for c in cands if _algebra_norm(c % f, f) != 0]))
-    import itertools
+        pool.append((i, cands))
     for combo in itertools.product(*(cands for _, cands in pool)):
         coords = [None] * len(R.factors)
         n = Fraction(1)
         for (i, _), c in zip(pool, combo):
-            coords[i] = c % R.factors[i]
-            n *= _algebra_norm(coords[i], R.factors[i])
-        coords[lin] = RationalPoly([1 / n])
-        yield tuple(coords)
+            f = R.factors[i]
+            coords[i] = c % f
+            n *= (-1) ** f.degree * charpoly(c, f)[0]
+        if n:
+            coords[lin] = RationalPoly([1 / n])
+            yield tuple(coords)
 
 
 def v4_encode(cc: CoclassV4) -> EtaleAlgebra:
@@ -350,12 +333,11 @@ def v4_encode(cc: CoclassV4) -> EtaleAlgebra:
 
 def _separable_model(L: EtaleAlgebra) -> RationalPoly:
     """A squarefree defining polynomial for L, shifting repeated factors."""
-    from .exactpoly import gcd as pgcd
     out = RationalPoly([Fraction(1)])
     for f in L.factors:
         g = f
         shift = 0
-        while pgcd(out, g).degree >= 1:
+        while gcd(out, g).degree >= 1:
             shift += 1
             g = f.shift(Fraction(shift))
         out = out * g
@@ -376,9 +358,9 @@ def v4_decode(f) -> CoclassV4:
     if q == 0:
         # Tschirnhaus: replace theta by theta + t*theta^2 until q != 0
         for t in (1, -1, 2, -2, Fraction(1, 2), 3):
-            g = _charpoly_mod(RationalPoly([0, 1, Fraction(t)]) % f, f)
+            g = charpoly(RationalPoly([0, 1, Fraction(t)]), f)
             if is_squarefree(g):
-                p2, q2, _, _ = depress_quartic(g)
+                _, q2, _, _ = depress_quartic(g)
                 if q2 != 0:
                     return v4_decode(g)
         raise KummerError("no Tschirnhaus transform found")
@@ -457,7 +439,7 @@ def _datum_height(a, b, c) -> int:
     return sum(abs(q.numerator) + q.denominator for q in (a, b, c))
 
 
-def _c4_reduce(D: SquareClass, a, b, c):
+def _c4_reduce(a, b, c):
     """Divide (alpha, c) by small trivializing pairs (t^4, t^2), t rational,
     while the height drops."""
     ts = [Fraction(n) for n in (2, 3, 5, 7)] + \
@@ -507,7 +489,7 @@ def c4_decode(f) -> CoclassC4:
         raise InternalError("internal: irreducible quartic gave b = 0")
     D = SquareClass.of(db2)
     b = _frac_sqrt(db2 / D.rep)
-    a, b, c = _c4_reduce(D, a, b, c)
+    a, b, c = _c4_reduce(a, b, c)
     return CoclassC4(D, a, abs(b), c)
 
 
@@ -556,5 +538,5 @@ def c4_add(a: CoclassC4, b: CoclassC4) -> CoclassC4:
         raise KummerError("mismatched twists D")
     al = a.alpha * b.alpha
     c = a.c * b.c
-    x, y, c = _c4_reduce(a.D, al.x, al.y, c)
+    x, y, c = _c4_reduce(al.x, al.y, c)
     return CoclassC4(a.D, x, y, c)

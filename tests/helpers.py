@@ -4,8 +4,9 @@ images of the sign and Sym(4) -> Sym(3) maps, wreath-product checks on
 stable partitions, the crossed-homomorphism map into Hol M, the textbook
 coboundary, cochain JSON, residue-field moduli of least irreducibles,
 symbols on etale algebras, localization of Kummer data, radical algebras,
-Tate-dual twists, Trager norms by resultants and interpolation, the C4/D4
-split by a Trager norm, and root-ball overlap and containment.  The library
+Tate-dual twists, Newton-form interpolation, Trager norms and
+characteristic polynomials by interpolated resultants, the C4/D4 split by a
+Trager norm, and root-ball overlap and containment.  The library
 computes |Aut M| by formula and builds none of these."""
 
 import json
@@ -23,7 +24,6 @@ from coclass.exactpoly import (
     modp,
     resultant,
 )
-from coclass.exactpoly.poly import interpolate
 from coclass.exactpoly.roots import ComplexBall
 from coclass.groupcoh import Cochain, FiniteGModule, GroupCohError, coboundary
 from coclass.kummerh1 import CoclassC3, CoclassV4, KummerError
@@ -450,8 +450,29 @@ def mu_power_dual(k: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Trager norms by resultants and the C4/D4 split by a norm
+# interpolation, Trager norms and characteristic polynomials by resultants,
+# and the C4/D4 split by a norm
 # ---------------------------------------------------------------------------
+
+def interpolate(xs, ys) -> RationalPoly:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
+    xs distinct: Newton divided differences, then the Newton form expanded
+    by Horner's rule, O(n^2) field operations."""
+    c = [Fraction(y) for y in ys]
+    n = len(c)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    out = []
+    for k in range(n - 1, -1, -1):
+        # out <- out * (x - xs[k]) + c[k]
+        shifted = [Fraction(0)] + out
+        for i, a in enumerate(out):
+            shifted[i] -= xs[k] * a
+        shifted[0] += c[k]
+        out = shifted
+    return RationalPoly(out)
+
 
 def trager_norm_by_resultants(f: RationalPoly, g: RationalPoly, lam) -> RationalPoly:
     """Res_y(f(y), g(x - lam*y)) by interpolation through deg f * deg g + 1
@@ -468,6 +489,20 @@ def trager_norm_by_resultants(f: RationalPoly, g: RationalPoly, lam) -> Rational
             xs.append(Fraction(x0))
             ys.append(resultant(f, shifted))
         x0 = -x0 + (0 if x0 > 0 else 1)  # 0, 1, -1, 2, -2, ...
+    return interpolate(xs, ys)
+
+
+def charpoly_by_resultants(r: RationalPoly, f: RationalPoly) -> RationalPoly:
+    """prod (x - r(alpha)) over the roots alpha of f, by interpolation through
+    the deg f + 1 values Res_y(f(y), x0 - r(y)) / lc(f)^deg(x0 - r) at
+    x0 = 0, 1, -1, 2, ...; the value is 0 where x0 - r is the zero
+    polynomial."""
+    xs, ys = [], []
+    for k in range(f.degree + 1):
+        x0 = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
+        g = RationalPoly([x0]) - r
+        xs.append(x0)
+        ys.append(Fraction(0) if g.is_zero() else resultant(f, g) / f.lc ** g.degree)
     return interpolate(xs, ys)
 
 

@@ -373,6 +373,13 @@ def test_local_classes_golden():
                "--m", "2"])["classes"] == ["1", "-1"]
 
 
+def test_local_classes_of_other_orders_exit_3():
+    # only square and cube classes are listed; no other m falls back to cubes
+    assert ok(["local", "classes", "--p", "7", "--m", "3"])["m"] == 3
+    for m in ("0", "1", "5"):
+        err(["local", "classes", "--p", "7", "--m", m], 3)
+
+
 def test_local_h1_golden():
     payload = ok(["local", "h1", "--p", "7", "--module", "mu3"])
     assert payload["count"] == 9

@@ -18,6 +18,7 @@ from coclass.etalealg import EtaleAlgebra, frobenius_cycle_types, squarefree_par
 from coclass.exactpoly import (
     ExactPolyError,
     RationalPoly,
+    charpoly,
     compositum_factors,
     discriminant,
     extension_automorphisms,
@@ -36,9 +37,14 @@ from coclass.exactpoly import (
 )
 from coclass.exactpoly import factor, modp
 from coclass.exactpoly.extension import _squarefree_norm
-from coclass.exactpoly.poly import interpolate
 from coclass.kummerh1 import CoclassV4, v4_encode
-from helpers import ball_contains, balls_overlap, trager_norm_by_resultants
+from helpers import (
+    ball_contains,
+    balls_overlap,
+    charpoly_by_resultants,
+    interpolate,
+    trager_norm_by_resultants,
+)
 
 P = RationalPoly.from_text
 F = Fraction
@@ -455,7 +461,7 @@ def test_frobenius_cycle_types_match_full_factoring(text):
 
 def _lagrange(xs, ys):
     """Lagrange's formula, one product per point: the oracle for the
-    library's Newton-form `interpolate`."""
+    Newton-form `interpolate` of the test helpers."""
     out = RationalPoly([])
     for i, (xi, yi) in enumerate(zip(xs, ys)):
         if yi == 0:
@@ -511,6 +517,50 @@ def test_trager_norm_matches_resultant_oracle():
         else:
             lam = F(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(2, 4))
         assert trager_norm(f, g, lam) == trager_norm_by_resultants(f, g, lam), (f, g, lam)
+
+
+def _seeded_nonintegral_poly(rng, degree):
+    while True:
+        f = _seeded_poly(rng, degree, rng.random() < 0.5)
+        if any(c.denominator != 1 for c in f.coeffs):
+            return f
+
+
+def test_charpoly_matches_resultant_oracle():
+    # power sums and traces against interpolated resultants, f of degree 1-4
+    # with rational, non-integral coefficients, r reduced mod f
+    rng = random.Random(17)
+    for i in range(200):
+        f = _seeded_nonintegral_poly(rng, rng.randint(1, 4))
+        if i % 10 == 0:
+            r = RationalPoly([])
+        elif i % 10 == 1:
+            r = RationalPoly([F(rng.randint(-9, 9), rng.randint(1, 5))])
+        else:
+            r = _seeded_poly(rng, f.degree - 1, False) % f
+        assert charpoly(r, f) == charpoly_by_resultants(r, f), (r, f)
+    # CoclassV4 checks norm one through charpoly: delta = u^3 / N(u), with
+    # N(u) a product of resultants, has norm one in any cubic algebra R
+    for i in range(60):
+        g = RationalPoly([1])
+        for d in ((3,), (1, 2), (1, 1, 1))[i % 3]:
+            g = g * _seeded_nonintegral_poly(rng, d)
+        if not is_squarefree(g):
+            continue
+        R = EtaleAlgebra.from_poly(g)
+        u = [_seeded_poly(rng, f.degree - 1, False) % f for f in R.factors]
+        if any(x.is_zero() for x in u):
+            continue
+        n = F(1)
+        for x, f in zip(u, R.factors):
+            n *= resultant(f, x)
+        if n == 0:
+            continue
+        cc = CoclassV4(R, tuple(x ** 3 * RationalPoly([1 / n]) for x in u))
+        by_resultants = F(1)
+        for d, f in zip(cc.delta, R.factors):
+            by_resultants *= resultant(f, d)
+        assert cc.norm() == by_resultants == 1, (R, u)
 
 
 def test_trager_norm_at_lam_zero_is_a_power_of_g():

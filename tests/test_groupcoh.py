@@ -237,7 +237,7 @@ def test_snf_modulo_n_matches_integer_form():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         N = rng.choice([2, 4, 6, 8, 12, 30])
         M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        S, U, Uinv, V, _ = smith_normal_form(M, N)
+        S, U, Uinv, V = smith_normal_form(M, N)
         UMV = [[sum(U[i][s] * M[s][t] * V[t][j] for s in range(rows)
                     for t in range(cols)) % N for j in range(cols)]
                for i in range(rows)]
@@ -254,18 +254,41 @@ def test_snf_modulo_n_matches_integer_form():
 
 
 def test_kernel_basis():
-    W = [[2, 4]]
-    kb = kernel_basis(W)
-    assert len(kb) == 1
-    x, y = kb[0]
-    assert 2 * x + 4 * y == 0 and (x, y) != (0, 0)
+    # x in Z/4 x Z/2 with W x = 0 modulo row moduli 2, 4 and 8: the kernel
+    # vectors with 4 e_0 and 2 e_1 span exactly the brute-force solutions
+    rng = random.Random(5)
+    col_mods, row_mods = [4, 2], [2, 4, 8]
+    for _ in range(30):
+        # entry (r, j) a multiple of row_mods[r] / gcd(row_mods[r], col_mods[j])
+        W = [{r: w for r, m in enumerate(row_mods)
+              if (w := rng.randrange(m) * m // math.gcd(m, n) % m)}
+             for n in col_mods]
+        solutions = {x for x in product(range(4), range(2))
+                     if all(sum(W[j].get(r, 0) * x[j] for j in range(2)) % m == 0
+                            for r, m in enumerate(row_mods))}
+        kb = kernel_basis(W, row_mods, col_mods)
+        assert all(v and set(v) <= {0, 1} for v in kb)
+        span = {(0, 0)}
+        for v in kb:
+            step = (v.get(0, 0), v.get(1, 0))
+            while True:
+                more = {((x + step[0]) % 4, (y + step[1]) % 2) for x, y in span}
+                if more <= span:
+                    break
+                span |= more
+        assert span == solutions, W
 
 
 def test_lattice_basis_index():
-    # lattice generated by (2,0) and (0,3) has index 6 in Z^2
-    basis = lattice_basis([[2, 0], [0, 3], [2, 3]])
-    det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
-    assert abs(det) == 6
+    # (2,0), (0,3), (2,3) and 12 Z^2 span 2Z x 3Z, of index 6 in Z^2;
+    # (4,0) and 6 Z^2 span 2Z x 6Z, of index 12
+    for gens, modulus, index in (([[2, 0], [0, 3], [2, 3]], 12, 6),
+                                 ([[4, 0]], 6, 12)):
+        basis = lattice_basis(gens, modulus)
+        assert len(basis) == 2
+        assert all(0 <= x <= modulus for col in basis for x in col)
+        det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
+        assert abs(det) == index
 
 
 # ---------------------------------------------------------------------------

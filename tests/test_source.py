@@ -77,6 +77,27 @@ def test_every_function_is_named_somewhere_else():
     assert not dead, dead
 
 
+def test_no_unused_module_imports():
+    # a name imported at module level must be used in its module; a package
+    # __init__ imports to re-export, and `from __future__` names no value
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(SRC)}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused
+
+
 def test_no_permutation_scan_in_library():
     # itertools.permutations walks all n! elements of Sym(n); the library
     # reaches what it needs from generators instead
