@@ -284,12 +284,15 @@ def cmd_local(args):
         return {"value": value.to_str()}
     if args.action_name == "classes":
         if args.m == 2:
-            reps = localsym.square_classes(_parse_place(args.p))
+            reps = [c.rep for c in localsym.square_classes(_parse_place(args.p))]
         elif args.m == 3:
-            reps = localsym.cube_classes(LocalFieldDesc(int(args.p)))
+            place = _parse_place(args.p)
+            # every real number is a cube, so R^x is a single class
+            reps = [1] if place.is_real else \
+                [c.rep for c in localsym.cube_classes(LocalFieldDesc(place.p))]
         else:
             raise UnsupportedLocal("only square (m = 2) and cube (m = 3) classes")
-        return {"m": args.m, "classes": [_frac_str(c.rep) for c in reps]}
+        return {"m": args.m, "classes": [_frac_str(r) for r in reps]}
     if args.action_name == "h1":
         D = int(args.D) if args.D else None
         data = localsym.enumerate_h1_local(args.module, int(args.p), D=D)

@@ -1,20 +1,34 @@
 """Characteristic polynomials in Q[y]/(f), root-in-extension tests and
 compositum factorizations via Trager norms.
 
-For f irreducible defining K = Q[y]/(f) and g squarefree, the norm
-N_lam(x) = Res_y(f(y), g(x - lam*y)) has, for generic lam, squarefree
-value whose irreducible factors of degree deg(f) correspond exactly to the
-linear factors of g over K.
+For f irreducible of degree n defining K = Q[y]/(f) and h irreducible, the
+norm N_lam(x) = Res_y(f(y), h(x - lam*y)) is squarefree for all but finitely
+many lam, and then each of its irreducible factors has degree a multiple of
+n; those of degree exactly n correspond to the roots of h in K (B. Trager,
+"Algebraic factoring and rational function integration", SYMSAC 1976).  The
+norm is the certificate of every root found.
 
 The norm is built as a composed sum (Bostan, Flajolet, Salvy & Schost, "Fast
 computation of special resultants", J. Symbolic Comput. 41, 2006): its roots
-are lam*alpha + beta over the roots alpha of f and beta of g, and scaled by
-an integer t they are algebraic integers, so power sums and Newton's
-identities give the monic t^N N(x/t) / lc(N) in Python ints.  Zassenhaus
-factors that monic integer polynomial, never N monicized by a power of its
-leading coefficient.  Characteristic polynomials of elements r(y) of
-Q[y]/(f), and so their norms, come from the same power sums of f and the
-same Newton step, applied to the traces of the powers of r.
+are lam*alpha + beta over the roots alpha of f and beta of h, and scaled by
+an integer they are algebraic integers, so power sums and Newton's
+identities give its monic integer model in Python ints.
+
+Its degree-n factors come from roots at a split prime (H. Cohen, "A Course
+in Computational Algebraic Number Theory", section 4.5), not from factoring
+it: at a prime p where f splits into distinct linear factors, the roots A_i
+of the scaled f and B_j of the scaled h lie in Z_p, a root r of h in K sends
+each A_i to some B_tau(i), and prod_i (x - lam*A_i - B_tau(i)) is an integer
+factor of the scaled norm.  The candidates over the maps tau are read in
+symmetric residues modulo a power of p past a root bound and kept when they
+divide the scaled norm exactly.  If h does not split modulo p it has no root
+in K.  Only `compositum_factors`, an f of degree above `_SPLIT_DEGREE` and
+an f with no split prime in `_SPLIT_SCAN` usable primes factor the whole
+norm by Zassenhaus.
+
+Characteristic polynomials of elements r(y) of Q[y]/(f), and so their norms,
+come from the same power sums of f and the same Newton step, applied to the
+traces of the powers of r.
 """
 
 from __future__ import annotations
@@ -105,14 +119,11 @@ def trager_norm(f: RationalPoly, g: RationalPoly, lam: Fraction) -> RationalPoly
 
 def _squarefree_norm(f: RationalPoly, g: RationalPoly):
     """The first lam of 1, -1, 2, -2, ... whose Trager norm is squarefree,
-    and that norm: (lam, norm).  Squarefree modulo a prime proves it; the
-    exact gcd decides the rest."""
-    s = _root_scale(f, g)
+    and that norm: (lam, norm)."""
     for k in range(1, 80):
         lam = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
         norm = trager_norm(f, g, lam)
-        if modp.squarefree_mod_prime(factor._scaled_monic(norm, s)) \
-                or is_squarefree(norm):
+        if is_squarefree(norm):
             return lam, norm
     raise ExactPolyError("no squarefree Trager norm found")
 
@@ -125,6 +136,90 @@ def _norm_factors(f: RationalPoly, g: RationalPoly):
     return lam, factor._factor_scaled(norm, _root_scale(f, g))
 
 
+# Split primes are sought for deg f <= 4, where the Galois group has order at
+# most 24: by Chebotarev at least 1/24 of all primes split f, so _SPLIT_SCAN
+# usable primes all miss with chance under (23/24)^200 < 2e-4, and the maps
+# from the roots of f to those of h number at most 4! = 24.  Past that, or
+# with no split prime in the scan, the whole norm is factored.
+_SPLIT_DEGREE = 4
+_SPLIT_SCAN = 200
+
+
+def _root_bound(F) -> int:
+    """A power of two bounding the complex roots of the monic integer
+    polynomial F in absolute value: Fujiwara's 2 max_k |F_(n-k)|^(1/k), each
+    k-th root rounded up to a power of two."""
+    n = len(F) - 1
+    return 2 << max(-(-abs(F[n - k]).bit_length() // k) for k in range(1, n + 1))
+
+
+def _lift_roots(F, roots, p: int, bound: int):
+    """Newton-lift simple roots of the monic integer F modulo p to a modulus
+    m = p^(2^t) > bound: (roots mod m, m)."""
+    dF = [i * c for i, c in enumerate(F)][1:]
+
+    def at(P, a, m):
+        acc = 0
+        for c in reversed(P):
+            acc = (acc * a + c) % m
+        return acc
+
+    m = p
+    while m <= bound:
+        m *= m
+        roots = [(a - at(F, a, m) * pow(at(dF, a, m), -1, m)) % m for a in roots]
+    return roots, m
+
+
+def _root_factors(f: RationalPoly, h: RationalPoly):
+    """Lazily, (lam, q) for each factor q of degree n = deg f of the
+    squarefree norm N_lam(h), h irreducible with deg h | n: one per root of
+    h in K = Q[y]/(f).
+
+    At a split prime p of the scaled f, the roots A_i of the scaled f and B_j
+    of the scaled h (both scaled by s = `_root_scale(f, h)`) are lifted past
+    the bound on the coefficients of a degree-n factor, whose roots are
+    lam*A_i + B_j with |lam*A_i + B_j| <= rho.  A root r of h in K gives the
+    map tau with B_tau(i) = s*r at the i-th embedding of K into Q_p, which
+    hits every B_j n/deg h times.  Each such map gives the candidate
+    prod_i (x - lam*A_i - B_tau(i)), kept if it divides the scaled norm
+    exactly: a degree-n divisor of the norm is one of its irreducible
+    factors.  If h does not split modulo p it has no root in K: the n
+    embeddings would send a root of h to every root of h."""
+    n, s = f.degree, _root_scale(f, h)
+    F, H = factor._scaled_monic(f, s), factor._scaled_monic(h, s)
+    split = modp.split_roots(F, H, _SPLIT_SCAN) if n <= _SPLIT_DEGREE else None
+    if split is None:
+        lam, qs = _norm_factors(f, h)
+        yield from ((lam, q) for q in qs if q.degree == n)
+        return
+    p, roots_f, roots_h = split
+    if roots_h is None:
+        return
+    lam, norm = _squarefree_norm(f, h)
+    N, k = factor._scaled_monic(norm, s), int(lam)
+    rho = abs(k) * _root_bound(F) + _root_bound(H)
+    caps = [math.comb(n, j) * rho ** (n - j) for j in range(n + 1)]
+    A, m = _lift_roots(F, roots_f, p, 2 * max(caps))
+    B, _ = _lift_roots(H, roots_h, p, 2 * max(caps))
+    left = [n // h.degree] * len(B)
+
+    def extend(i, prod):
+        if i == n:
+            Q = [factor._symmetric(c, m) for c in prod]
+            if all(abs(c) <= cap for c, cap in zip(Q, caps)) \
+                    and factor._int_divmod_monic(N, Q)[1] == []:
+                yield lam, RationalPoly([Fraction(c, s ** (n - j)) for j, c in enumerate(Q)])
+            return
+        for j, b in enumerate(B):
+            if left[j]:
+                left[j] -= 1
+                yield from extend(i + 1, modp.gf_mul(prod, [-(k * A[i] + b) % m, 1], m))
+                left[j] += 1
+
+    yield from extend(0, [1])
+
+
 def _trager_roots(g: RationalPoly, f: RationalPoly):
     """Each irreducible factor h of g whose degree divides deg f, with a
     lazy iterator over the (lam, q), q a factor of degree deg f of the
@@ -133,17 +228,9 @@ def _trager_roots(g: RationalPoly, f: RationalPoly):
         raise ExactPolyError("extension polynomial must be irreducible")
     if not is_squarefree(g):
         raise ExactPolyError("g must be squarefree")
-    n = f.degree
-
-    def norm_factors(h):
-        lam, qs = _norm_factors(f, h)
-        for q in qs:
-            if q.degree == n:
-                yield lam, q
-
     for h, _ in factor_rationals(g):
-        if n % h.degree == 0:
-            yield h, norm_factors(h)
+        if f.degree % h.degree == 0:
+            yield h, _root_factors(f, h)
 
 
 def has_root_in_extension(g: RationalPoly, f: RationalPoly) -> bool:

@@ -14,16 +14,19 @@ from itertools import combinations
 
 from .. import InternalError
 from . import modp
-from .poly import ExactPolyError, RationalPoly, gcd
+from .poly import ExactPolyError, RationalPoly, gcd, proved_squarefree
 
 _MAX_PRIMES = 7
 
 
 def squarefree_decomposition(f: RationalPoly):
-    """Yun's algorithm; returns list of (g_i, i) with f = lc * prod g_i^i."""
+    """Yun's algorithm; returns list of (g_i, i) with f = lc * prod g_i^i.
+    An f proved squarefree modulo a prime is its own decomposition."""
     if f.degree < 1:
         raise ExactPolyError("need degree >= 1")
     f = f.monic()
+    if proved_squarefree(f):
+        return [(f, 1)]
     out = []
     g = gcd(f, f.derivative())
     w = f // g

@@ -6,7 +6,9 @@ equal-degree splitting; the degree pattern alone needs only the first step.
 `reductions` is the one scan over primes: it runs distinct-degree
 factorization once per usable prime, and its pieces feed both the degree
 pattern and the equal-degree split.  `squarefree_mod_prime` runs the same
-squarefree test over a few larger primes, as a proof of squarefreeness.
+squarefree test over a few larger primes, as a proof of squarefreeness, and
+`split_roots` walks the same scan to a prime at which a polynomial splits
+into distinct linear factors.
 """
 
 from __future__ import annotations
@@ -204,6 +206,32 @@ def squarefree_mod_prime(f_int) -> bool:
     squarefree over Q; False proves nothing.  Small primes are skipped: they
     often divide the discriminants of scaled Trager norms."""
     return next(_squarefree_at(f_int, islice(_primes(1000), 3)), None) is not None
+
+
+def _splits(a, p):
+    """True iff the monic squarefree a splits into linear factors over GF(p),
+    that is iff x^p = x modulo a."""
+    return len(a) <= 2 or gf_pow_mod([0, 1], p, a, p) == [0, 1]
+
+
+def _roots(a, p):
+    """The roots in GF(p), ascending, of a monic squarefree a that splits
+    into linear factors."""
+    return sorted(-u[0] % p for u in gf_factor_squarefree([(a, 1)], p))
+
+
+def split_roots(f_int, g_int, scan: int):
+    """Roots of two monic integer polynomials at the first prime p, among
+    the first `scan` of `_squarefree_at(f_int)`, at which f_int splits into
+    distinct linear factors and g_int stays squarefree of full degree:
+    (p, roots of f_int mod p, roots of g_int mod p), the last None when g_int
+    does not split into linear factors mod p.  None when no scanned prime
+    qualifies."""
+    for p, fp in islice(_squarefree_at(f_int, _primes(3)), scan):
+        gp = gf_from_int_poly(g_int, p)
+        if _splits(fp, p) and len(gp) == len(g_int) and gf_is_squarefree(gp, p):
+            return p, _roots(fp, p), _roots(gp, p) if _splits(gp, p) else None
+    return None
 
 
 def gf_factor_squarefree(pieces, p):

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
+from . import modp
+
 
 class ExactPolyError(ValueError):
     pass
@@ -242,7 +244,15 @@ def discriminant(f: RationalPoly) -> Fraction:
     return sign * r / f.lc
 
 
+def proved_squarefree(f: RationalPoly) -> bool:
+    """True if the primitive integer form of f stays squarefree of full
+    degree modulo a prime (`modp.squarefree_mod_prime`), which proves f
+    squarefree; False proves nothing."""
+    return modp.squarefree_mod_prime([int(c) for c in f.primitive_int()[1].coeffs])
+
+
 def is_squarefree(f: RationalPoly) -> bool:
+    """Squarefree modulo a prime proves it; the exact gcd decides the rest."""
     if f.degree < 1:
         raise ExactPolyError("need degree >= 1")
-    return gcd(f, f.derivative()).degree == 0
+    return proved_squarefree(f) or gcd(f, f.derivative()).degree == 0

@@ -5,8 +5,9 @@ stable partitions, the crossed-homomorphism map into Hol M, the textbook
 coboundary, cochain JSON, residue-field moduli of least irreducibles,
 symbols on etale algebras, localization of Kummer data, radical algebras,
 Tate-dual twists, Newton-form interpolation, Trager norms and
-characteristic polynomials by interpolated resultants, the C4/D4 split by a
-Trager norm, and root-ball overlap and containment.  The library
+characteristic polynomials by interpolated resultants, roots in an extension
+from fully factored Trager norms, the C4/D4 split by a Trager norm, and
+root-ball overlap and containment.  The library
 computes |Aut M| by formula and builds none of these."""
 
 import json
@@ -17,13 +18,17 @@ from itertools import product
 from coclass import InternalError
 from coclass.etalealg import EtaleAlgebra, SquareClass, cubic_resolvent_poly, squarefree_part
 from coclass.exactpoly import (
+    ExactPolyError,
     RationalPoly,
     discriminant,
     factor_rationals,
     has_root_in_extension,
+    is_irreducible,
+    is_squarefree,
     modp,
     resultant,
 )
+from coclass.exactpoly.extension import _norm_factors
 from coclass.exactpoly.roots import ComplexBall
 from coclass.groupcoh import Cochain, FiniteGModule, GroupCohError, coboundary
 from coclass.kummerh1 import CoclassC3, CoclassV4, KummerError
@@ -504,6 +509,22 @@ def charpoly_by_resultants(r: RationalPoly, f: RationalPoly) -> RationalPoly:
         xs.append(x0)
         ys.append(Fraction(0) if g.is_zero() else resultant(f, g) / f.lc ** g.degree)
     return interpolate(xs, ys)
+
+
+def trager_roots_by_factoring(g: RationalPoly, f: RationalPoly):
+    """`extension._trager_roots` by factoring each whole norm: each
+    irreducible factor h of the squarefree g whose degree divides deg f, with
+    an iterator over the (lam, q), q an irreducible factor of degree deg f
+    of the squarefree norm N_lam(h) as Zassenhaus finds them, one per root of
+    h in Q[y]/(f)."""
+    if not is_irreducible(f):
+        raise ExactPolyError("extension polynomial must be irreducible")
+    if not is_squarefree(g):
+        raise ExactPolyError("g must be squarefree")
+    for h, _ in factor_rationals(g):
+        if f.degree % h.degree == 0:
+            lam, qs = _norm_factors(f, h)
+            yield h, iter([(lam, q) for q in qs if q.degree == f.degree])
 
 
 def transitive_tag_by_norm(f: RationalPoly) -> str:

@@ -371,6 +371,9 @@ def test_local_classes_golden():
                "--m", "2"])["classes"] == ["1", "2", "5", "10"]
     assert ok(["local", "classes", "--p", "real",
                "--m", "2"])["classes"] == ["1", "-1"]
+    # every real number is a cube
+    payload = ok(["local", "classes", "--p", "real", "--m", "3"])
+    assert (payload["m"], payload["classes"]) == (3, ["1"])
 
 
 def test_local_classes_of_other_orders_exit_3():

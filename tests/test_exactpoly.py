@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coclass.etalealg import EtaleAlgebra, frobenius_cycle_types, squarefree_part
+from coclass import etalealg
+from coclass.etalealg import EtaleAlgebra, frobenius_cycle_types, squarefree_part, torsor_closure
 from coclass.exactpoly import (
     ExactPolyError,
     RationalPoly,
@@ -35,7 +36,7 @@ from coclass.exactpoly import (
     squarefree_decomposition,
     trager_norm,
 )
-from coclass.exactpoly import factor, modp
+from coclass.exactpoly import extension, factor, modp, poly
 from coclass.exactpoly.extension import _squarefree_norm
 from coclass.kummerh1 import CoclassV4, v4_encode
 from helpers import (
@@ -44,6 +45,7 @@ from helpers import (
     charpoly_by_resultants,
     interpolate,
     trager_norm_by_resultants,
+    trager_roots_by_factoring,
 )
 
 P = RationalPoly.from_text
@@ -214,6 +216,24 @@ def test_squarefree_decomposition():
     f = P("1,1") ** 3 * P("-2,0,1")
     dec = squarefree_decomposition(f)
     assert dec == [(P("-2,0,1"), 1), (P("1,1"), 3)]
+
+
+def test_squarefree_proofs_mod_p_change_no_answer(monkeypatch):
+    # with the proof modulo a prime switched off, only the exact gcd and
+    # Yun's algorithm run; the answers must not change.  1009 * 1013 * 1019
+    # divides the discriminant of the first, so no proof is found for it
+    rng = random.Random(18)
+    polys = [RationalPoly([-1009 * 1013 * 1019, 0, 1])]
+    for _ in range(60):
+        f = RationalPoly([F(rng.choice((1, -2, 3)), rng.choice((1, 5)))])
+        for _ in range(rng.randint(1, 4)):
+            f = f * rng.choice(_SMALL_IRRED) ** rng.choice((1, 1, 2, 3))
+        polys.append(f)
+    got = [(is_squarefree(f), squarefree_decomposition(f)) for f in polys]
+    assert any(sf for sf, _ in got) and not all(sf for sf, _ in got)
+    monkeypatch.setattr(poly, "proved_squarefree", lambda f: False)
+    monkeypatch.setattr(factor, "proved_squarefree", lambda f: False)
+    assert got == [(is_squarefree(f), squarefree_decomposition(f)) for f in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -716,5 +736,132 @@ def test_norm_factoring_keeps_coefficients_small(monkeypatch):
 
     monkeypatch.setattr(factor, "_factor_monic_int", spy)
     c4, v4 = _golden_quartics()
-    assert [len(extension_automorphisms(f)) for f in c4 + v4] == [4, 2, 2, 2, 4, 4, 4, 4]
+    # compositum_factors is the one path left that factors whole norms; the
+    # degree-4 factors of K (x) K are the automorphisms of K
+    assert [sum(q.degree == 4 for q in compositum_factors(f, f)) for f in c4 + v4] \
+        == [4, 2, 2, 2, 4, 4, 4, 4]
     assert max(bits) <= 256
+
+
+def _tschirnhaus(f, rng):
+    """A generator of Q[y]/(f) other than y: the characteristic polynomial of
+    a seeded r(y) of degree 1 to deg f - 1, squarefree, so irreducible."""
+    while True:
+        r = RationalPoly([rng.randint(-3, 3) for _ in range(rng.randint(2, f.degree))])
+        g = charpoly(r, f)
+        if r.degree >= 1 and is_squarefree(g):
+            return g
+
+
+def _non_monic(g, rng):
+    """c * g(k x) for seeded rationals c and k: the same field, another model."""
+    c, k = rng.choice((5, F(-2, 7), 3)), rng.choice((2, F(1, 3), F(-3, 2)))
+    return RationalPoly([c * a * k ** i for i, a in enumerate(g.coeffs)])
+
+
+def test_isomorphism_factors_no_norm(monkeypatch):
+    # the golden C4 and D4 quartics against a Tschirnhaus transform of
+    # themselves and against each other: only quartics reach Zassenhaus, no
+    # Trager norm of degree 16
+    degrees = []
+    monic_int = factor._factor_monic_int
+
+    def spy(f_int):
+        degrees.append(len(f_int) - 1)
+        return monic_int(f_int)
+
+    c4, _ = _golden_quartics()
+    rng = random.Random(18)
+    pairs = [(f, _tschirnhaus(f, rng)) for f in c4] + list(zip(c4, c4[1:]))
+    monkeypatch.setattr(factor, "_factor_monic_int", spy)
+    assert [fields_isomorphic(f, g) for f, g in pairs] == [True] * 4 + [False] * 3
+    assert degrees and max(degrees) <= 4
+
+
+# one field of each transitive Galois group of degree 4, two of each
+_TAGGED_QUARTICS = {
+    "C4": ["2,0,-4,0,1", "1,1,1,1,1"], "D4": ["7,0,-6,0,1", "-2,0,0,0,1"],
+    "V4": ["1,0,-10,0,1", "1,0,0,0,1"], "A4": ["12,8,0,0,1", "1,-3,-7,0,1"],
+    "S4": ["-1,-1,0,0,1", "1,1,0,0,1"],
+}
+
+
+def _against_factored_norms(monkeypatch, pairs, fields=()):
+    """For each (g, f) of pairs, fields_isomorphic(f, g),
+    has_root_in_extension(g, f) and roots_in_extension(g, f), then
+    extension_automorphisms(f) for each f of fields, all as the split prime
+    finds them, once they agree with fully factored norms
+    (`trager_roots_by_factoring`)."""
+    def answers():
+        return ([(fields_isomorphic(f, g), has_root_in_extension(g, f), roots_in_extension(g, f))
+                 for g, f in pairs], [extension_automorphisms(f) for f in fields])
+
+    got = answers()
+    with monkeypatch.context() as m:
+        m.setattr(extension, "_trager_roots", trager_roots_by_factoring)
+        assert got == answers()
+    return got
+
+
+def test_roots_in_extension_match_factored_norms(monkeypatch):
+    rng = random.Random(2026)
+    fields = [P(t) for ts in _TAGGED_QUARTICS.values() for t in ts]
+    assert [etalealg.galois_group(EtaleAlgebra.from_poly(f)) for f in fields] \
+        == [tag for tag in _TAGGED_QUARTICS for _ in range(2)]
+    pairs, models = [], []
+    for i, f in enumerate(fields):
+        g, f2 = _tschirnhaus(f, rng), _non_monic(f, rng)
+        other = fields[(i + 2) % len(fields)]
+        pairs += [(g, f), (_non_monic(g, rng), f2),
+                  (_tschirnhaus(other, rng), f), (_non_monic(other, rng), f2)]
+        models += [f, f2]
+    got, auts = _against_factored_norms(monkeypatch, pairs, models)
+    assert [iso for iso, _, _ in got] == [True, True, False, False] * len(fields)
+    assert all((g(r) % f).is_zero() for (g, f), (_, _, roots) in zip(pairs, got) for r in roots)
+    assert [len(a) for a in auts] == [n for n in (4, 4, 2, 2, 4, 4, 1, 1, 1, 1) for _ in range(2)]
+
+
+def test_quadratic_subfields_match_factored_norms(monkeypatch):
+    # quadratics, and products of them with a linear factor, inside quartics,
+    # monic and not; the sqrt of the discriminant lies in the C4 and V4 fields
+    rng = random.Random(3)
+    pairs = []
+    for ts in _TAGGED_QUARTICS.values():
+        for t in ts:
+            f = P(t)
+            d = squarefree_part(discriminant(f))
+            quads = [RationalPoly([-q, 0, 1]) for q in dict.fromkeys((d, 2, -1, 3, 5))]
+            pairs += [(q, f) for q in quads] + [
+                (quads[0] * quads[1] * P("7,3"), f),
+                (quads[2] * _non_monic(quads[3], rng) * P("-5,2"), f)]
+    got, _ = _against_factored_norms(monkeypatch, pairs)
+    assert sum(has for _, has, _ in got) > len(got) // 4
+
+
+def test_sextic_subfields_match_factored_norms(monkeypatch):
+    # the S3 closure of cbrt 2 holds x^3 - 2 and sqrt(-3); a sextic is past
+    # _SPLIT_DEGREE, so its whole norms are factored
+    f = torsor_closure(EtaleAlgebra.from_poly(P("-2,0,0,1"))).factors[0]
+    pairs = [(P("-2,0,0,1"), f), (P("3,0,1"), f), (P("-2,0,0,1") * P("3,0,1"), f)]
+    got, auts = _against_factored_norms(monkeypatch, pairs, [f])
+    assert [len(roots) for _, _, roots in got] == [3, 2, 5]
+    assert len(auts[0]) == 6
+
+
+def test_no_split_prime_falls_back_to_factored_norms(monkeypatch):
+    calls = []
+    norm_factors = extension._norm_factors
+
+    def spy(f, h):
+        calls.append(h)
+        return norm_factors(f, h)
+
+    monkeypatch.setattr(extension, "_SPLIT_SCAN", 0)
+    monkeypatch.setattr(extension, "_norm_factors", spy)
+    rng = random.Random(7)
+    fields = [P(_TAGGED_QUARTICS[tag][0]) for tag in ("C4", "D4", "S4")]
+    pairs = [(g, f) for f in fields for g in (_tschirnhaus(f, rng), P("-2,0,1"))]
+    got, auts = _against_factored_norms(monkeypatch, pairs, fields)
+    assert [iso for iso, _, _ in got] == [True, False] * 3
+    assert [len(a) for a in auts] == [4, 2, 1]
+    assert calls
