@@ -74,6 +74,8 @@ def _parse_group(n: int, gens: str) -> PermGroup:
 def _parse_place(text: str) -> Place:
     if text in ("real", "inf", "oo"):
         return Place.real()
+    if int(text) == 0:
+        raise CliError("0 is no place of Q; the real place is 'real'")
     return Place(int(text))
 
 

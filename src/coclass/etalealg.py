@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from . import UnsupportedSize
 from .exactpoly import (
@@ -262,13 +261,26 @@ _ALLOWED_TYPES = {
 
 
 def frobenius_cycle_types(f: RationalPoly, count: int = 25):
-    """Cycle types of Frobenius at the first `count` primes p where f stays
-    squarefree of full degree: the factor degrees of f mod p, read from
-    distinct-degree factorization alone."""
-    _, fz = f.monic().primitive_int()
-    ints = [int(c) for c in fz.coeffs]
-    return {tuple(reversed(modp.factor_degrees(pieces)))
-            for _, pieces in islice(modp.reductions(ints), count)}
+    """Cycle types of Frobenius at the first `count` odd primes p where the
+    primitive integer model of f, of degree n <= 4, stays squarefree of full
+    degree: the factor degrees of f mod p, from no factoring.  The r roots
+    of f mod p leave n - r degrees in factors of degree >= 2, which fixes
+    the type except for n - r = 4: (4) or (2,2).  By Stickelberger's theorem
+    (R. G. Swan, Pacific J. Math. 12, 1962) the k factors of f mod p have
+    n - k even iff disc f is a square mod p: (2,2) when it is, (4) when it
+    is not."""
+    n = f.degree
+    if n > 4:
+        raise UnsupportedStructure("cycle types implemented for degree <= 4")
+    _, fz = f.primitive_int()
+    disc = int(discriminant(fz))
+    types = set()
+    for p, r in modp.root_counts([int(c) for c in fz.coeffs], disc, count):
+        if r == 0 and n == 4:
+            types.add((2, 2) if pow(disc, (p - 1) // 2, p) == 1 else (4,))
+        else:
+            types.add(((n - r,) if r < n else ()) + (1,) * r)
+    return types
 
 
 def _transitive_tag(f: RationalPoly) -> str:

@@ -2,13 +2,17 @@
 
 Polynomials are lists of ints in [0, p), ascending degree, trailing zeros
 stripped.  Factorization is distinct-degree followed by Cantor-Zassenhaus
-equal-degree splitting; the degree pattern alone needs only the first step.
-`reductions` is the one scan over primes: it runs distinct-degree
-factorization once per usable prime, and its pieces feed both the degree
-pattern and the equal-degree split.  `squarefree_mod_prime` runs the same
-squarefree test over a few larger primes, as a proof of squarefreeness, and
-`split_roots` walks the same scan to a prime at which a polynomial splits
-into distinct linear factors.
+equal-degree splitting.  `_primes` is the one source of primes.
+`reductions` scans them for Zassenhaus: it runs distinct-degree
+factorization once per usable prime, and its pieces give both the degree
+pattern that scores the prime and the equal-degree split.
+`squarefree_mod_prime` runs the same squarefree test over a few larger
+primes, as a proof of squarefreeness, and `split_roots` walks the same scan
+to a prime at which a polynomial splits into distinct linear factors.
+`root_counts` walks the same primes with no arithmetic in GF(p)[x]: it
+finds them from the discriminant and counts roots in a table of values,
+which with the discriminant's Legendre symbol fixes the Frobenius cycle
+types of degree <= 4.
 """
 
 from __future__ import annotations
@@ -198,6 +202,23 @@ def reductions(f_int):
     pieces is the distinct-degree factorization of its monic reduction."""
     for p, fp in _squarefree_at(f_int, _primes(3)):
         yield p, _distinct_degree(gf_monic(fp, p), p)
+
+
+def root_counts(f_int, disc: int, count: int):
+    """(p, number of roots of f_int mod p in GF(p)) for the first `count`
+    odd primes p not dividing lc(f_int) * disc, disc the discriminant of the
+    integer polynomial f_int: the primes of `reductions`, since f_int stays
+    squarefree of full degree mod p iff p divides neither.  The roots are
+    counted in one table of the exact values f_int(0), ..., f_int(P - 1), P
+    the last prime."""
+    primes = list(islice((p for p in _primes(3) if f_int[-1] * disc % p), count))
+    values = []
+    for x in range(primes[-1] if primes else 0):
+        acc = 0
+        for c in reversed(f_int):
+            acc = acc * x + c
+        values.append(acc)
+    return [(p, sum(1 for v in values[:p] if v % p == 0)) for p in primes]
 
 
 def squarefree_mod_prime(f_int) -> bool:

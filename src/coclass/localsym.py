@@ -221,11 +221,12 @@ def tame_symbol_residue(p: int, modulus: tuple, va: int, ra: list, vb: int,
     """omega((-1)^{v(a)v(b)} a^{v(b)} b^{-v(a)})^{(q-1)/m} from valuations
     and unit residues in F_q = F_p[s]/(modulus) (Serre, Local Fields,
     ch. XIV).  Its value lies in mu_m, so the exponents of the residues
-    are taken mod m."""
+    are taken mod m.  Their product is reduced modulo the modulus once, as
+    `gf_pow_mod` takes it."""
     logs, mod = _mu_logs(p, modulus, m), list(modulus)
     x = [p - 1] if va * vb % 2 else [1]
     for r in [ra] * (vb % m) + [rb] * (-va % m):
-        x = modp.gf_rem(modp.gf_mul(x, r, p), mod, p)
+        x = modp.gf_mul(x, r, p)
     q = p ** (len(mod) - 1)
     log = logs.get(tuple(modp.gf_pow_mod(x, (q - 1) // m, mod, p)))
     if log is None:

@@ -376,6 +376,19 @@ def test_local_classes_golden():
     assert (payload["m"], payload["classes"]) == (3, ["1"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["local", "hilbert", "--p", "0", "--a", "-1", "--b", "-1"],
+    ["local", "classes", "--p", "0", "--m", "2"],
+    ["local", "classes", "--p", "0", "--m", "3"],
+], ids=" ".join)
+def test_zero_is_no_place_exit_2(argv):
+    # the library encodes the real place as Place(0), but 0 is no place of
+    # Q; the real place is named real, inf or oo
+    assert err(argv, 2)["code"] == "invalid"
+    for name in ("real", "inf", "oo"):
+        ok(argv[:3] + [name] + argv[4:])
+
+
 def test_local_classes_of_other_orders_exit_3():
     # only square and cube classes are listed; no other m falls back to cubes
     assert ok(["local", "classes", "--p", "7", "--m", "3"])["m"] == 3

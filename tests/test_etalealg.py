@@ -227,6 +227,23 @@ def test_frobenius_types_subset():
     assert (2, 1, 1) in types
 
 
+@pytest.mark.parametrize("text,wrong", [
+    ("-1,-1,0,0,1", "C4"),     # S4: (3,1) and (2,1,1) are no C4 types
+    ("-1,-1,0,0,1", "A4"),     # S4: (4) and (2,1,1) are no A4 types
+    ("7,0,-6,0,1", "C4"),      # D4: (2,1,1)
+    ("1,1,1,1,1", "V4"),       # C4: (4), told from (2,2) by the parity
+    ("35,0,-15/2,0,5/16", "C4"),  # D4 again: 5 f(x/2) for f = 7,0,-6,0,1
+    ("12,8,0,0,1", "V4"),      # A4: (3,1)
+    ("-2,0,0,1", "C3"),        # S3: (2,1)
+    ("-2,0,1", "C1"),          # C2: (2)
+])
+def test_cycle_type_cross_check_catches_a_wrong_tag(monkeypatch, text, wrong):
+    L = EtaleAlgebra.from_poly(P.from_text(text))
+    monkeypatch.setattr(etalealg, "_transitive_tag", lambda f: wrong)
+    with pytest.raises(EtaleError, match="cycle-type cross-check failed"):
+        galois_group(L)
+
+
 def test_galois_tags_random_quartics():
     rng = random.Random(11)
     from coclass.exactpoly import is_squarefree

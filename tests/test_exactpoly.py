@@ -451,7 +451,8 @@ def test_gf_factor_degrees_match_full_factorization(p):
 
 def _frobenius_types_by_full_factoring(f, count):
     """The cycle-type sample of `frobenius_cycle_types`, read from complete
-    Cantor-Zassenhaus factorizations: the oracle for its DDF route."""
+    Cantor-Zassenhaus factorizations: the oracle for its reading of root
+    counts and discriminant parities."""
     _, fz = f.monic().primitive_int()
     ints = [int(c) for c in fz.coeffs]
     types, p, found = set(), 2, 0
@@ -469,10 +470,22 @@ def _frobenius_types_by_full_factoring(f, count):
     return types
 
 
-@pytest.mark.parametrize("text", ["1,1,1,1,1", "7,0,-6,0,1"])
-def test_frobenius_cycle_types_match_full_factoring(text):
-    f = P(text)
-    assert frobenius_cycle_types(f, 120) == _frobenius_types_by_full_factoring(f, 120)
+@pytest.mark.parametrize("count", [25, 120])
+def test_frobenius_cycle_types_match_full_factoring(count):
+    # one field of each quartic Galois group, two of each, as given and in
+    # a non-monic model; then seeded squarefree polynomials of degree 2 to 4
+    # with rational coefficients, monic and not.  V4 and A4 have no 4-cycle,
+    # so they would show (4) read for (2,2)
+    rng = random.Random(count)
+    polys = [P(t) for ts in _TAGGED_QUARTICS.values() for t in ts]
+    polys += [_non_monic(f, rng) for f in polys]
+    while len(polys) < 56:
+        n, lead = 2 + len(polys) % 3, F(rng.choice((1, 1, -2, 3, 5)), rng.choice((1, 1, 2, 7)))
+        f = RationalPoly([F(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(n)] + [lead])
+        if is_squarefree(f):
+            polys.append(f)
+    for f in polys:
+        assert frobenius_cycle_types(f, count) == _frobenius_types_by_full_factoring(f, count), f
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +774,8 @@ def _non_monic(g, rng):
 
 def test_isomorphism_factors_no_norm(monkeypatch):
     # the golden C4 and D4 quartics against a Tschirnhaus transform of
-    # themselves and against each other: only quartics reach Zassenhaus, no
-    # Trager norm of degree 16
+    # themselves and against each other: nothing reaches Zassenhaus, neither
+    # a Trager norm of degree 16 nor the irreducible quartics themselves
     degrees = []
     monic_int = factor._factor_monic_int
 
@@ -775,7 +788,7 @@ def test_isomorphism_factors_no_norm(monkeypatch):
     pairs = [(f, _tschirnhaus(f, rng)) for f in c4] + list(zip(c4, c4[1:]))
     monkeypatch.setattr(factor, "_factor_monic_int", spy)
     assert [fields_isomorphic(f, g) for f, g in pairs] == [True] * 4 + [False] * 3
-    assert degrees and max(degrees) <= 4
+    assert degrees == []
 
 
 # one field of each transitive Galois group of degree 4, two of each
@@ -784,6 +797,30 @@ _TAGGED_QUARTICS = {
     "V4": ["1,0,-10,0,1", "1,0,0,0,1"], "A4": ["12,8,0,0,1", "1,-3,-7,0,1"],
     "S4": ["-1,-1,0,0,1", "1,1,0,0,1"],
 }
+
+
+def test_algebra_isomorphism_factors_nothing(monkeypatch):
+    # the factors of an etale algebra are irreducible by construction, so
+    # its isomorphism test neither factors them again nor proves them
+    # irreducible; the answers are those of fully factored norms
+    rng = random.Random(19)
+    fields = [P(t) for ts in _TAGGED_QUARTICS.values() for t in ts]
+    mine = [EtaleAlgebra.from_poly(f) for f in fields]
+    theirs = [EtaleAlgebra.from_poly(_tschirnhaus(f, rng)) for f in fields]
+    pairs = [(A, theirs[j % len(fields)]) for i, A in enumerate(mine) for j in (i, i + 1, i + 2)]
+
+    def by_factoring(A, B):
+        f, g = A.factors[0], B.factors[0]
+        return any(next(found, None) is not None for _, found in trager_roots_by_factoring(g, f))
+
+    expected = [by_factoring(A, B) for A, B in pairs]
+    calls = []
+    for module in (extension, factor, etalealg):
+        for name in ("factor_rationals", "is_irreducible"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+    assert [A.isomorphic(B) for A, B in pairs] == expected
+    assert expected[::3] == [True] * len(fields) and not calls
 
 
 def _against_factored_norms(monkeypatch, pairs, fields=()):
