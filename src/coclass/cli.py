@@ -1,7 +1,9 @@
 """Command-line interface: every operation behind one binary with JSON
 output, plus named corpus suites mirroring the acceptance properties.
 
-Grammar: polynomials are ascending comma-separated coefficient strings
+Grammar: `coclass COMMAND ACTION` (for h1, `coclass h1 MODULE ACTION`)
+followed by flags from `GRAMMAR`, each `--name value` or `--name=value`.
+Polynomials are ascending comma-separated coefficient strings
 ("7,0,-6,0,1" is x^4 - 6x^2 + 7); etale algebras join factors with "|";
 permutations use cycle notation and generator lists join with ";".
 Exit codes: 0 ok, 2 invalid input, 3 unsupported scope, 64 unknown command,
@@ -10,12 +12,12 @@ Exit codes: 0 ok, 2 invalid input, 3 unsupported scope, 64 unknown command,
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import UnsupportedSize, etalealg, groupcoh, kummerh1, localsym, permstruct
 from .etalealg import EtaleAlgebra, UnsupportedStructure
@@ -630,82 +632,65 @@ commands:
   corpus  run --suite NAME|all
 """
 
-_COMMANDS = {
-    "poly": {"factor", "disc"},
-    "etale": {"info", "mirror", "closure", "torsor"},
-    "group": {"hol", "structures", "centralizer", "partitions"},
-    "coh": {"h", "hol-h1", "lemma53"},
-    "h1": {"c3", "v4", "c4"},
-    "local": {"hilbert", "tate", "h1", "classes"},
-    "corpus": {"run"},
+# The grammar: (command, action) words, or (h1, module, action), to the
+# flags they take, each flag to its (type, default); a default of _REQUIRED
+# marks a flag the action cannot do without.
+_REQUIRED = object()
+_STR, _STR_REQ, _INT_REQ = (str, None), (str, _REQUIRED), (int, _REQUIRED)
+_ETALE = {"f": _STR, "text": _STR}
+_GROUP = {"n": _INT_REQ, "gens": _STR_REQ}
+_GMODULE = {**_GROUP, "orders": _STR_REQ, "action": (str, "")}
+_H1 = dict.fromkeys(("D", "delta", "delta2", "R", "a", "b", "c", "a2", "b2",
+                     "c2", "f"), _STR)
+
+GRAMMAR = {
+    ("poly", "factor"): {"f": _STR_REQ},
+    ("poly", "disc"): {"f": _STR_REQ},
+    ("etale", "info"): _ETALE,
+    ("etale", "mirror"): _ETALE,
+    ("etale", "closure"): _ETALE,
+    ("etale", "torsor"): {**_ETALE, "group": _STR_REQ, "group-n": _INT_REQ},
+    ("group", "hol"): {"orders": _STR_REQ},
+    ("group", "structures"): {"n": _INT_REQ, "image": _STR_REQ,
+                              "group": _STR_REQ},
+    ("group", "centralizer"): _GROUP,
+    ("group", "partitions"): _GROUP,
+    ("coh", "h"): {**_GMODULE, "degree": _INT_REQ},
+    ("coh", "hol-h1"): _GMODULE,
+    ("coh", "lemma53"): {"cases": (int, 100), "seed": (int, 0)},
+    **{("h1", module, action): _H1 for module in ("c3", "v4", "c4")
+       for action in ("encode", "decode", "add")},
+    ("local", "hilbert"): {"p": _STR_REQ, "a": _STR_REQ, "b": _STR_REQ},
+    ("local", "classes"): {"p": _STR_REQ, "m": (int, 2)},
+    ("local", "h1"): {"p": _STR_REQ, "module": _STR_REQ, "D": _STR},
+    ("local", "tate"): {"p": _STR_REQ, "module": _STR_REQ, "D": _STR,
+                        "R": _STR, "sigma": _STR_REQ, "tau": _STR_REQ},
+    ("corpus", "run"): {"suite": _STR_REQ, "seed": (int, 0)},
 }
 
 
-def _build_parser(cmd: str, sub: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"coclass {cmd} {sub}")
-    if cmd == "poly":
-        p.add_argument("--f", required=True)
-    elif cmd == "etale":
-        p.add_argument("--f")
-        p.add_argument("--text")
-        if sub == "torsor":
-            p.add_argument("--group", required=True)
-            p.add_argument("--group-n", type=int, required=True,
-                           dest="group_n")
-    elif cmd == "group":
-        if sub == "hol":
-            p.add_argument("--orders", required=True)
-        elif sub == "structures":
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--image", required=True)
-            p.add_argument("--group", required=True)
-        else:
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--gens", required=True)
-    elif cmd == "coh":
-        if sub == "lemma53":
-            p.add_argument("--cases", type=int, default=100)
-            p.add_argument("--seed", type=int, default=0)
-        else:
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--gens", required=True)
-            p.add_argument("--orders", required=True)
-            p.add_argument("--action", default="")
-            if sub == "h":
-                p.add_argument("--degree", type=int, required=True)
-    elif cmd == "h1":
-        p.add_argument("action_name", choices=["encode", "decode", "add"])
-        p.add_argument("--D")
-        p.add_argument("--delta")
-        p.add_argument("--delta2")
-        p.add_argument("--R")
-        p.add_argument("--a")
-        p.add_argument("--b")
-        p.add_argument("--c")
-        p.add_argument("--a2")
-        p.add_argument("--b2")
-        p.add_argument("--c2")
-        p.add_argument("--f")
-    elif cmd == "local":
-        p.add_argument("--p", required=True)
-        if sub == "hilbert":
-            p.add_argument("--a", required=True)
-            p.add_argument("--b", required=True)
-        elif sub == "classes":
-            p.add_argument("--m", type=int, default=2)
-        elif sub == "h1":
-            p.add_argument("--module", required=True)
-            p.add_argument("--D")
-        else:  # tate
-            p.add_argument("--module", required=True)
-            p.add_argument("--D")
-            p.add_argument("--R")
-            p.add_argument("--sigma", required=True)
-            p.add_argument("--tau", required=True)
-    elif cmd == "corpus":
-        p.add_argument("--suite", required=True)
-        p.add_argument("--seed", type=int, default=0)
-    return p
+def _parse_flags(flags: dict, words):
+    """The namespace of `--name value` and `--name=value` words, a value
+    that begins with '--' only in the second form; the last of repeated
+    flags wins, and '-' becomes '_' in attribute names.  None if a word is
+    no flag of `flags`, a flag lacks its value, a value is not of its type
+    or a required flag is missing."""
+    given = {}
+    words = iter(words)
+    for word in words:
+        name, eq, value = word[2:].partition("=")
+        if not eq:  # a missing value reads as '--', refused below
+            value = next(words, "--")
+        if not word.startswith("--") or name not in flags \
+                or not eq and value.startswith("--"):
+            return None
+        try:
+            given[name] = flags[name][0](value)
+        except ValueError:
+            return None
+    args = {name.replace("-", "_"): given.get(name, default)
+            for name, (_, default) in flags.items()}
+    return None if _REQUIRED in args.values() else SimpleNamespace(**args)
 
 
 def _error(code: str, message: str, exit_code: int):
@@ -715,37 +700,16 @@ def _error(code: str, message: str, exit_code: int):
 
 def run(argv):
     """Dispatch argv (without the program name); returns (payload, code)."""
-    if len(argv) < 2 or argv[0] not in _COMMANDS:
+    argv = list(argv)
+    words = tuple(argv[:3 if argv[:1] == ["h1"] else 2])
+    if words not in GRAMMAR:
         return _error("usage", USAGE, 64)
-    cmd, sub = argv[0], argv[1]
-    if cmd == "h1":
-        if sub not in _COMMANDS["h1"] or len(argv) < 3 or \
-                argv[2] not in ("encode", "decode", "add"):
-            return _error("usage", USAGE, 64)
-    elif sub not in _COMMANDS[cmd]:
-        return _error("usage", USAGE, 64)
-    parser = _build_parser(cmd, sub)
-    # merge '--flag value' into '--flag=value' so values that begin with a
-    # minus sign (negative coefficients, rationals) survive argparse
-    raw = list(argv[2:])
-    merged = []
-    i = 0
-    while i < len(raw):
-        tok = raw[i]
-        if tok.startswith("--") and "=" not in tok \
-                and i + 1 < len(raw) and not raw[i + 1].startswith("--"):
-            merged.append(f"{tok}={raw[i + 1]}")
-            i += 2
-        else:
-            merged.append(tok)
-            i += 1
-    try:
-        args = parser.parse_args(merged)
-    except SystemExit:
-        return _error("invalid-flags", f"bad flags for {cmd} {sub}", 2)
-    args.action_name = sub if cmd != "h1" else args.action_name
-    if cmd == "h1":
-        args.module_name = sub
+    args = _parse_flags(GRAMMAR[words], argv[len(words):])
+    if args is None:
+        return _error("invalid-flags", f"bad flags for {words[0]} {words[1]}", 2)
+    # h1 names its module in the second word and its action in the third
+    args.module_name, args.action_name = words[1], words[-1]
+    cmd = words[0]
     handler = {"poly": cmd_poly, "etale": cmd_etale, "group": cmd_group,
                "coh": cmd_coh, "h1": cmd_h1, "local": cmd_local,
                "corpus": cmd_corpus}[cmd]

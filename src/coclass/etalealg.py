@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import UnsupportedSize
+from . import UnsupportedSize, permstruct
 from .exactpoly import (
     RationalPoly,
     compositum_factors,
@@ -128,9 +128,10 @@ class EtaleAlgebra:
     def from_poly(f: RationalPoly) -> "EtaleAlgebra":
         if f.degree < 1:
             raise EtaleError("need degree >= 1")
-        if not is_squarefree(f):
+        factors = factor_rationals(f)
+        if any(m > 1 for _, m in factors):
             raise EtaleError("not etale: repeated factor")
-        return EtaleAlgebra([h for h, _ in factor_rationals(f)])
+        return EtaleAlgebra([h for h, _ in factors])
 
     @staticmethod
     def from_text(text: str) -> "EtaleAlgebra":
@@ -228,11 +229,15 @@ def depress_quartic(f: RationalPoly):
     return g[2], g[1], g[0], shift
 
 
-def cubic_resolvent_poly(f: RationalPoly) -> RationalPoly:
+def _resolvent_of_depressed(p, q, r) -> RationalPoly:
     """Classical resolvent x^3 - p x^2 - 4 r x + (4 p r - q^2) of the
-    depressed form, with roots t1 t2 + t3 t4 etc."""
-    p, q, r, _ = depress_quartic(f)
+    depressed quartic x^4 + p x^2 + q x + r, with roots t1 t2 + t3 t4 etc."""
     return RationalPoly([4 * p * r - q * q, -4 * r, -p, 1])
+
+
+def cubic_resolvent_poly(f: RationalPoly) -> RationalPoly:
+    """The classical cubic resolvent of the depressed form of f."""
+    return _resolvent_of_depressed(*depress_quartic(f)[:3])
 
 
 def cubic_resolvent(f: RationalPoly) -> EtaleAlgebra:
@@ -295,14 +300,14 @@ def _transitive_tag(f: RationalPoly) -> str:
     disc = discriminant(f)
     if n == 3:
         return "C3" if _frac_sqrt(disc) is not None else "S3"
-    linear = [h for h, _ in factor_rationals(cubic_resolvent_poly(f))
+    p, q, s, _ = depress_quartic(f)
+    linear = [h for h, _ in factor_rationals(_resolvent_of_depressed(p, q, s))
               if h.degree == 1]
     if not linear:
         return "A4" if _frac_sqrt(disc) is not None else "S4"
     if len(linear) == 3:
         return "V4"
     r = -linear[0][0]
-    p, _, s, _ = depress_quartic(f)
     return "C4" if all(_frac_sqrt(u) is not None
                        or _frac_sqrt(u / disc) is not None
                        for u in (r * r - 4 * s, 4 * (r - p))) else "D4"
@@ -381,22 +386,6 @@ def _aut_group_of_field(f: RationalPoly) -> PermGroup:
     return PermGroup(len(auts), perms)
 
 
-def _subgroups_of_order(G: PermGroup, d: int):
-    els = sorted(G.elements)
-    seen = set()
-    out = []
-    for a in els:
-        for b in els:
-            H = PermGroup(G.n, [a, b])
-            key = H.elements
-            if key in seen:
-                continue
-            seen.add(key)
-            if H.order == d:
-                out.append(H)
-    return out
-
-
 def is_g_torsor(L: EtaleAlgebra, G: PermGroup) -> bool:
     """True iff L is a torsor under the constant group G: all field factors
     isomorphic to one Galois field F with Gal(F) embedding into G and
@@ -412,9 +401,7 @@ def is_g_torsor(L: EtaleAlgebra, G: PermGroup) -> bool:
     d = first.degree
     if d == 1:
         return True
-    from .permstruct import _isomorphisms
     A = _aut_group_of_field(first)
     if A.order != d:
         return False  # factor field not Galois
-    return any(next(_isomorphisms(A, H), None) is not None
-               for H in _subgroups_of_order(G, d))
+    return next(permstruct._embeddings(A, G), None) is not None

@@ -226,9 +226,10 @@ def _trager_roots(g: RationalPoly, f: RationalPoly):
     squarefree norm N_lam(h), one per root of h in Q[y]/(f)."""
     if not is_irreducible(f):
         raise ExactPolyError("extension polynomial must be irreducible")
-    if not is_squarefree(g):
+    factors = factor_rationals(g)
+    if any(m > 1 for _, m in factors):
         raise ExactPolyError("g must be squarefree")
-    for h, _ in factor_rationals(g):
+    for h, _ in factors:
         if f.degree % h.degree == 0:
             yield h, _root_factors(f, h)
 

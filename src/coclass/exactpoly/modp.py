@@ -7,11 +7,12 @@ equal-degree splitting.  `_primes` is the one source of primes.
 factorization once per usable prime, and its pieces give both the degree
 pattern that scores the prime and the equal-degree split.
 `squarefree_mod_prime` runs the same squarefree test over a few larger
-primes, as a proof of squarefreeness, and `split_roots` walks the same scan
-to a prime at which a polynomial splits into distinct linear factors.
-`root_counts` walks the same primes with no arithmetic in GF(p)[x]: it
-finds them from the discriminant and counts roots in a table of values,
-which with the discriminant's Legendre symbol fixes the Frobenius cycle
+primes, as a proof of squarefreeness.  `split_roots` walks the same scan
+to a prime at which a polynomial splits into distinct linear factors.  It
+finds the roots by evaluating at 0, ..., p - 1, with no factoring.
+`root_counts` walks the same primes with no arithmetic in GF(p)[x].  It
+finds them from the discriminant and counts roots in a table of values.
+With the discriminant's Legendre symbol, the counts fix the Frobenius cycle
 types of degree <= 4.
 """
 
@@ -229,16 +230,17 @@ def squarefree_mod_prime(f_int) -> bool:
     return next(_squarefree_at(f_int, islice(_primes(1000), 3)), None) is not None
 
 
-def _splits(a, p):
-    """True iff the monic squarefree a splits into linear factors over GF(p),
-    that is iff x^p = x modulo a."""
-    return len(a) <= 2 or gf_pow_mod([0, 1], p, a, p) == [0, 1]
-
-
-def _roots(a, p):
-    """The roots in GF(p), ascending, of a monic squarefree a that splits
-    into linear factors."""
-    return sorted(-u[0] % p for u in gf_factor_squarefree([(a, 1)], p))
+def _roots_by_value(a, p):
+    """The roots in GF(p) of a, ascending, found by evaluating a at 0, ...,
+    p - 1."""
+    out = []
+    for x in range(p):
+        acc = 0
+        for c in reversed(a):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            out.append(x)
+    return out
 
 
 def split_roots(f_int, g_int, scan: int):
@@ -247,11 +249,15 @@ def split_roots(f_int, g_int, scan: int):
     distinct linear factors and g_int stays squarefree of full degree:
     (p, roots of f_int mod p, roots of g_int mod p), the last None when g_int
     does not split into linear factors mod p.  None when no scanned prime
-    qualifies."""
+    qualifies.  Both are squarefree mod p, so each splits iff it has as many
+    roots in GF(p) as its degree."""
     for p, fp in islice(_squarefree_at(f_int, _primes(3)), scan):
+        roots_f = _roots_by_value(fp, p)
         gp = gf_from_int_poly(g_int, p)
-        if _splits(fp, p) and len(gp) == len(g_int) and gf_is_squarefree(gp, p):
-            return p, _roots(fp, p), _roots(gp, p) if _splits(gp, p) else None
+        if len(roots_f) == len(fp) - 1 and len(gp) == len(g_int) \
+                and gf_is_squarefree(gp, p):
+            roots_g = _roots_by_value(gp, p)
+            return p, roots_f, roots_g if len(roots_g) == len(gp) - 1 else None
     return None
 
 

@@ -172,8 +172,13 @@ class RationalPoly:
         return acc
 
     def shift(self, a) -> "RationalPoly":
-        """f(x + a)."""
-        return self.compose(RationalPoly([a, 1]))
+        """f(x + a), by the Taylor shift: n rounds of synthetic division
+        by x - a on the coefficient list."""
+        a, c = _frac(a), list(self.coeffs)
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += a * c[j + 1]
+        return RationalPoly(c)
 
     def compose(self, g: "RationalPoly") -> "RationalPoly":
         out = RationalPoly([])

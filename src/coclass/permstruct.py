@@ -427,11 +427,9 @@ def _small_generating_set(group: PermGroup):
     return chosen
 
 
-def _isomorphisms(A: PermGroup, B: PermGroup):
-    """The group isomorphisms A -> B as dicts, yielded one at a time by a
-    search over images of a small generating set of A."""
-    if A.order != B.order:
-        return iter(())
+def _embeddings(A: PermGroup, B: PermGroup):
+    """The injective homomorphisms A -> B as dicts, yielded one at a time by
+    a search over images of a small generating set of A."""
     gens = _small_generating_set(A)
     b_els = sorted(B.elements)
     cand = [[b for b in b_els if b.order() == g.order()] for g in gens]
@@ -439,6 +437,11 @@ def _isomorphisms(A: PermGroup, B: PermGroup):
     return hom_search(gens, cand,
                       lambda images: extend_hom(A.n, images, Perm.__mul__, one),
                       injective=True)
+
+
+def _isomorphisms(A: PermGroup, B: PermGroup):
+    """The group isomorphisms A -> B: the embeddings, when |A| = |B|."""
+    return _embeddings(A, B) if A.order == B.order else iter(())
 
 
 def count_g_structures(image: PermGroup, G: PermGroup) -> int:

@@ -472,6 +472,46 @@ def test_unknown_action_exit_64():
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["poly", "factor", "--f", "1,2", "-h"],
+    ["poly", "factor", "--help"],
+    ["h1", "c4", "encode", "-h"],
+    ["group", "hol", "--ord", "2,2"],           # no abbreviations
+    ["poly", "factor", "--f"],                  # a bare trailing flag
+    ["poly", "factor", "--f", "--f=1,2"],
+    ["poly", "factor", "-f", "1,2"],
+    ["poly", "factor", "--F", "1,2"],
+    ["poly", "factor", "--f", "1,2", "stray"],
+    ["h1", "c3", "encode", "encode", "--D", "1", "--delta", "1/2,1/2"],
+    ["group", "hol"],                           # a required flag missing
+    ["group", "centralizer", "--n", "three", "--gens", "(0 1)"],
+], ids=" ".join)
+def test_malformed_flags_print_one_json_line_exit_2(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    assert json.loads(out)["code"] == "invalid-flags"
+
+
+def test_flag_value_with_a_minus_sign_in_either_form():
+    base = ["h1", "c4", "encode", "--D", "14", "--b", "1/2", "--c", "3/2"]
+    assert ok(base + ["--a", "-5/4"]) == ok(base + ["--a=-5/4"])
+    assert ok(["poly", "factor", "--f", "-2,0,1"]) == \
+        ok(["poly", "factor", "--f=-2,0,1"])
+
+
+def test_repeated_flag_keeps_its_last_value():
+    assert ok(["poly", "factor", "--f", "1,2", "--f", "-2,0,1"]) == \
+        ok(["poly", "factor", "--f", "-2,0,1"])
+
+
+def test_every_grammar_word_is_in_usage():
+    words = {word for key in cli.GRAMMAR for word in key}
+    assert words <= set(cli.USAGE.replace("|", " ").split())
+
+
 def test_main_prints_sorted_json(capsys):
     code = main(["local", "hilbert", "--p", "5", "--a", "2", "--b", "5"])
     out = capsys.readouterr().out

@@ -367,15 +367,15 @@ def test_is_g_torsor_cyclic_cubic():
 
 
 def test_is_g_torsor_stops_at_the_first_isomorphism(monkeypatch):
-    # Aut V4 has 6 elements; one isomorphism settles the question
+    # Aut V4 has 6 elements; one embedding settles the question
     pulled = []
-    search = permstruct._isomorphisms
+    search = permstruct._embeddings
 
     def spy(A, B):
         for phi in search(A, B):
             pulled.append(phi)
             yield phi
-    monkeypatch.setattr(permstruct, "_isomorphisms", spy)
+    monkeypatch.setattr(permstruct, "_embeddings", spy)
     assert is_g_torsor(EtaleAlgebra.from_poly(P([1, 0, -10, 0, 1])), V4_GRP)
     assert len(pulled) == 1
 
@@ -391,6 +391,24 @@ def test_is_g_torsor_quartics():
     split = EtaleAlgebra.from_text("-2,0,1|-2,0,1")
     assert is_g_torsor(split, V4_GRP)
     assert is_g_torsor(split, C4_GRP)
+
+
+S3_REGULAR = PermGroup.from_cycle_strings(6, ["(0 1 2)(3 4 5)", "(0 3)(1 5)(2 4)"])
+C6_GRP = PermGroup.from_cycle_strings(6, ["(0 1 2 3 4 5)"])
+
+
+def test_is_g_torsor_sextics():
+    # x^6 + 108 defines Q(cbrt 2, zeta3), Galois with group S3; the seventh
+    # cyclotomic field is Galois with group C6
+    s3 = EtaleAlgebra.from_poly(P([108, 0, 0, 0, 0, 0, 1]))
+    assert is_g_torsor(s3, S3_REGULAR)
+    assert not is_g_torsor(s3, C6_GRP)
+    c6 = EtaleAlgebra.from_poly(P([1] * 7))
+    assert is_g_torsor(c6, C6_GRP)
+    assert not is_g_torsor(c6, S3_REGULAR)
+    # Q(sqrt -3) x Q(sqrt -3) x Q(sqrt -3): C2 embeds in both
+    split = EtaleAlgebra.from_text("3,0,1|3,0,1|3,0,1")
+    assert is_g_torsor(split, S3_REGULAR) and is_g_torsor(split, C6_GRP)
 
 
 def test_is_g_torsor_order_mismatch():

@@ -615,6 +615,66 @@ def test_squarefree_mod_prime_proves_only_squarefree():
     assert not modp.squarefree_mod_prime([-1009 * 1013 * 1019, 0, 1])
 
 
+def test_shift_is_composition_with_x_plus_a():
+    # the Taylor shift on the coefficient list against Horner composition
+    rng = random.Random(20)
+    assert RationalPoly([]).shift(F(3, 2)) == RationalPoly([])
+    for degree in range(9):
+        for _ in range(5):
+            f = _seeded_poly(rng, degree, rng.random() < 0.5)
+            a = F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+            assert f.shift(a) == f.compose(RationalPoly([a, 1])), (f, a)
+
+
+def _split_roots_by_factoring(f_int, g_int, scan):
+    """`modp.split_roots` from complete Cantor-Zassenhaus factorizations over
+    GF(p): the oracle for its roots read from values."""
+    def linear_roots(a, p):
+        factors = modp.gf_factor_squarefree(modp._distinct_degree(a, p), p)
+        if all(len(u) == 2 for u in factors):
+            return sorted(-u[0] % p for u in factors)
+        return None
+
+    usable, p = 0, 2
+    while usable < scan and p < 10000:
+        p += 1
+        if not modp.is_prime(p):
+            continue
+        fp, gp = modp.gf_from_int_poly(f_int, p), modp.gf_from_int_poly(g_int, p)
+        if len(fp) != len(f_int) or not modp.gf_is_squarefree(fp, p):
+            continue
+        usable += 1
+        roots_f = linear_roots(fp, p)
+        if roots_f is not None and len(gp) == len(g_int) and modp.gf_is_squarefree(gp, p):
+            return p, roots_f, linear_roots(gp, p)
+    return None
+
+
+def test_split_roots_match_full_factorization():
+    # seeded monic squarefree f and monic g of degree 1 to 4; f a product of
+    # linear factors in every third pair, so that g's roots are often read
+    rng = random.Random(21)
+    results = set()
+    for i in range(120):
+        while True:
+            n = rng.randint(1, 4)
+            if i % 3 == 0:
+                f = RationalPoly([1])
+                for _ in range(n):
+                    f = f * RationalPoly([rng.randint(-20, 20), 1])
+            else:
+                f = RationalPoly([rng.randint(-9, 9) for _ in range(n)] + [1])
+            if is_squarefree(f):
+                break
+        g = RationalPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1])
+        f_int, g_int = [int(c) for c in f.coeffs], [int(c) for c in g.coeffs]
+        for scan in (3, 200):
+            got = modp.split_roots(f_int, g_int, scan)
+            assert got == _split_roots_by_factoring(f_int, g_int, scan), (f, g, scan)
+            results.add("none" if got is None else "g splits" if got[2] else "g not split")
+    assert results == {"none", "g splits", "g not split"}
+
+
 # ---------------------------------------------------------------------------
 # frozen factorizations of Trager norms from the codec-roundtrip draws
 # ---------------------------------------------------------------------------
@@ -770,6 +830,25 @@ def _non_monic(g, rng):
     """c * g(k x) for seeded rationals c and k: the same field, another model."""
     c, k = rng.choice((5, F(-2, 7), 3)), rng.choice((2, F(1, 3), F(-3, 2)))
     return RationalPoly([c * a * k ** i for i, a in enumerate(g.coeffs)])
+
+
+def test_from_poly_proves_squarefreeness_once(monkeypatch):
+    # etale-ness is read from the multiplicities of factor_rationals, whose
+    # squarefree decomposition runs the one proof modulo a prime
+    c4, v4 = _golden_quartics()
+    calls = []
+    proved = poly.proved_squarefree
+
+    def spy(f):
+        calls.append(f)
+        return proved(f)
+
+    monkeypatch.setattr(poly, "proved_squarefree", spy)
+    monkeypatch.setattr(factor, "proved_squarefree", spy)
+    for f in c4 + v4:
+        calls.clear()
+        EtaleAlgebra.from_poly(f)
+        assert len(calls) == 1, f
 
 
 def test_isomorphism_factors_no_norm(monkeypatch):

@@ -22,13 +22,22 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
-def test_cli_import_leaves_mpmath_unloaded():
+def _loaded_by_cli_import(module):
     path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = "import sys, coclass.cli; print('mpmath' in sys.modules)"
+    code = f"import sys, coclass.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    assert not _loaded_by_cli_import("mpmath")
+
+
+def test_cli_import_leaves_argparse_unloaded():
+    # the CLI reads its flags from its own grammar table
+    assert not _loaded_by_cli_import("argparse")
 
 
 def test_no_environment_knobs_or_compiled_sources():
