@@ -2,7 +2,8 @@
 
 Polynomials are lists of ints in [0, p), ascending degree, trailing zeros
 stripped.  Factorization is distinct-degree followed by Cantor-Zassenhaus
-equal-degree splitting.  `_primes` is the one source of primes.
+equal-degree splitting.  `_primes` is the one source of primes; it reads
+them from one tuple of the odd primes below 10000, sieved once.
 `reductions` scans them for Zassenhaus: it runs distinct-degree
 factorization once per usable prime, and its pieces give both the degree
 pattern that scores the prime and the equal-degree split.
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import islice
+from bisect import bisect_left
+from functools import cache
+from itertools import compress, islice
 
 
 def is_prime(n: int) -> bool:
@@ -182,9 +185,21 @@ def factor_degrees(pieces):
     return sorted(d for g, d in pieces for _ in range((len(g) - 1) // d))
 
 
+@cache
+def _odd_primes_below(n: int):
+    """The odd primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    for p in range(3, math.isqrt(n - 1) + 1, 2):
+        if sieve[p]:
+            sieve[p * p::2 * p] = bytes(len(range(p * p, n, 2 * p)))
+    return tuple(compress(range(3, n, 2), sieve[3::2]))
+
+
 def _primes(start: int):
-    """The odd primes from `start` up to 10000, in increasing order."""
-    return (p for p in range(start | 1, 10000, 2) if is_prime(p))
+    """The odd primes from `start` up to 10000, in increasing order, read
+    from one tuple sieved on first use."""
+    primes = _odd_primes_below(10000)
+    return primes[bisect_left(primes, start):]
 
 
 def _squarefree_at(f_int, primes):

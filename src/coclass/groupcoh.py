@@ -285,7 +285,12 @@ def _check_caps(group: PermGroup, module: FiniteAbelian):
 
 class FiniteGModule:
     """A finite abelian module with an action of a finite (permutation)
-    group, the action given as a dict Perm -> automorphism dict."""
+    group, the action given as a dict Perm -> automorphism dict.
+
+    Sorted G is indexed once: mul[i][j] is the index of the product of
+    elements i and j, and action_matrices[i] is the matrix of element i.
+    The coboundary matrices and the CoclassSet of each degree are built on
+    first use and kept on the module."""
 
     def __init__(self, group: PermGroup, module: FiniteAbelian, action: Dict):
         _check_caps(group, module)
@@ -299,15 +304,20 @@ class FiniteGModule:
         for g in els:
             if g not in self.action:
                 raise GroupCohError(f"action missing for {g.to_cycles()}")
-        # full table verification that the action is a homomorphism
-        for g in els:
-            for h in els:
-                gh = self.action[g * h]
-                for m in module.elements:
-                    if gh[m] != self.action[g][self.action[h][m]]:
-                        raise GroupCohError("action is not a homomorphism")
         self.elements = els
         self.index = {g: i for i, g in enumerate(els)}
+        self.mul = [[self.index[g * h] for h in els] for g in els]
+        # full table verification that the action is a homomorphism
+        acts = [self.action[g] for g in els]
+        for ag, row in zip(acts, self.mul):
+            for ah, gh in zip(acts, row):
+                agh = acts[gh]
+                for m in module.elements:
+                    if agh[m] != ag[ah[m]]:
+                        raise GroupCohError("action is not a homomorphism")
+        self.action_matrices = [self.action_matrix(g) for g in els]
+        self._coboundaries = {}
+        self._cohomology = {}
 
     @staticmethod
     def trivial(group: PermGroup, module: FiniteAbelian) -> "FiniteGModule":
@@ -440,47 +450,62 @@ def coboundary(c: Cochain) -> Cochain:
 # cohomology by sparse elimination modulo the orders of M
 # ---------------------------------------------------------------------------
 
+def _bar_sources(mul, n):
+    """For each row (g_0, ..., g_n) of d^n, in itertools.product order over
+    the indices of sorted G: the index of g_0 and the C^n positions of the
+    terms of the bar formula, first the one g_0 acts on, then the rest in
+    the order of their signs -1, +1, -1."""
+    N = len(mul)
+    els = range(N)
+    if n == 0:
+        for a in els:
+            yield a, (0, 0)
+    elif n == 1:
+        for a in els:
+            ma = mul[a]
+            for b in els:
+                yield a, (b, ma[b], a)
+    else:
+        for a in els:
+            ma = mul[a]
+            for b in els:
+                mb, ab = mul[b], ma[b] * N
+                for c in els:
+                    yield a, (b * N + c, ab + c, a * N + mb[c], a * N + b)
+
+
 def _boundary_matrix(gm: FiniteGModule, n: int):
     """The coboundary C^n -> C^{n+1} as an integer matrix in the cyclic
     coordinates, given by its |G|^n * k columns (one per C^n coordinate),
     each a dict from C^{n+1} coordinate (row) to nonzero entry:
     d0(u)(g) = g.u - u; d1(s)(g,h) = g.s(h) - s(gh) + s(g);
-    d2(s)(g,h,k) = g.s(h,k) - s(gh,k) + s(g,hk) - s(g,h)."""
+    d2(s)(g,h,k) = g.s(h,k) - s(gh,k) + s(g,hk) - s(g,h).
+
+    Positions are read from the module's index table, so row (g, h, k) is
+    (g*N + h)*N + k for N = |G|.  The matrix is built once per module and
+    degree and kept on the module; callers must not change it."""
     if n not in (0, 1, 2):
         raise GroupCohError("degree must be 0..2")
+    cols = gm._coboundaries.get(n)
+    if cols is not None:
+        return cols
     k = len(gm.module.cyclic_orders)
     cols = [{} for _ in range(len(gm.elements) ** n * k)]
-    act = {g: gm.action_matrix(g) for g in gm.elements}
-    pos = gm.position
-
-    def add_block(dst_i, src_t, A):
-        """Add the k x k block A, or A times the identity for an int A."""
-        j0 = pos(src_t) * k
-        i0 = dst_i * k
-        for s in range(k):
-            col = cols[j0 + s]
-            for r in range(k):
-                v = (A if r == s else 0) if isinstance(A, int) else A[r][s]
-                if v:
-                    col[i0 + r] = col.get(i0 + r, 0) + v
-
-    for di, key in enumerate(product(gm.elements, repeat=n + 1)):
-        if n == 0:
-            (g,) = key
-            add_block(di, (), act[g])
-            add_block(di, (), -1)
-        elif n == 1:
-            g, h = key
-            add_block(di, (h,), act[g])
-            add_block(di, (g * h,), -1)
-            add_block(di, (g,), 1)
-        else:
-            g, h, kk = key
-            add_block(di, (h, kk), act[g])
-            add_block(di, (g * h, kk), -1)
-            add_block(di, (g, h * kk), 1)
-            add_block(di, (g, h), -1)
-    return [{i: v for i, v in col.items() if v} for col in cols]
+    # each block as its nonzero (column, row, entry) triples within k x k:
+    # the action matrix of g_0, then +-1 times the identity
+    acts = [[(s, r, A[r][s]) for s in range(k) for r in range(k) if A[r][s]]
+            for A in gm.action_matrices]
+    signs = [[(s, s, (-1) ** i) for s in range(k)] for i in range(1, n + 2)]
+    for i0, (a, srcs) in enumerate(_bar_sources(gm.mul, n)):
+        i0 *= k
+        for block, j0 in zip([acts[a]] + signs, srcs):
+            j0 *= k
+            for s, r, v in block:
+                col = cols[j0 + s]
+                col[i0 + r] = col.get(i0 + r, 0) + v
+    cols = gm._coboundaries[n] = [{i: v for i, v in col.items() if v}
+                                  for col in cols]
+    return cols
 
 
 class CoclassSet:
@@ -494,6 +519,10 @@ class CoclassSet:
     among the h_i and the coordinates of the coboundaries; Smith normal
     form of that relation lattice gives the invariant factors s_i and a
     basis E of Z^z in which the relations are spanned by the s_i * E_i.
+
+    d^n and d^(n-1) are the module's stored coboundary matrices.  Build it
+    through cohomology(gm, n), which keeps one CoclassSet per module and
+    degree.
     """
 
     def __init__(self, gm: FiniteGModule, degree: int):
@@ -529,7 +558,8 @@ class CoclassSet:
             for col in _boundary_matrix(gm, degree - 1):
                 y = self._coords(col)
                 if y is None:
-                    raise GroupCohError("coboundary outside cocycle lattice")
+                    raise InternalError("internal: coboundary outside "
+                                        "cocycle lattice")
                 rels.append(y)
         # M has exponent e, so e * Z^z lies among the relations
         basis = lattice_basis(rels, M.exponent)
@@ -544,9 +574,11 @@ class CoclassSet:
     @cached_property
     def representatives(self):
         """One cocycle per class, listed on first access: there are
-        self.order of them."""
-        return [self._combination(zip(combo, (e for _, _, e in self._live)))
-                for combo in product(*(range(s) for _, s, _ in self._live))]
+        self.order of them.  A tuple, since cohomology() hands the same
+        CoclassSet to every caller."""
+        return tuple(
+            self._combination(zip(combo, (e for _, _, e in self._live)))
+            for combo in product(*(range(s) for _, s, _ in self._live)))
 
     def _coords(self, v):
         """Integer coordinates of the integer cochain vector v (a sparse
@@ -594,7 +626,12 @@ class CoclassSet:
 
 
 def cohomology(gm: FiniteGModule, n: int) -> CoclassSet:
-    return CoclassSet(gm, n)
+    """H^n(G, M), built on the first call for this module and degree and
+    returned again after that."""
+    h = gm._cohomology.get(n)
+    if h is None:
+        h = gm._cohomology[n] = CoclassSet(gm, n)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +664,9 @@ def h1_via_hol(gm: FiniteGModule):
 
     Returns (classes, bijection) where classes is a list of 1-cochains (one
     per M-conjugacy class) and bijection maps each class index to the
-    matching representative of cohomology(gm, 1); a GroupCohError is raised
-    if the correspondence fails to be bijective."""
+    matching representative of cohomology(gm, 1), the module's one H^1.
+    The dictionary is a bijection, so an InternalError is raised if the
+    correspondence fails to be one."""
     # the vectors are sorted, so the least t (by its values on sorted G)
     # heads each class
     homs = [Cochain.from_vector(gm, 1, t)
@@ -642,7 +680,7 @@ def h1_via_hol(gm: FiniteGModule):
     h1 = cohomology(gm, 1)
     bij = {i: h1.reduce(t) for i, t in enumerate(classes)}
     if len(set(bij.values())) != len(classes) or len(classes) != h1.order:
-        raise GroupCohError("Hol-dictionary bijection failed")
+        raise InternalError("internal: Hol-dictionary bijection failed")
     return classes, bij
 
 

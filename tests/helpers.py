@@ -2,13 +2,14 @@
 and Hol M built from it, Cayley images and torsor structures, resolvent
 images of the sign and Sym(4) -> Sym(3) maps, wreath-product checks on
 stable partitions, the crossed-homomorphism map into Hol M, the textbook
-coboundary, cochain JSON, residue-field moduli of least irreducibles,
-symbols on etale algebras, localization of Kummer data, radical algebras,
-Tate-dual twists, Newton-form interpolation, Trager norms and
-characteristic polynomials by interpolated resultants, roots in an extension
-from fully factored Trager norms, the C4/D4 split by a Trager norm, and
-root-ball overlap and containment.  The library
-computes |Aut M| by formula and builds none of these."""
+coboundary and the coboundary matrix from Perm products, cochain JSON,
+residue-field moduli of least irreducibles, symbols on etale algebras,
+localization of Kummer data, radical algebras, Tate-dual twists,
+Newton-form interpolation, Trager norms and characteristic polynomials by
+interpolated resultants, roots in an extension from fully factored Trager
+norms, the C4/D4 split by a Trager norm, and root-ball overlap and
+containment.  The library computes |Aut M| by formula and builds none of
+these."""
 
 import json
 import math
@@ -265,6 +266,49 @@ def crossed_to_hol(gm: FiniteGModule, z: Cochain):
             if psi[g * h] != psi[g] * psi[h]:
                 raise InternalError("psi not a homomorphism (internal error)")
     return psi
+
+
+def boundary_matrix_by_products(gm: FiniteGModule, n: int):
+    """The coboundary C^n -> C^{n+1} as the library's _boundary_matrix gives
+    it (|G|^n * k sparse columns, one per C^n coordinate, each a dict from
+    C^{n+1} coordinate to nonzero entry), built from Perm products and the
+    positions of tuples of group elements, as an oracle for its index
+    table."""
+    if n not in (0, 1, 2):
+        raise GroupCohError("degree must be 0..2")
+    k = len(gm.module.cyclic_orders)
+    cols = [{} for _ in range(len(gm.elements) ** n * k)]
+    act = {g: gm.action_matrix(g) for g in gm.elements}
+    pos = gm.position
+
+    def add_block(dst_i, src_t, A):
+        """Add the k x k block A, or A times the identity for an int A."""
+        j0 = pos(src_t) * k
+        i0 = dst_i * k
+        for s in range(k):
+            col = cols[j0 + s]
+            for r in range(k):
+                v = (A if r == s else 0) if isinstance(A, int) else A[r][s]
+                if v:
+                    col[i0 + r] = col.get(i0 + r, 0) + v
+
+    for di, key in enumerate(product(gm.elements, repeat=n + 1)):
+        if n == 0:
+            (g,) = key
+            add_block(di, (), act[g])
+            add_block(di, (), -1)
+        elif n == 1:
+            g, h = key
+            add_block(di, (h,), act[g])
+            add_block(di, (g * h,), -1)
+            add_block(di, (g,), 1)
+        else:
+            g, h, kk = key
+            add_block(di, (h, kk), act[g])
+            add_block(di, (g * h, kk), -1)
+            add_block(di, (g, h * kk), 1)
+            add_block(di, (g, h), -1)
+    return [{i: v for i, v in col.items() if v} for col in cols]
 
 
 def coboundary_by_table(c: Cochain) -> Cochain:

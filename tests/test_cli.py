@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from coclass import InternalError, cli
+from coclass import InternalError, cli, groupcoh
 from coclass.cli import SUITES, main, run
 from coclass.etalealg import EtaleAlgebra
 from coclass.permstruct import FiniteAbelian
@@ -555,3 +555,34 @@ def test_library_fault_exits_70_internal(monkeypatch, exc):
     payload = err(["group", "hol", "--orders", "2"], 70)
     assert payload["code"] == "internal"
     assert payload["diagnostics"][0].startswith(exc.__name__)
+
+
+_C2_ON_Z2 = ["--n", "2", "--gens", "(0 1)", "--orders", "2"]
+
+
+def test_coboundary_outside_cocycles_exits_70_internal(monkeypatch):
+    # d^1 d^0 = 0 always holds, so a coboundary that is not a cocycle is a
+    # fault of coclass: spoil column 0 of d^0 (the indicator of the
+    # identity, whose d^1 is nonzero at (1, 1))
+    real = groupcoh._boundary_matrix
+
+    def broken(gm, n):
+        cols = real(gm, n)
+        return [{0: 1}] + cols[1:] if n == 0 else cols
+    monkeypatch.setattr(groupcoh, "_boundary_matrix", broken)
+    payload = err(["coh", "h", *_C2_ON_Z2, "--degree", "1"], 70)
+    assert payload["code"] == "internal"
+    assert payload["diagnostics"] == [
+        "InternalError: internal: coboundary outside cocycle lattice"]
+
+
+def test_hol_dictionary_failure_exits_70_internal(monkeypatch):
+    # the homomorphisms into Hol M match H^1 one to one; losing one of the
+    # two for C2 on Z/2 breaks the dictionary, a fault of coclass
+    real = groupcoh.holomorph_homs_over_phi
+    monkeypatch.setattr(groupcoh, "holomorph_homs_over_phi",
+                        lambda gm: real(gm)[:1])
+    payload = err(["coh", "hol-h1", *_C2_ON_Z2], 70)
+    assert payload["code"] == "internal"
+    assert payload["diagnostics"] == [
+        "InternalError: internal: Hol-dictionary bijection failed"]

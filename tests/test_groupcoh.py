@@ -37,6 +37,7 @@ from coclass.groupcoh import (
 from coclass.permstruct import FiniteAbelian, Perm, PermGroup
 from helpers import (
     automorphisms_by_product,
+    boundary_matrix_by_products,
     coboundary_by_table,
     cochain_from_json,
     cochain_to_json,
@@ -77,6 +78,20 @@ def s3_on_v4():
             phi[m] = nz[g(i)]
         act[g] = phi
     return FiniteGModule(S3, M, act)
+
+
+def s4_on_v4():
+    """S4 acting on its normal subgroup V4 = C2 x C2 by conjugation, the
+    nonzero elements (1, 0), (0, 1), (1, 1) standing for (0 1)(2 3),
+    (0 2)(1 3), (0 3)(1 2)."""
+    S4 = PermGroup.from_cycle_strings(4, ["(0 1 2 3)", "(0 1)"])
+    V = [Perm.from_cycles(c, 4) for c in ("(0 1)(2 3)", "(0 2)(1 3)",
+                                           "(0 3)(1 2)")]
+    nz = [(1, 0), (0, 1), (1, 1)]
+    act = {g: {(0, 0): (0, 0), **{m: nz[V.index(v.conjugate(g))]
+                                  for m, v in zip(nz, V)}}
+           for g in S4.generators}
+    return FiniteGModule.from_generator_action(S4, FiniteAbelian([2, 2]), act)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +343,7 @@ def c4_inversion():
 
 
 @pytest.mark.parametrize("maker", [c2_trivial, s3_c3_sign, s3_on_v4,
-                                   c4_inversion])
+                                   c4_inversion, s4_on_v4])
 def test_coboundary_matches_table_formula(maker):
     gm = maker()
     rng = random.Random(maker.__name__)
@@ -337,7 +352,10 @@ def test_coboundary_matches_table_formula(maker):
             c = Cochain(gm, arity, {
                 key: rng.choice(gm.module.elements)
                 for key in product(gm.elements, repeat=arity)})
-            assert coboundary(c) == coboundary_by_table(c)
+            dc = coboundary(c)
+            assert dc == coboundary_by_table(c)
+            if arity < 2:
+                assert coboundary(dc).is_zero()
 
 
 def test_cochain_reads_its_table():
@@ -552,6 +570,60 @@ def test_invariants_match_dense_smith_route(name, maker):
     gm = maker()
     for n in (0, 1, 2):
         assert cohomology(gm, n).invariants == _dense_invariants(gm, n), n
+
+
+_MATRIX_MODULES = _ORACLE_MODULES + [
+    ("S4 trivial on [2, 2]", lambda: _trivial("S4", [2, 2])),
+    ("S4 on V4 by conjugation", s4_on_v4)]
+
+
+@pytest.mark.parametrize("name,maker", _MATRIX_MODULES,
+                         ids=[name for name, _ in _MATRIX_MODULES])
+def test_boundary_matrix_matches_perm_products(name, maker):
+    gm = maker()
+    for n in (0, 1, 2):
+        assert _boundary_matrix(gm, n) == boundary_matrix_by_products(gm, n), n
+
+
+def test_cohomology_is_built_once_per_module_and_degree(monkeypatch):
+    built = []
+    init = CoclassSet.__init__
+
+    def spy(self, gm, degree):
+        built.append((gm, degree))
+        init(self, gm, degree)
+    monkeypatch.setattr(CoclassSet, "__init__", spy)
+    gm = s3_on_v4()
+    for n in (0, 1, 2):
+        assert cohomology(gm, n) is cohomology(gm, n)
+    assert cohomology(gm, 1) is not cohomology(s3_on_v4(), 1)
+    built.clear()
+    gm = s3_c3_sign()
+    h1 = cohomology(gm, 1)
+    _, bij = h1_via_hol(gm)
+    cohomology(gm, 2)
+    assert built == [(gm, 1), (gm, 2)]
+    assert set(bij.values()) == set(h1.representatives)
+
+
+def test_stored_coboundaries_survive_every_caller():
+    # the matrices are kept on the module and handed out as they are, so
+    # no caller may change them
+    X = s3_c3_sign()
+    W = _trivial("S3", [3])
+    for gm in (X, W):
+        for n in (0, 1, 2):
+            cohomology(gm, n).representatives
+    h1_via_hol(X)
+    for z1 in cohomology(X, 1).representatives:
+        for z2 in cohomology(X, 1).representatives:
+            cohomology(W, 2).reduce(cup11(
+                X, X, W, z1, z2, lambda x, y: ((x[0] * y[0]) % 3,)))
+    for gm in (X, W):
+        for n in (0, 1, 2):
+            assert _boundary_matrix(gm, n) is _boundary_matrix(gm, n)
+            assert _boundary_matrix(gm, n) == \
+                boundary_matrix_by_products(gm, n), n
 
 
 @pytest.mark.parametrize("group", ["C3", "C4", "V4", "S3"])
