@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import UnsupportedSize, permstruct
 from .exactpoly import (
@@ -265,6 +266,16 @@ _ALLOWED_TYPES = {
 }
 
 
+@lru_cache(maxsize=8)
+def _integer_model(f: RationalPoly):
+    """(c, fz, disc fz) with f = c fz, fz the primitive integer model of f.
+    The tag and the Frobenius cross-check of `galois_group` both read the
+    discriminant of each factor in turn, so keeping the last few answers
+    computes it once per factor."""
+    c, fz = f.primitive_int()
+    return c, fz, discriminant(fz)
+
+
 def frobenius_cycle_types(f: RationalPoly, count: int = 25):
     """Cycle types of Frobenius at the first `count` odd primes p where the
     primitive integer model of f, of degree n <= 4, stays squarefree of full
@@ -277,8 +288,8 @@ def frobenius_cycle_types(f: RationalPoly, count: int = 25):
     n = f.degree
     if n > 4:
         raise UnsupportedStructure("cycle types implemented for degree <= 4")
-    _, fz = f.primitive_int()
-    disc = int(discriminant(fz))
+    _, fz, disc = _integer_model(f)
+    disc = int(disc)
     types = set()
     for p, r in modp.root_counts([int(c) for c in fz.coeffs], disc, count):
         if r == 0 and n == 4:
@@ -297,7 +308,8 @@ def _transitive_tag(f: RationalPoly) -> str:
     n = f.degree
     if n < 3:
         return f"C{n}"
-    disc = discriminant(f)
+    c, _, disc = _integer_model(f)
+    disc *= c ** (2 * n - 2)
     if n == 3:
         return "C3" if _frac_sqrt(disc) is not None else "S3"
     p, q, s, _ = depress_quartic(f)
@@ -315,7 +327,8 @@ def _transitive_tag(f: RationalPoly) -> str:
 
 def galois_group(L: EtaleAlgebra) -> str:
     """Galois tag; intransitive algebras get the '+'-joined factor tags.
-    Each tag is checked against the Frobenius cycle types of its factor."""
+    Each tag is checked against the Frobenius cycle types of its factor;
+    both read one discriminant (`_integer_model`)."""
     if L.degree > 4:
         raise UnsupportedStructure("tags implemented for degree <= 4")
     tags = []

@@ -19,12 +19,14 @@ in Computational Algebraic Number Theory", section 4.5), not from factoring
 it: at a prime p where f splits into distinct linear factors, the roots A_i
 of the scaled f and B_j of the scaled h lie in Z_p, a root r of h in K sends
 each A_i to some B_tau(i), and prod_i (x - lam*A_i - B_tau(i)) is an integer
-factor of the scaled norm.  The candidates over the maps tau are read in
-symmetric residues modulo a power of p past a root bound and kept when they
-divide the scaled norm exactly.  If h does not split modulo p it has no root
-in K.  Only `compositum_factors`, an f of degree above `_SPLIT_DEGREE` and
-an f with no split prime in `_SPLIT_SCAN` usable primes factor the whole
-norm by Zassenhaus.
+factor of the scaled norm.  The roots are Newton-lifted past a root bound
+by `factor._lift_roots`, the lifter that also finds the integer roots of
+every polynomial `factor` factors.  The candidates over the maps tau are
+read in symmetric residues and kept when they divide the scaled norm
+exactly.  If h does not split modulo p it has no root in K.  Only
+`compositum_factors`, an f of degree above `_SPLIT_DEGREE` and an f with no
+split prime in `_SPLIT_SCAN` usable primes factor the whole norm by
+Zassenhaus.
 
 Characteristic polynomials of elements r(y) of Q[y]/(f), and so their norms,
 come from the same power sums of f and the same Newton step, applied to the
@@ -145,32 +147,6 @@ _SPLIT_DEGREE = 4
 _SPLIT_SCAN = 200
 
 
-def _root_bound(F) -> int:
-    """A power of two bounding the complex roots of the monic integer
-    polynomial F in absolute value: Fujiwara's 2 max_k |F_(n-k)|^(1/k), each
-    k-th root rounded up to a power of two."""
-    n = len(F) - 1
-    return 2 << max(-(-abs(F[n - k]).bit_length() // k) for k in range(1, n + 1))
-
-
-def _lift_roots(F, roots, p: int, bound: int):
-    """Newton-lift simple roots of the monic integer F modulo p to a modulus
-    m = p^(2^t) > bound: (roots mod m, m)."""
-    dF = [i * c for i, c in enumerate(F)][1:]
-
-    def at(P, a, m):
-        acc = 0
-        for c in reversed(P):
-            acc = (acc * a + c) % m
-        return acc
-
-    m = p
-    while m <= bound:
-        m *= m
-        roots = [(a - at(F, a, m) * pow(at(dF, a, m), -1, m)) % m for a in roots]
-    return roots, m
-
-
 def _root_factors(f: RationalPoly, h: RationalPoly):
     """Lazily, (lam, q) for each factor q of degree n = deg f of the
     squarefree norm N_lam(h), h irreducible with deg h | n: one per root of
@@ -198,10 +174,10 @@ def _root_factors(f: RationalPoly, h: RationalPoly):
         return
     lam, norm = _squarefree_norm(f, h)
     N, k = factor._scaled_monic(norm, s), int(lam)
-    rho = abs(k) * _root_bound(F) + _root_bound(H)
+    rho = abs(k) * factor._root_bound(F) + factor._root_bound(H)
     caps = [math.comb(n, j) * rho ** (n - j) for j in range(n + 1)]
-    A, m = _lift_roots(F, roots_f, p, 2 * max(caps))
-    B, _ = _lift_roots(H, roots_h, p, 2 * max(caps))
+    A, m = factor._lift_roots(F, roots_f, p, 2 * max(caps))
+    B, _ = factor._lift_roots(H, roots_h, p, 2 * max(caps))
     left = [n // h.degree] * len(B)
 
     def extend(i, prod):

@@ -1,10 +1,21 @@
-"""Rational factorization: Yun squarefree split, Hensel lifting, and
-Zassenhaus subset recombination with the Mignotte bound.
+"""Rational factorization: Yun's squarefree split, then the integer roots
+of the monic integer model, then Zassenhaus on a root-free cofactor.
 
-The modular prime is chosen by distinct-degree counts alone, over the
-usable primes of `modp.reductions`: the first with at most two factors mod p,
-else the one with the fewest among the first `_MAX_PRIMES`.  Cantor-Zassenhaus
-then splits that prime's distinct-degree pieces, so no step runs twice."""
+The monic integer model f is squarefree.  Its integer roots come first:
+the roots of f mod p at the first prime of `modp._squarefree_at`, read from
+values (`modp._roots_by_value`), are Newton-lifted (`_lift_roots`) past
+twice a bound on the roots (`_root_bound`).  Each lifted root whose
+symmetric residue is an exact root divides f out.  A root-free cofactor of
+degree <= 3 is irreducible.  Only one of degree n >= 4 reaches Zassenhaus.
+With no linear factor, a proper factor has a degree in [2, n - 2], and that
+degree is a sum of factor degrees modulo every usable prime of
+`modp.reductions`: the scan keeps the intersection of these subset sums and
+answers irreducible, with no Hensel lift, once none is left (H. Cohen, "A
+Course in Computational Algebraic Number Theory", section 3.5).  Otherwise
+the modular prime is the first with at most two factors mod p, else the one
+with the fewest among the first `_MAX_PRIMES`.  Cantor-Zassenhaus splits
+that prime's distinct-degree pieces, quadratic Hensel lifting takes them
+past the Mignotte bound, and subsets are recombined."""
 
 from __future__ import annotations
 
@@ -115,24 +126,91 @@ def _symmetric(c, m):
     return c - m if c > m // 2 else c
 
 
+def _root_bound(F) -> int:
+    """A power of two bounding the complex roots of the monic integer
+    polynomial F in absolute value: Fujiwara's 2 max_k |F_(n-k)|^(1/k), each
+    k-th root rounded up to a power of two."""
+    n = len(F) - 1
+    return 2 << max(-(-abs(F[n - k]).bit_length() // k) for k in range(1, n + 1))
+
+
+def _lift_roots(F, roots, p: int, bound: int):
+    """Newton-lift simple roots of the monic integer F modulo p to a modulus
+    m = p^(2^t) > bound: (roots mod m, m)."""
+    dF = [i * c for i, c in enumerate(F)][1:]
+
+    def at(P, a, m):
+        acc = 0
+        for c in reversed(P):
+            acc = (acc * a + c) % m
+        return acc
+
+    m = p
+    while m <= bound:
+        m *= m
+        roots = [(a - at(F, a, m) * pow(at(dF, a, m), -1, m)) % m for a in roots]
+    return roots, m
+
+
+def _integer_roots(f_int):
+    """The integer roots r of the monic squarefree integer polynomial f_int,
+    and f_int divided by every x - r.  f_int stays squarefree modulo the
+    first prime p of `modp._squarefree_at`, so its roots mod p are simple
+    and lift to the p-adic roots; an integer root is one of them, and the
+    lift past twice the root bound reads it as a symmetric residue."""
+    p, fp = next(modp._squarefree_at(f_int, modp._primes(3)), (None, None))
+    if p is None:
+        raise ExactPolyError("no usable prime found")
+    lifted, m = _lift_roots(f_int, modp._roots_by_value(fp, p), p, 2 * _root_bound(f_int))
+    roots, rest = [], f_int
+    for a in lifted:
+        r = _symmetric(a, m)
+        q, rem = _int_divmod_monic(rest, [-r, 1])
+        if rem == []:
+            roots.append(r)
+            rest = q
+    return roots, rest
+
+
 def _factor_monic_int(f_int):
     """Factor a monic squarefree integer polynomial into monic integer
-    irreducibles (Zassenhaus)."""
-    n = len(f_int) - 1
-    if n == 1:
+    irreducibles, sorted: its integer roots first, then Zassenhaus on a
+    root-free cofactor of degree >= 4."""
+    if len(f_int) == 2:
         return [f_int]
+    roots, rest = _integer_roots(f_int)
+    out = [[-r, 1] for r in roots]
+    if len(rest) > 4:
+        out += _zassenhaus(rest)
+    elif len(rest) > 1:
+        out.append(rest)
+    out.sort(key=lambda a: (len(a), a))
+    return out
+
+
+def _zassenhaus(f_int):
+    """Monic irreducible factors of a monic squarefree integer polynomial of
+    degree n >= 4 with no integer root.  The degrees in [2, n - 2] that a
+    proper factor may have are kept as a bit mask, intersected with the
+    subset sums of the factor degrees modulo each scanned prime."""
+    n = len(f_int) - 1
+    possible = (1 << (n - 1)) - 4
     best = None
     for usable, (p, pieces) in enumerate(modp.reductions(f_int), 1):
-        count = len(modp.factor_degrees(pieces))
-        if best is None or count < best[0]:
-            best = (count, p, pieces)
-        if count <= 2 or usable == _MAX_PRIMES:
+        degrees = modp.factor_degrees(pieces)
+        sums = 1
+        for d in degrees:
+            sums |= sums << d
+        possible &= sums
+        if not possible:
+            return [f_int]
+        if best is None or len(degrees) < best[0]:
+            best = (len(degrees), p, pieces)
+        if len(degrees) <= 2 or usable == _MAX_PRIMES:
             break
     if best is None:
         raise ExactPolyError("no usable prime found")
-    count, p, pieces = best
-    if count == 1:
-        return [f_int]
+    _, p, pieces = best
     fac = modp.gf_factor_squarefree(pieces, p)
 
     # Mignotte-style bound on coefficients of any monic factor
@@ -168,7 +246,6 @@ def _factor_monic_int(f_int):
             s += 1
     if len(rest) > 1:
         result.append(rest)
-    result.sort(key=lambda a: (len(a), a))
     return result
 
 

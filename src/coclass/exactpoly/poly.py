@@ -194,7 +194,7 @@ class RationalPoly:
         if self.is_zero():
             return Fraction(0), self
         den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         g = math.gcd(*ints)
         if ints[-1] < 0:
             g = -g
@@ -218,22 +218,58 @@ def gcd(f: RationalPoly, g: RationalPoly) -> RationalPoly:
 
 
 def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
-    """Resultant of two nonzero polynomials, by the Euclidean PRS."""
+    """Resultant of two nonzero polynomials.  With f = a F and g = b G for
+    primitive integer F and G, res(f, g) = a^(deg g) b^(deg f) res(F, G),
+    and res(F, G) comes from the subresultant PRS in Python ints."""
     if f.is_zero() or g.is_zero():
         raise ExactPolyError("resultant of zero polynomial")
     if f.degree == 0:
         return f.lc ** g.degree
     if g.degree == 0:
         return g.lc ** f.degree
-    r = Fraction(1)
-    a, b = f, g
-    while b.degree > 0:
-        rem = a % b
-        if rem.is_zero():
-            return Fraction(0)
-        r *= Fraction(-1) ** (a.degree * b.degree) * b.lc ** (a.degree - rem.degree)
-        a, b = b, rem
-    return r * b.lc ** a.degree
+    a, F = f.primitive_int()
+    b, G = g.primitive_int()
+    return a ** g.degree * b ** f.degree * _int_resultant(
+        [c.numerator for c in F.coeffs], [c.numerator for c in G.coeffs])
+
+
+def _int_resultant(A, B) -> int:
+    """Resultant of primitive integer polynomials of degree >= 1, ascending
+    coefficient lists, by the subresultant PRS (H. Cohen, "A Course in
+    Computational Algebraic Number Theory", Algorithm 3.3.7): every division
+    is exact, so the coefficients stay integers of subresultant size."""
+    s = 1
+    if len(A) < len(B):
+        A, B = B, A
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            s = -1
+    g = h = 1
+    while len(B) > 1:
+        da, db = len(A) - 1, len(B) - 1
+        delta = da - db
+        if da * db % 2:
+            s = -s
+        R = _pseudo_remainder(A, B)
+        if not R:
+            return 0
+        A, B = B, [c // (g * h ** delta) for c in R]
+        g = A[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+    da = len(A) - 1
+    return s * B[-1] ** da // h ** (da - 1)
+
+
+def _pseudo_remainder(A, B):
+    """lc(B)^(deg A - deg B + 1) A mod B for integer polynomials, ascending
+    coefficient lists with deg A >= deg B."""
+    r, db, lb = list(A), len(B) - 1, B[-1]
+    for i in range(len(A) - 1, db - 1, -1):
+        c = r.pop()
+        r = [x * lb for x in r]
+        for j in range(db):
+            r[i - db + j] -= c * B[j]
+    return modp.trim(r)
 
 
 def discriminant(f: RationalPoly) -> Fraction:

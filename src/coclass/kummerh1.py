@@ -16,7 +16,7 @@ from .etalealg import (
     SquareClass,
     UnsupportedStructure,
     _frac_sqrt,
-    cubic_resolvent_poly,
+    _resolvent_of_depressed,
     depress_quartic,
     quadratic_resolvent,
     squarefree_part,
@@ -26,10 +26,6 @@ from .exactpoly import RationalPoly, charpoly, factor_rationals, gcd, is_squaref
 
 class KummerError(ValueError):
     pass
-
-
-def _frac(x) -> Fraction:
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +43,8 @@ class QuadElem:
     y: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _frac(self.x))
-        object.__setattr__(self, "y", _frac(self.y))
+        object.__setattr__(self, "x", Fraction(self.x))
+        object.__setattr__(self, "y", Fraction(self.y))
 
     @property
     def d(self) -> int:
@@ -57,7 +53,7 @@ class QuadElem:
     @staticmethod
     def of(d, x, y=0) -> "QuadElem":
         return QuadElem(SquareClass.of(d) if d != 0 else SquareClass(1),
-                        _frac(x), _frac(y))
+                        Fraction(x), Fraction(y))
 
     def _check(self, other: "QuadElem"):
         if self.base_class != other.base_class:
@@ -146,7 +142,7 @@ class CoclassV4:
         if self.R.degree != 3:
             raise KummerError("R must have degree 3")
         coords = tuple(
-            (d if isinstance(d, RationalPoly) else RationalPoly([_frac(d)]))
+            (d if isinstance(d, RationalPoly) else RationalPoly([Fraction(d)]))
             % f
             for d, f in zip(self.delta, self.R.factors))
         if len(coords) != len(self.R.factors):
@@ -182,9 +178,9 @@ class CoclassC4:
     def __post_init__(self):
         if isinstance(self.D, int):
             object.__setattr__(self, "D", SquareClass.of(self.D))
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        object.__setattr__(self, "c", _frac(self.c))
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "c", Fraction(self.c))
         al = self.alpha
         if al.norm() != self.c ** 4:
             raise KummerError("need norm(alpha) = c^4")
@@ -331,6 +327,17 @@ def v4_encode(cc: CoclassV4) -> EtaleAlgebra:
                       "quartic found (bounded search exhausted)")
 
 
+def _models(f: RationalPoly):
+    """f, then lazily the squarefree characteristic polynomials of
+    theta + t*theta^2 for t = 1, -1, 2, -2, 1/2, 3, theta a root of the
+    quartic f: defining polynomials of the algebra of f."""
+    yield f
+    for t in (1, -1, 2, -2, Fraction(1, 2), 3):
+        g = charpoly(RationalPoly([0, 1, Fraction(t)]), f)
+        if is_squarefree(g):
+            yield g
+
+
 def _separable_model(L: EtaleAlgebra) -> RationalPoly:
     """A squarefree defining polynomial for L, shifting repeated factors."""
     out = RationalPoly([Fraction(1)])
@@ -353,19 +360,14 @@ def v4_decode(f) -> CoclassV4:
         f = _separable_model(f)
     if f.degree != 4 or not is_squarefree(f):
         raise KummerError("need a separable quartic")
-    f = f.monic()
-    p, q, r, _ = depress_quartic(f)
-    if q == 0:
-        # Tschirnhaus: replace theta by theta + t*theta^2 until q != 0
-        for t in (1, -1, 2, -2, Fraction(1, 2), 3):
-            g = charpoly(RationalPoly([0, 1, Fraction(t)]), f)
-            if is_squarefree(g):
-                _, q2, _, _ = depress_quartic(g)
-                if q2 != 0:
-                    return v4_decode(g)
+    # Tschirnhaus: replace theta by theta + t*theta^2 until q != 0
+    for g in _models(f.monic()):
+        p, q, r, _ = depress_quartic(g)
+        if q != 0:
+            break
+    else:
         raise KummerError("no Tschirnhaus transform found")
-    res = cubic_resolvent_poly(f)
-    R = EtaleAlgebra.from_poly(res)
+    R = EtaleAlgebra.from_poly(_resolvent_of_depressed(p, q, r))
     coords = []
     for fi in R.factors:
         d0 = RationalPoly([-p / 4, Fraction(1, 4)]) % fi  # (y - p)/4
@@ -494,13 +496,36 @@ def c4_decode(f) -> CoclassC4:
 
 
 def _c4_model(fq: RationalPoly):
-    """(a, c) with fq isomorphic to x^4 - 4c x^2 + (2c^2 - 2a), for an
-    irreducible quartic fq with a quadratic subfield."""
-    p, q, r, _ = depress_quartic(fq)
-    y1 = _rational_resolvent_root(fq)
-    if y1 is None:
-        raise UnsupportedStructure("no quadratic subfield (resolvent has "
-                                   "no rational root)")
+    """(a, c) with fq isomorphic to x^4 - 4c x^2 + (2c^2 - 2a), c != 0 and
+    c^4 != a^2 (b != 0), for an irreducible quartic fq with a quadratic
+    subfield.  The rational roots of the resolvent are tried in increasing
+    order; when none gives such a model (x^4 + 1), the primitive element
+    theta changes to theta + t*theta^2 (`_models`).  If no change helps
+    either, the degeneracies met are reported."""
+    met = set()
+    for g in _models(fq):
+        p, q, r, _ = depress_quartic(g)
+        roots = sorted(-h[0] / h[1] for h, _ in factor_rationals(
+            _resolvent_of_depressed(p, q, r)) if h.degree == 1)
+        if not roots:
+            raise UnsupportedStructure("no quadratic subfield (resolvent has "
+                                       "no rational root)")
+        for y1 in roots:
+            a, c = _c4_model_at(p, q, r, y1)
+            if c == 0:
+                met.add("c = 0")
+            elif c ** 4 == a * a:
+                met.add("b = 0")
+            else:
+                return a, c
+    raise UnsupportedStructure(
+        f"degenerate biquadratic model ({' and '.join(sorted(met))})")
+
+
+def _c4_model_at(p, q, r, y1):
+    """(a, c) of the model x^4 - tr(w) x^2 + N(w), the characteristic
+    polynomial of eta = 2*theta + u, read from the rational root y1 of the
+    resolvent of the depressed quartic x^4 + p x^2 + q x + r."""
     # factor the depressed quartic as (x^2+ux+v)(x^2-ux+v') over E = Q[u]
     if y1 == p:
         # u = 0: v, v' = roots of z^2 - y1 z + r
@@ -517,20 +542,12 @@ def _c4_model(fq: RationalPoly):
         v = (QuadElem.of(dE, y1, 0) - qu) * Fraction(1, 2)
     w = u * u - 4 * v  # eta = 2*theta + u satisfies eta^2 = w in E
     c = w.trace() / 4
-    if c == 0:
-        raise UnsupportedStructure("degenerate biquadratic model (c = 0)")
     return c * c - w.norm() / 2, c
 
 
 def _quad_disc(f: RationalPoly) -> Fraction:
     f = f.monic()
     return f[1] * f[1] - 4 * f[0]
-
-
-def _rational_resolvent_root(f: RationalPoly):
-    res = cubic_resolvent_poly(f)
-    roots = [-h[0] / h[1] for h, _ in factor_rationals(res) if h.degree == 1]
-    return min(roots) if roots else None
 
 
 def c4_add(a: CoclassC4, b: CoclassC4) -> CoclassC4:

@@ -5,6 +5,7 @@ stable partitions, the crossed-homomorphism map into Hol M, the textbook
 coboundary and the coboundary matrix from Perm products, cochain JSON,
 residue-field moduli of least irreducibles, symbols on etale algebras,
 localization of Kummer data, radical algebras, Tate-dual twists,
+Zassenhaus on every input and resultants by the Euclidean PRS over Q,
 Newton-form interpolation, Trager norms and characteristic polynomials by
 interpolated resultants, roots in an extension from fully factored Trager
 norms, the C4/D4 split by a Trager norm, and root-ball overlap and
@@ -14,7 +15,7 @@ these."""
 import json
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from coclass import InternalError
 from coclass.etalealg import EtaleAlgebra, SquareClass, cubic_resolvent_poly, squarefree_part
@@ -29,6 +30,7 @@ from coclass.exactpoly import (
     modp,
     resultant,
 )
+from coclass.exactpoly import factor
 from coclass.exactpoly.extension import _norm_factors
 from coclass.exactpoly.roots import ComplexBall
 from coclass.groupcoh import Cochain, FiniteGModule, GroupCohError, coboundary
@@ -496,6 +498,78 @@ def mu_power_dual(k: int, p: int) -> int:
     if p < 3:
         raise KummerError("need an odd prime")
     return (1 - k) % (p - 1)
+
+
+# ---------------------------------------------------------------------------
+# factorization and resultants without the integer shortcuts
+# ---------------------------------------------------------------------------
+
+def factor_monic_int_by_zassenhaus(f_int):
+    """`factor._factor_monic_int` with no root step and no degree pruning:
+    every input of degree >= 2 goes through the prime scan, the Hensel tree
+    and subset recombination."""
+    n = len(f_int) - 1
+    if n == 1:
+        return [f_int]
+    best = None
+    for usable, (p, pieces) in enumerate(modp.reductions(f_int), 1):
+        count = len(modp.factor_degrees(pieces))
+        if best is None or count < best[0]:
+            best = (count, p, pieces)
+        if count <= 2 or usable == factor._MAX_PRIMES:
+            break
+    if best is None:
+        raise ExactPolyError("no usable prime found")
+    count, p, pieces = best
+    if count == 1:
+        return [f_int]
+    fac = modp.gf_factor_squarefree(pieces, p)
+    norm = math.isqrt(sum(c * c for c in f_int)) + 1
+    bound = 2 * (2 ** n) * norm + 1
+    lifted = factor._hensel_tree(f_int, fac, p, bound)
+    m = p
+    while m < bound:
+        m = m * m
+    result, rest = [], f_int
+    idx = list(range(len(lifted)))
+    s = 1
+    while 2 * s <= len(idx):
+        for S in combinations(idx, s):
+            cand = [1]
+            for i in S:
+                cand = modp.gf_mul(cand, lifted[i], m)
+            cand = [factor._symmetric(c, m) for c in cand]
+            q, r = factor._int_divmod_monic(rest, cand)
+            if r == []:
+                result.append(cand)
+                rest = q
+                idx = [i for i in idx if i not in S]
+                break
+        else:
+            s += 1
+    if len(rest) > 1:
+        result.append(rest)
+    return sorted(result, key=lambda a: (len(a), a))
+
+
+def resultant_by_euclid(f: RationalPoly, g: RationalPoly) -> Fraction:
+    """Resultant of two nonzero polynomials by the Euclidean PRS over Q, one
+    Fraction division per step."""
+    if f.is_zero() or g.is_zero():
+        raise ExactPolyError("resultant of zero polynomial")
+    if f.degree == 0:
+        return f.lc ** g.degree
+    if g.degree == 0:
+        return g.lc ** f.degree
+    r = Fraction(1)
+    a, b = f, g
+    while b.degree > 0:
+        rem = a % b
+        if rem.is_zero():
+            return Fraction(0)
+        r *= Fraction(-1) ** (a.degree * b.degree) * b.lc ** (a.degree - rem.degree)
+        a, b = b, rem
+    return r * b.lc ** a.degree
 
 
 # ---------------------------------------------------------------------------

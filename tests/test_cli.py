@@ -20,7 +20,7 @@ import pytest
 
 from coclass import InternalError, cli, groupcoh
 from coclass.cli import SUITES, main, run
-from coclass.etalealg import EtaleAlgebra
+from coclass.etalealg import EtaleAlgebra, mirror_quartic
 from coclass.permstruct import FiniteAbelian
 from helpers import cyclic_orders_up_to
 
@@ -289,6 +289,20 @@ def test_h1_c4_decode_two_quadratic_fields():
                "--b", datum["b"], "--c", datum["c"]])
     assert EtaleAlgebra.from_text(back["algebra"]).isomorphic(
         EtaleAlgebra.from_text("-10/3,0,1|-2/3,0,1"))
+
+
+def test_c4_decode_and_mirror_of_v4_fields_past_b_zero():
+    # both exited 70 with "internal: irreducible quartic gave b = 0": the
+    # least resolvent root of each gives a degenerate model
+    datum = ok(["h1", "c4", "decode", "--f", "64,0,-8,0,1"])["datum"]
+    back = ok(["h1", "c4", "encode", "--D", str(datum["D"]), "--a", datum["a"],
+               "--b", datum["b"], "--c", datum["c"]])
+    assert EtaleAlgebra.from_text(back["algebra"]).isomorphic(
+        EtaleAlgebra.from_text("64,0,-8,0,1"))
+    # the mirror translates by (-4, 2) twice, a trivial pair, when applied twice
+    mirror = ok(["etale", "mirror", "--f", "1,0,0,0,1"])
+    assert mirror_quartic(EtaleAlgebra.from_text(mirror["algebra"])).isomorphic(
+        EtaleAlgebra.from_text("1,0,0,0,1"))
 
 
 def test_h1_c4_add_golden():

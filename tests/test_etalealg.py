@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from coclass import UnsupportedSize, etalealg
+from coclass.exactpoly import poly
 from coclass.etalealg import (
     EtaleAlgebra,
     EtaleError,
@@ -215,6 +216,22 @@ CURATED = [
 @pytest.mark.parametrize("f,tag", CURATED)
 def test_galois_tags_curated(f, tag):
     assert galois_group(EtaleAlgebra.from_poly(f)) == tag
+
+
+def test_galois_group_computes_one_discriminant_per_factor(monkeypatch):
+    # the tag and the Frobenius cross-check share the discriminant of the
+    # primitive integer model: one resultant per factor of degree >= 2
+    calls = []
+    res = poly.resultant
+    monkeypatch.setattr(poly, "resultant", lambda f, g: calls.append(f) or res(f, g))
+    algebras = [EtaleAlgebra.from_poly(f) for f, _ in CURATED]
+    algebras += [EtaleAlgebra.from_text(t) for t in
+                 ("-2,0,1|-3,0,1", "0,1|-2,0,0,1", "0,1|1,1|-1/3,0,1", "1/2,0,-3,0,5")]
+    for L in algebras:
+        etalealg._integer_model.cache_clear()
+        calls.clear()
+        galois_group(L)
+        assert len(calls) == sum(f.degree >= 2 for f in L.factors), L
 
 
 def test_frobenius_types_subset():

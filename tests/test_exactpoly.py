@@ -7,6 +7,7 @@ evaluation, a numeric root-matching oracle) and frozen here.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -43,7 +44,9 @@ from helpers import (
     ball_contains,
     balls_overlap,
     charpoly_by_resultants,
+    factor_monic_int_by_zassenhaus,
     interpolate,
+    resultant_by_euclid,
     trager_norm_by_resultants,
     trager_roots_by_factoring,
 )
@@ -146,6 +149,39 @@ def test_disc_product_identity():
             discriminant(f) * discriminant(g) * resultant(f, g) ** 2)
 
 
+def test_resultant_matches_euclid_oracle():
+    # the subresultant PRS in ints against the Euclidean PRS over Q: a
+    # constant on either side, both degrees odd with deg f < deg g (the sign
+    # of the swap), a shared factor (zero), then seeded rational and sparse
+    # pairs
+    rng = random.Random(22)
+
+    def rand(d):
+        return RationalPoly([F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                             for _ in range(d)] + [F(rng.choice((1, -2, 5)), rng.choice((1, 3)))])
+
+    def sparse(d):
+        return RationalPoly([rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(d)]
+                            + [rng.choice((1, 2, -3))])
+
+    common = P("1,-1,0,3")
+    pairs = [(P("-3/2"), P("1,2,3")), (P("1,2,3"), P("-3/2")), (P("5"), P("7")),
+             (P("-1,2"), P("2,0,0,1")), (P("1,1,0,1"), P("3,-1,0,2,0,1")),
+             (P("2,-1/3,0,5"), P("1,0,0,0,0,0,0,-4")),
+             (common * P("2,1"), common * P("-1,0,1")), (common, common * P("1/2,3"))]
+    pairs += [(rand(rng.randint(0, 8)), rand(rng.randint(0, 8))) for _ in range(150)]
+    # sparse pairs, whose remainder sequences skip degrees past the first step
+    pairs += [(sparse(rng.randint(3, 8)), sparse(rng.randint(3, 8))) for _ in range(100)]
+    pairs += [(rand(m) * h, rand(n) * h) for m, n, h in
+              [(1, 2, rand(1)), (3, 1, rand(2)), (2, 2, rand(3))]]
+    for f, g in pairs:
+        got = resultant(f, g)
+        assert got == resultant_by_euclid(f, g), (f, g)
+        assert type(got) is Fraction
+    assert [resultant(f, g) for f, g in pairs[3:8]] == \
+        [-resultant(g, f) for f, g in pairs[3:6]] + [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # factorization
 # ---------------------------------------------------------------------------
@@ -210,6 +246,87 @@ def test_factor_remultiplies(idxs, lead):
         g = g * h ** m
     assert g == f
     assert all(is_irreducible(h) for h, _ in fac)
+
+
+def _seeded_products(rng, count):
+    """Products of seeded pieces of degree 1 to 4, total degree <= 8, with
+    integer or rational coefficients, monic or not; some pieces repeat and
+    some are products of linear factors."""
+    out = []
+    while len(out) < count:
+        pieces, total = [], 0
+        for _ in range(rng.randint(1, 4)):
+            d = rng.randint(1, 4)
+            if total + d > 8:
+                break
+            if rng.random() < 0.3:
+                piece = RationalPoly([1])
+                for _ in range(d):
+                    piece = piece * RationalPoly([rng.randint(-6, 6), rng.choice((1, 1, 2, 3))])
+            else:
+                den = 1 if rng.random() < 0.5 else rng.choice((2, 3, 5))
+                piece = RationalPoly([F(rng.randint(-9, 9), den) for _ in range(d)]
+                                     + [rng.choice((1, 1, 2, -3))])
+            pieces.append(piece)
+            total += d
+        f = RationalPoly([rng.choice((1, 1, 2, F(-1, 3)))])
+        for piece in pieces:
+            f = f * piece
+        if f.degree >= 1:
+            out.append(f)
+    return out
+
+
+def test_factorizations_match_all_zassenhaus(monkeypatch):
+    # roots first and degree-set pruning against Zassenhaus on every input,
+    # on seeded products, on products of two to four pieces x^2 + b x + c
+    # with b^2 < 4c (no real root), and on the golden Trager norms of degree
+    # 8 and 16
+    rng = random.Random(2022)
+    root_free = []
+    for _ in range(40):
+        f = RationalPoly([1])
+        for _ in range(rng.randint(2, 4)):
+            f = f * P(f"{rng.randint(3, 9)},{rng.randint(-3, 3)},1")
+        root_free.append(f)
+    polys = _seeded_products(rng, 160) + root_free + _golden_norms()
+    got = [factor_rationals(f) for f in polys]
+    monkeypatch.setattr(factor, "_factor_monic_int", factor_monic_int_by_zassenhaus)
+    assert got == [factor_rationals(f) for f in polys]
+    degrees = Counter(h.degree for fac in got for h, _ in fac)
+    assert all(degrees[d] >= 20 for d in (1, 2, 3, 4))
+
+
+def test_cubics_and_root_free_quartics_skip_hensel(monkeypatch):
+    # a cubic is its integer roots and an irreducible cofactor, so none
+    # reaches the equal-degree split; the S4 quartic x^4 + x + 1 has the
+    # factor degrees (1, 3) mod 3, so it has no quadratic factor
+    split, lifted = [], []
+    gf_factor, tree = modp.gf_factor_squarefree, factor._hensel_tree
+    monkeypatch.setattr(modp, "gf_factor_squarefree",
+                        lambda *a: split.append(a) or gf_factor(*a))
+    monkeypatch.setattr(factor, "_hensel_tree", lambda *a: lifted.append(a) or tree(*a))
+    rng = random.Random(23)
+    cubics = [P("-6,11,-6,1"), P("-2,0,0,1"), P("1,1,1,1"), P("-1,-3,0,1"), P("0,-1,0,1")]
+    cubics += [RationalPoly([rng.randint(-20, 20) for _ in range(3)] + [rng.choice((1, 2, 5))])
+               for _ in range(60)]
+    shapes = Counter(tuple(h.degree for h, _ in factor_rationals(f)) for f in cubics)
+    assert not split and not lifted
+    assert {(1, 1, 1), (1, 2), (3,)} <= set(shapes)
+    assert is_irreducible(P("1,1,0,0,1")) and not split and not lifted
+
+
+def test_no_usable_prime_is_an_exact_poly_error(monkeypatch):
+    # both prime scans end in ExactPolyError, never StopIteration: the root
+    # step's, and Zassenhaus's on a root-free cofactor of degree >= 4
+    with monkeypatch.context() as m:
+        m.setattr(modp, "_primes", lambda start: ())
+        with pytest.raises(ExactPolyError, match="no usable prime"):
+            factor_rationals(P("1,1,0,0,1"))
+    monkeypatch.setattr(modp, "reductions", lambda f_int: iter(()))
+    assert factor_rationals(P("-2,0,0,1")) == [(P("-2,0,0,1"), 1)]
+    with pytest.raises(ExactPolyError, match="no usable prime"):
+        factor_rationals(P("1,1,0,0,1"))
 
 
 def test_squarefree_decomposition():

@@ -12,6 +12,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from coclass import etalealg, kummerh1
 from coclass.etalealg import (
     EtaleAlgebra,
     SquareClass,
@@ -352,6 +353,37 @@ def test_c4_decode_unsupported():
     from coclass.etalealg import UnsupportedStructure
     with pytest.raises(UnsupportedStructure):
         c4_decode(EtaleAlgebra.from_text("0,1|-2,0,0,1"))  # Q x cubic
+
+
+@pytest.mark.parametrize("text,D", [("64,0,-8,0,1", -3), ("1,0,0,0,1", -2)])
+def test_c4_decode_past_a_degenerate_resolvent_root(text, D):
+    # V4 fields: at 64,0,-8,0,1 the least resolvent root gives b = 0 and
+    # the root -8 a model; at x^4 + 1 every root gives b = 0 or c = 0, and
+    # the primitive element theta + theta^2 gives a model
+    L = EtaleAlgebra.from_poly(RationalPoly.from_text(text))
+    back = c4_decode(L)
+    assert back.D.rep == D and back.b != 0 and back.c != 0
+    assert c4_encode(back).isomorphic(L)
+
+
+def test_quartic_decoders_depress_each_polynomial_once(monkeypatch):
+    # the resolvent is read from the depressed coefficients, so no quartic
+    # is depressed twice, also across a change of primitive element
+    seen = []
+    depress = kummerh1.depress_quartic
+
+    def spy(f):
+        seen.append(f.monic())
+        return depress(f)
+
+    monkeypatch.setattr(kummerh1, "depress_quartic", spy)
+    monkeypatch.setattr(etalealg, "depress_quartic", spy)
+    for decode, text, polys in [(c4_decode, "7,0,-6,0,1", 1), (c4_decode, "1,1,1,1,1", 1),
+                                (c4_decode, "64,0,-8,0,1", 1), (c4_decode, "1,0,0,0,1", 2),
+                                (v4_decode, "1,0,-10,0,1", 2), (v4_decode, "-2,-1,0,0,1", 1)]:
+        seen.clear()
+        decode(RationalPoly.from_text(text))
+        assert len(seen) == len(set(seen)) == polys, (text, seen)
 
 
 def test_c4_add_identities():

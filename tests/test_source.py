@@ -86,6 +86,18 @@ def test_every_function_is_named_somewhere_else():
     assert not dead, dead
 
 
+def test_no_module_function_defined_twice():
+    # each module-level function has one home: a copy left behind when a
+    # function moves between modules is a second implementation to keep
+    homes = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                homes.setdefault(node.name, []).append(str(path.relative_to(SRC)))
+    twice = {name: paths for name, paths in homes.items() if len(paths) > 1}
+    assert not twice, twice
+
+
 def test_no_unused_module_imports():
     # a name imported at module level must be used in its module; a package
     # __init__ imports to re-export, and `from __future__` names no value
