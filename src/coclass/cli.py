@@ -340,7 +340,6 @@ def random_lemma53_instance(rng: random.Random):
     C2 = PermGroup.from_cycle_strings(2, ["(0 1)"])
 
     def s3_on_v4():
-        M = FiniteAbelian([2, 2])
         nz = [(1, 0), (0, 1), (1, 1)]
         acts = {}
         for g in S3.elements:
@@ -486,6 +485,9 @@ def _suite_roundtrip_v4(rng):
 
 
 def _random_c4(rng) -> CoclassC4:
+    """A seeded datum alpha = (c^2 / N(beta)) beta^2 of norm c^4.  Most
+    encode irreducible D4 or C4 quartics; c = N(beta), alpha = beta^4,
+    would encode none."""
     while True:
         D = rng.choice([1, 2, 3, 5, 14])
         u = Fraction(rng.randint(-4, 4))
@@ -494,8 +496,9 @@ def _random_c4(rng) -> CoclassC4:
         n = beta.norm()
         if n == 0:
             continue
-        al = beta * beta * beta * beta
-        return CoclassC4(D, al.x, al.y, n)
+        c = Fraction(rng.choice((1, -1)) * rng.randint(1, 4), rng.randint(1, 3))
+        al = beta * beta * (c * c / n)
+        return CoclassC4(D, al.x, al.y, c)
 
 
 def _suite_roundtrip_c4(rng):

@@ -2,6 +2,15 @@
 coboundaries, Z/B/H by sparse elimination modulo the cyclic orders of M,
 restriction/corestriction, the transfer identity check, cup products, and
 the crossed-homomorphism <-> holomorph-homomorphism dictionary.
+
+One elimination routine, the Howell echelon _echelon, gives the cocycles
+(kernel_basis) and the Hermite basis of the relation lattice of H^n
+(lattice_basis).  That triangular basis alone gives |H^n|, the canonical
+representatives and the reduction of a cocycle to its representative
+(Storjohann & Mulders, ESA 1998; Cohen, A Course in Computational Algebraic
+Number Theory, 2.4).  smith_normal_form computes only the invariant
+diagonal, from the indices of Hermite bases modulo prime powers; no
+transform matrix is tracked.
 """
 
 from __future__ import annotations
@@ -33,116 +42,8 @@ class GroupCohError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer matrices and Smith normal form
+# sparse elimination modulo N, and the Smith invariants it gives
 # ---------------------------------------------------------------------------
-
-def _identity_mat(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _unit_to_gcd(x, N):
-    """A unit u modulo N with u * x = gcd(x, N) modulo N, for x not 0
-    modulo N."""
-    g = math.gcd(x, N)
-    u = pow(x // g, -1, N // g)
-    while math.gcd(u, N) != 1:
-        u += N // g
-    return u
-
-
-def smith_normal_form(M, N):
-    """Smith normal form over Z/N: (S, U, Uinv, V) with S = U*M*V diagonal
-    modulo N, U and V invertible modulo N, Uinv the inverse of U, and
-    diagonal entries dividing N and each other, 0 standing for N.
-
-    Every entry stays reduced modulo N.  The pivot is scaled by a unit to
-    gcd(pivot, N) and merged by an extended gcd with each entry it does not
-    divide, so it only shrinks, through divisors of N.
-    """
-    S = [[x % N for x in row] for row in M]
-    rows = len(S)
-    cols = len(S[0]) if rows else 0
-    U, Uinv = _identity_mat(rows), _identity_mat(rows)
-    V = _identity_mat(cols)
-
-    def mix_rows(A, i, j, a, b, c, d):
-        """(A[i], A[j]) <- (a A[i] + b A[j], c A[i] + d A[j])."""
-        Ai, Aj = A[i], A[j]
-        A[i] = [(a * x + b * y) % N for x, y in zip(Ai, Aj)]
-        A[j] = [(c * x + d * y) % N for x, y in zip(Ai, Aj)]
-
-    def mix_cols(A, i, j, a, b, c, d):
-        """The same on columns i and j of A."""
-        for r in A:
-            x, y = r[i], r[j]
-            r[i], r[j] = (a * x + b * y) % N, (c * x + d * y) % N
-
-    # a*d - b*c = e is +-1 in every call, so the inverse is e*[[d, -b], [-c, a]]
-    def row_op(i, j, a, b, c, d):
-        e = a * d - b * c
-        mix_rows(S, i, j, a, b, c, d)
-        mix_rows(U, i, j, a, b, c, d)
-        mix_cols(Uinv, i, j, e * d, -e * c, -e * b, e * a)
-
-    def col_op(i, j, a, b, c, d):
-        mix_cols(S, i, j, a, b, c, d)
-        mix_cols(V, i, j, a, b, c, d)
-
-    for t in range(min(rows, cols)):
-        # pivot: an entry generating the largest ideal; G generates the
-        # ideal of all entries left
-        best, G = None, N
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if S[i][j]:
-                    g = math.gcd(S[i][j], N)
-                    G = math.gcd(G, g)
-                    if best is None or g < best[0]:
-                        best = (g, i, j)
-        if best is None:
-            break
-        _, i0, j0 = best
-        if i0 != t:
-            row_op(t, i0, 0, 1, 1, 0)
-        if j0 != t:
-            col_op(t, j0, 0, 1, 1, 0)
-        u = _unit_to_gcd(S[t][t], N)
-        v = pow(u, -1, N)
-        S[t] = [u * x % N for x in S[t]]
-        U[t] = [u * x % N for x in U[t]]
-        for r in Uinv:
-            r[t] = v * r[t] % N
-        while True:
-            for i in range(t + 1, rows):
-                y, p = S[i][t], S[t][t]
-                if y % p:
-                    g, a, b = _xgcd(p, y)
-                    row_op(t, i, a, b, y // g, -(p // g))
-                elif y:
-                    row_op(i, t, 1, -(y // p), 0, 1)
-            for j in range(t + 1, cols):
-                y, p = S[t][j], S[t][t]
-                if y % p:
-                    g, a, b = _xgcd(p, y)
-                    col_op(t, j, a, b, y // g, -(p // g))
-                elif y:
-                    col_op(j, t, 1, -(y // p), 0, 1)
-            if any(S[i][t] for i in range(t + 1, rows)):
-                continue
-            # divisibility chain: unless the pivot generates G, pull an
-            # entry it does not divide into row t and clear again
-            p = S[t][t]
-            if p == G:
-                break
-            bad = next(i for i in range(t + 1, rows)
-                       if any(S[i][j] % p for j in range(t + 1, cols)))
-            row_op(t, bad, 1, 1, 0, 1)
-    return S, U, Uinv, V
-
-
-def _diag(S):
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
-
 
 def _xgcd(a, b):
     """(g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
@@ -260,9 +161,11 @@ def kernel_basis(W, row_mods, col_mods):
 
 def lattice_basis(gens, modulus):
     """Basis of the lattice spanned by the given column vectors (each a list
-    of length a) and by modulus * Z^a: a columns in echelon form.  Entries
-    are reduced modulo the modulus as the echelon form is built, so none
-    exceeds it."""
+    of length a) and by modulus * Z^a: a triangular columns, column r zero
+    below row r and leading at row r with a divisor of the modulus, so the
+    index of the lattice is the product of those leading entries.  Entries
+    are reduced modulo the modulus as the basis is built, so none exceeds
+    it."""
     if not gens:
         return []
     a = len(gens[0])
@@ -270,6 +173,36 @@ def lattice_basis(gens, modulus):
                           for g in gens], [modulus] * a)
     cols = [pivots[r][0] if r in pivots else {r: modulus} for r in range(a)]
     return [[c.get(i, 0) for i in range(a)] for c in cols]
+
+
+def smith_normal_form(M, N):
+    """The Smith invariants over Z/N of the integer matrix M: one entry per
+    row, ascending, each dividing N and the next, N standing for 0.
+
+    Only the diagonal is computed, from lattice_basis.  For L the column
+    span of M and p^k dividing N, the index of L + p^k Z^rows is
+    p^(sum_i min(v_p(d_i), k)) over the invariants d_i, a row beyond the
+    last column counting as d_i = 0; so its growth from p^(k-1) to p^k
+    counts the d_i that p^k divides.
+    """
+    rows = len(M)
+    cols = [list(c) for c in zip(*M)] or [[0] * rows]
+    diag = [1] * rows
+    n, p = N, 2
+    while n > 1:
+        q, prev = 1, 0
+        while n % p == 0:
+            n, q = n // p, q * p
+            logs = 0  # log_p of the index, from the diagonal of the basis
+            for r, col in enumerate(lattice_basis(cols, q)):
+                h = col[r]
+                while h > 1:
+                    h, logs = h // p, logs + 1
+            for i in range(rows - (logs - prev), rows):
+                diag[i] *= p
+            prev = logs
+        p += 1
+    return diag
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +448,16 @@ class CoclassSet:
     order of its cyclic factor.  The cocycles Z^n, the kernel of the
     coboundary modulo those orders, are kept in Howell form: basis cocycles
     h_1..h_z with distinct leading coordinates, in which every cocycle has
-    integer coordinates found by division.  H^n is Z^z modulo the relations
-    among the h_i and the coordinates of the coboundaries; Smith normal
-    form of that relation lattice gives the invariant factors s_i and a
-    basis E of Z^z in which the relations are spanned by the s_i * E_i.
+    integer coordinates found by division.  H^n is Z^z modulo the lattice L
+    of relations among the h_i and the coordinates of the coboundaries.
+
+    L is held by its Hermite basis H = lattice_basis(relations, e), e the
+    exponent of M: column r leads at row r with an entry h_r dividing e.
+    So |H^n| is the product of the h_r; a cocycle reduces to the one
+    representative whose coordinates y have 0 <= y_r < h_r, by subtracting
+    multiples of the columns from the last row up; and the representatives
+    are the box of those y.  The invariant factors are read from H by
+    smith_normal_form, which computes the diagonal only.
 
     d^n and d^(n-1) are the module's stored coboundary matrices.  Build it
     through cohomology(gm, n), which keeps one CoclassSet per module and
@@ -563,22 +502,21 @@ class CoclassSet:
                 rels.append(y)
         # M has exponent e, so e * Z^z lies among the relations
         basis = lattice_basis(rels, M.exponent)
-        S, self._U, Uinv, _ = smith_normal_form(
+        # each column's entries above its diagonal, sparse, and the diagonal
+        self._hermite = [[(i, x) for i, x in enumerate(col[:r]) if x]
+                         for r, col in enumerate(basis)]
+        self._box = [col[r] for r, col in enumerate(basis)]
+        self.invariants = [1] * (a - z) + smith_normal_form(
             [[col[i] for col in basis] for i in range(z)], M.exponent)
-        d = [s or M.exponent for s in _diag(S)]
-        self.invariants = [1] * (a - z) + d
-        self._live = [(i, s, self._vector([row[i] for row in Uinv]))
-                      for i, s in enumerate(d) if s > 1]
-        self.order = math.prod(s for _, s, _ in self._live)
+        self.order = math.prod(self._box)
 
     @cached_property
     def representatives(self):
         """One cocycle per class, listed on first access: there are
         self.order of them.  A tuple, since cohomology() hands the same
         CoclassSet to every caller."""
-        return tuple(
-            self._combination(zip(combo, (e for _, _, e in self._live)))
-            for combo in product(*(range(s) for _, s, _ in self._live)))
+        return tuple(self._cochain(y)
+                     for y in product(*(range(h) for h in self._box)))
 
     def _coords(self, v):
         """Integer coordinates of the integer cochain vector v (a sparse
@@ -595,20 +533,14 @@ class CoclassSet:
                 _axpy(v, -y[i], h, self._mods)
         return None if v else y
 
-    def _vector(self, y):
-        """The cochain vector with coordinates y in the Howell basis."""
+    def _cochain(self, y):
+        """The cocycle with coordinates y in the Howell basis."""
         out = {}
         for c, r in zip(y, self._lead):
-            _axpy(out, c, self._howell[r], self._mods)
-        return [out.get(j, 0) for j in range(self._a)]
-
-    def _combination(self, terms):
-        """The cochain sum of c * e over the pairs (c, e) in terms."""
-        vec = [0] * self._a
-        for c, e in terms:
-            for t, x in enumerate(e):
-                vec[t] += c * x
-        return Cochain.from_vector(self.gm, self.degree, vec)
+            if c:
+                _axpy(out, c, self._howell[r], self._mods)
+        return Cochain.from_vector(self.gm, self.degree,
+                                   [out.get(j, 0) for j in range(self._a)])
 
     def reduce(self, c: Cochain) -> Cochain:
         """The canonical representative cohomologous to the cocycle c."""
@@ -618,8 +550,13 @@ class CoclassSet:
         y = self._coords({j: x for j, x in enumerate(c.vector) if x})
         if y is None:
             raise GroupCohError("not a cocycle")
-        w = [sum(u * x for u, x in zip(row, y)) for row in self._U]
-        return self._combination((w[i] % s, e) for i, s, e in self._live)
+        # Hermite reduction: column r touches only rows up to r
+        for r in reversed(range(len(y))):
+            q, y[r] = divmod(y[r], self._box[r])
+            if q:
+                for i, x in self._hermite[r]:
+                    y[i] -= q * x
+        return self._cochain(y)
 
     def same_class(self, c1: Cochain, c2: Cochain) -> bool:
         return self.reduce(c1) == self.reduce(c2)

@@ -169,7 +169,6 @@ def sqrt_padic(x, p: int, prec: int = 60) -> Fraction:
         raise LocalSymError("not an odd-p square")
     v = vp(x, p)
     u = unit_part_mod(x, p, prec)
-    m = p ** prec
     r = next(r for r in range(1, p) if r * r % p == u % p)
     # Newton lift: r <- (r + u/r)/2
     k = 1

@@ -247,25 +247,24 @@ def test_snf_transforms_consistent():
 
 
 def test_snf_modulo_n_matches_integer_form():
+    # Z^rows / M (x) Z/N: the Smith form over Z, each entry gcd'd with N,
+    # a row beyond the last column counting as 0
     rng = random.Random(11)
-    for _ in range(40):
+    cases = [([[] for _ in range(rows)], N) for rows, N in ((1, 6), (3, 8))]
+    for _ in range(60):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        N = rng.choice([2, 4, 6, 8, 12, 30])
-        M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        S, U, Uinv, V = smith_normal_form(M, N)
-        UMV = [[sum(U[i][s] * M[s][t] * V[t][j] for s in range(rows)
-                    for t in range(cols)) % N for j in range(cols)]
-               for i in range(rows)]
-        assert UMV == S
-        assert all(S[i][j] == 0 for i in range(rows) for j in range(cols)
-                   if i != j)
-        UU = [[sum(U[i][t] * Uinv[t][j] for t in range(rows)) % N
-               for j in range(rows)] for i in range(rows)]
-        assert UU == [[int(i == j) for j in range(rows)] for i in range(rows)]
-        # Z^rows / M (x) Z/N: the Smith form over Z, each entry gcd'd with N
-        d = [S[i][i] or N for i in range(min(rows, cols))]
+        N = rng.choice([2, 4, 6, 8, 9, 12, 16, 27, 30])
+        cases.append(([[rng.randint(-9, 9) for _ in range(cols)]
+                       for _ in range(rows)], N))
+    assert any(len(M) > len(M[0]) > 0 for M, _ in cases)
+    for M, N in cases:
         Z = _smith_over_z(M)[0]
-        assert d == [math.gcd(Z[i][i], N) for i in range(min(rows, cols))]
+        cols = len(M[0])
+        z = [Z[i][i] if i < cols else 0 for i in range(len(M))]
+        assert smith_normal_form(M, N) == sorted(math.gcd(x, N) for x in z), \
+            (M, N)
+    assert smith_normal_form([[] for _ in range(4)], 9) == [9] * 4
+    assert smith_normal_form([], 5) == []
 
 
 def test_kernel_basis():
@@ -458,6 +457,48 @@ def test_reduce_rejects_non_cocycle(degree):
     assert not coboundary(c).is_zero()
     with pytest.raises(GroupCohError, match="not a cocycle"):
         cohomology(gm, degree).reduce(c)
+
+
+def _random_cocycle(h, rng):
+    """A seeded cocycle of h's degree: a random combination of the
+    representatives plus a random coboundary."""
+    gm, n = h.gm, h.degree
+    c = Cochain.zero(gm, n)
+    for rep in h.representatives:
+        c = c + rep.smul(rng.randrange(gm.module.exponent))
+    if n:
+        c = c + coboundary(Cochain(gm, n - 1, {
+            key: rng.choice(gm.module.elements)
+            for key in product(gm.elements, repeat=n - 1)}))
+    return c
+
+
+def c4_on_z2_z8():
+    """C4 acting on Z/2 x Z/8 through (x, y) -> (x + y, 4x + 3y)."""
+    C4 = PermGroup.from_cycle_strings(4, ["(0 1 2 3)"])
+    M = FiniteAbelian([2, 8])
+    phi = {(x, y): ((x + y) % 2, (4 * x + 3 * y) % 8) for x, y in M.elements}
+    return FiniteGModule.from_generator_action(C4, M, {C4.generators[0]: phi})
+
+
+@pytest.mark.parametrize("name,maker", [
+    ("S3 on Z/3 by sign", s3_c3_sign), ("C4 on Z/4 by inversion", c4_inversion),
+    ("S4 on V4 by conjugation", s4_on_v4),
+    ("C2 by inversion on Z/16", lambda: _cyclic_by_multiplier(2, 16, -1)),
+    ("C2 trivial on Z/2 x Z/8", lambda: _trivial("C2", [2, 8])),
+    ("C4 on Z/2 x Z/8", c4_on_z2_z8)])
+def test_reduce_respects_the_group_law(name, maker):
+    # reduce is a homomorphism onto a transversal, the representatives; in
+    # degrees 1 and 2 every module here has classes other than 0
+    rng = random.Random(name)
+    gm = maker()
+    for n in (1, 2):
+        h = cohomology(gm, n)
+        reps = set(h.representatives)
+        for _ in range(12):
+            a, b = _random_cocycle(h, rng), _random_cocycle(h, rng)
+            assert h.reduce(a + b) == h.reduce(h.reduce(a) + h.reduce(b))
+            assert h.reduce(a) in reps
 
 
 def test_large_h2_without_listing_its_classes():

@@ -7,6 +7,7 @@ root oracles and field-isomorphism tests.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,7 +22,7 @@ from coclass.etalealg import (
     quadratic_resolvent,
     squarefree_part,
 )
-from coclass.exactpoly import RationalPoly, fields_isomorphic, numeric_roots
+from coclass.exactpoly import RationalPoly, fields_isomorphic, modp, numeric_roots
 from coclass.kummerh1 import (
     CoclassC3,
     CoclassC4,
@@ -431,6 +432,50 @@ def test_c4_round_trips_random():
         assert back.D.rep == D
         assert c4_encode(back).isomorphic(L)
         done += 1
+
+
+def _frobenius_type(ints, p):
+    """The factor degrees of the integer quartic ints modulo p, by complete
+    Cantor-Zassenhaus factoring, or None where it has bad reduction."""
+    fp = modp.gf_from_int_poly(ints, p)
+    if len(fp) != 5 or not modp.gf_is_squarefree(fp, p):
+        return None
+    pieces = modp._distinct_degree(modp.gf_monic(fp, p), p)
+    return tuple(sorted((len(g) - 1 for g in modp.gf_factor_squarefree(pieces, p)),
+                        reverse=True))
+
+
+def test_c4_encode_frobenius_lies_in_hol_z4():
+    # Hol(Z/4) = D4 in Sym(4): x -> u x + t acting on the roots, with
+    # u = +-1 the twist character of Q(sqrt(D)).  Its 4-cycles and the
+    # identity have u = 1, so p splits in Q(sqrt(D)); its elements of
+    # type 2.1.1 have u = -1, so p is inert; it has no 3-cycle.  Only the
+    # encoded quartic is read, at primes p not dividing 2D of good reduction
+    rng = random.Random(23)
+    twists = (1, 2, 3, 5, 6, 7, 10, 14, -2, -3, -5, -7)
+    primes = [q for q in range(3, 150) if all(q % d for d in range(2, q))]
+    seen = Counter()
+    for _ in range(150):
+        D = rng.choice(twists)
+        beta = QuadElem.of(-D, rng.choice((1, -1)) * rng.randint(1, 4),
+                           rng.choice((1, -1)) * rng.randint(1, 3))
+        c = F(rng.choice((1, -1)) * rng.randint(1, 4), rng.randint(1, 3))
+        al = beta * beta * (c * c / beta.norm())
+        cc = CoclassC4(SquareClass.of(D), al.x, al.y, c)
+        _, fz = c4_encode(cc).defining_poly().monic().primitive_int()
+        ints = [int(x) for x in fz.coeffs]
+        for p in primes:
+            if (2 * D) % p == 0 or (t := _frobenius_type(ints, p)) is None:
+                continue
+            split = pow(D % p, (p - 1) // 2, p) == 1
+            assert t != (3, 1), (cc, p)
+            if t in ((4,), (1, 1, 1, 1)):
+                assert split, (cc, p, t)
+            elif t == (2, 1, 1):
+                assert not split, (cc, p, t)
+            seen[t] += 1
+    assert set(seen) == {(4,), (1, 1, 1, 1), (2, 1, 1), (2, 2)}, seen
+    assert sum(seen.values()) > 3000, seen
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,44 @@ def test_no_module_function_defined_twice():
     assert not twice, twice
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _stores(node, outer):
+    """The names node binds in its own scope, first line each; names it
+    declares global or nonlocal go to outer.  A nested function or lambda
+    has its own scope, a comprehension counts as part of node's."""
+    stored = {}
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Global, ast.Nonlocal)):
+            outer.update(child.names)
+        elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+            stored.setdefault(child.id, child.lineno)
+        if not isinstance(child, _SCOPES):
+            for name, line in _stores(child, outer).items():
+                stored.setdefault(name, line)
+    return stored
+
+
+def test_no_unread_locals():
+    # a local that is assigned and never read is dead code, or a value
+    # that was meant to be used; `_`-prefixed names are read by no one on
+    # purpose.  A nested function reading the name counts as a read
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, _SCOPES):
+                continue
+            outer = set()
+            stored = _stores(fn, outer)
+            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)}
+            unread += [f"{path.relative_to(SRC)}:{line} {name}"
+                       for name, line in stored.items()
+                       if name not in read | outer and not name.startswith("_")]
+    assert not unread, unread
+
+
 def test_no_unused_module_imports():
     # a name imported at module level must be used in its module; a package
     # __init__ imports to re-export, and `from __future__` names no value
