@@ -222,6 +222,8 @@ def cmd_group(args):
 
 def cmd_coh(args):
     if args.action_name == "lemma53":
+        if args.cases < 0:
+            raise CliError("--cases must be >= 0")
         passed = _lemma53_passes(random.Random(args.seed), args.cases)
         return {"cases": args.cases, "passed": passed,
                 "ok": passed == args.cases}
@@ -299,7 +301,8 @@ def cmd_local(args):
         return {"m": args.m, "classes": [_frac_str(r) for r in reps]}
     if args.action_name == "h1":
         D = int(args.D) if args.D else None
-        data = localsym.enumerate_h1_local(args.module, int(args.p), D=D)
+        data = localsym.enumerate_h1_local(args.module, _parse_place(args.p).p,
+                                           D=D)
         if args.module == "v4":
             classes = [[_frac_str(x) for x in t] for t in data]
         else:
@@ -307,7 +310,7 @@ def cmd_local(args):
         return {"module": args.module, "count": len(data),
                 "classes": classes}
     # tate
-    p = int(args.p)
+    p = _parse_place(args.p).p
     if args.module == "c3":
         D = int(_need(args, "D"))
         d = etalealg.squarefree_part(D)
@@ -548,7 +551,7 @@ def _suite_resolvents(rng):
     return cases, passed
 
 
-def _suite_tate(rng):
+def _suite_tate(_rng):
     cases = passed = 0
     reps = [c.rep for c in localsym.cube_classes(LocalFieldDesc(7))]
     M = [[localsym.tate_pair_c3(7, 1, u, w).k for w in reps] for u in reps]
@@ -566,7 +569,7 @@ def _suite_tate(rng):
     return cases, passed
 
 
-def _suite_structures(rng):
+def _suite_structures(_rng):
     cases = passed = 0
     C4 = PermGroup.from_cycle_strings(4, ["(0 1 2 3)"])
     S4 = PermGroup.symmetric(4)

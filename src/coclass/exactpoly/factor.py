@@ -51,7 +51,7 @@ def squarefree_decomposition(f: RationalPoly):
         w, g = y, g // y
     if g.degree > 0:
         # only in characteristic p; cannot happen over Q
-        raise ExactPolyError("squarefree decomposition failed")
+        raise InternalError("internal: squarefree decomposition failed")
     return out
 
 
@@ -250,8 +250,9 @@ def _zassenhaus(f_int):
 
 
 def _int_divmod_monic(a, b):
-    """Exact division of integer polys, b monic; returns (q, r) with r == []
-    iff divisible, r None on early coefficient blowup."""
+    """Division with remainder of integer polys (ascending coefficient
+    lists), b monic: (q, r) with a = q*b + r and r trimmed, so r == [] iff b
+    divides a; (None, None) when deg a < deg b."""
     a = list(a)
     db = len(b) - 1
     if len(a) - 1 < db:

@@ -4,7 +4,8 @@ restriction/corestriction, the transfer identity check, cup products, and
 the crossed-homomorphism <-> holomorph-homomorphism dictionary.
 
 One elimination routine, the Howell echelon _echelon, gives the cocycles
-(kernel_basis) and the Hermite basis of the relation lattice of H^n
+in Howell form, from one echelon of the stacked columns (e_j, d^n e_j)
+(kernel_basis), and the Hermite basis of the relation lattice of H^n
 (lattice_basis).  That triangular basis alone gives |H^n|, the canonical
 representatives and the reduction of a cocycle to its representative
 (Storjohann & Mulders, ESA 1998; Cohen, A Course in Computational Algebraic
@@ -79,84 +80,76 @@ def _combine(c, u, d, v, mods):
     return out
 
 
-def _echelon(pool, row_mods, col_mods=()):
-    """Echelon form of the columns (image, source) in pool, both parts
-    sparse dicts; image entry r is taken modulo row_mods[r] and source entry
-    j modulo col_mods[j], which may be left out when every source is empty.
+def _echelon(pool, mods):
+    """Howell echelon form of the columns in pool, each a sparse dict
+    (row -> nonzero entry) with entry r taken modulo mods[r].
 
-    Returns (pivots, kernel): pivots maps a row r to the one column whose
-    image leads at r, and kernel lists the nonzero sources whose image
-    became zero.  A column leads at its last nonzero row; eliminating from
-    the bottom keeps the bar-resolution coboundaries sparse, with about a
-    fifth of the work of eliminating from the top when |G| is 12 to 24.
-    Two columns leading at the same row are merged by an extended gcd.
-    A column leading with g modulo m_r is scaled to lead with gcd(g, m_r),
-    and its multiple by m_r / gcd(g, m_r) from before the scaling, whose
-    row r vanishes, goes back into the pool.  That is the Howell step of
+    Returns the pivots, a dict mapping a row r to the one column that leads
+    at r.  A column leads at its last nonzero row; eliminating from the
+    bottom keeps the bar-resolution coboundaries sparse, with about a fifth
+    of the work of eliminating from the top when |G| is 12 to 24.  Two
+    columns leading at the same row are merged by an extended gcd.  A
+    column leading with g modulo m_r is scaled to lead with gcd(g, m_r), and
+    its multiple by m_r / gcd(g, m_r) from before the scaling, whose row r
+    vanishes, goes back into the pool.  That is the Howell step of
     Storjohann and Mulders ("Fast algorithms for linear algebra modulo N",
-    ESA 1998): afterwards any image the columns span that vanishes after
-    row r has its row r entry divisible by the pivot's, so no torsion
-    element is lost and division by the pivots finds coordinates.
+    ESA 1998): afterwards any vector the columns span that vanishes after
+    row r has its row r entry divisible by the pivot's (zero modulo m_r
+    when no column leads at r), so no torsion element is lost and division
+    by the pivots from the last row down finds coordinates.
     """
-
-    def lin(c, u, d=0, v=({}, {})):
-        """The column c*u + d*v."""
-        return (_combine(c, u[0], d, v[0], row_mods),
-                _combine(c, u[1], d, v[1], col_mods))
-
     pool = pool[::-1]
     pivots = {}
-    kernel = []
     while pool:
-        col = lin(1, pool.pop())
-        rows = [-i for i in col[0]]  # max-heap of the image's rows
+        col = _combine(1, pool.pop(), 0, None, mods)
+        rows = [-i for i in col]  # max-heap of the column's rows
         heapify(rows)
         while rows:
             r = -heappop(rows)
-            x = col[0].get(r)
+            x = col.get(r)
             if not x:
                 continue
-            m = row_mods[r]
+            m = mods[r]
             piv = pivots.get(r)
             if piv is None:
                 g, u, _ = _xgcd(x, m)
-                pool.append(lin(m // g, col))
+                pool.append(_combine(m // g, col, 0, None, mods))
                 if u != 1:
-                    col = lin(u, col)
+                    col = _combine(u, col, 0, None, mods)
                 pivots[r] = col
                 break
-            for i in piv[0]:  # rows below r that the pivot brings in
-                if i not in col[0]:
+            for i in piv:  # rows below r that the pivot brings in
+                if i not in col:
                     heappush(rows, -i)
-            p = piv[0][r]
+            p = piv[r]
             if x % p == 0:
-                _axpy(col[0], -(x // p), piv[0], row_mods)
-                _axpy(col[1], -(x // p), piv[1], col_mods)
+                _axpy(col, -(x // p), piv, mods)
                 continue
             g, s, t = _xgcd(p, x)
-            piv, col = lin(s, piv, t, col), lin(x // g, piv, -p // g, col)
+            piv, col = (_combine(s, piv, t, col, mods),
+                        _combine(x // g, piv, -p // g, col, mods))
             pivots[r] = piv
-            pool.append(lin(m // g, piv))
-        else:
-            if col[1]:
-                kernel.append(col[1])
-    return pivots, kernel
+            pool.append(_combine(m // g, piv, 0, None, mods))
+    return pivots
 
 
 def kernel_basis(W, row_mods, col_mods):
-    """Kernel of the integer matrix W modulo its row moduli, by sparse
-    column elimination.
+    """Howell basis of the kernel of the integer matrix W modulo its row
+    moduli, from one echelon of the stacked columns (e_j, W e_j).
 
     W is a list of sparse columns (dicts row -> nonzero entry).  Row r is an
     equation modulo row_mods[r], and coordinate j is reduced modulo
     col_mods[j], where W must send col_mods[j] * e_j to zero modulo the row
-    moduli.  The result, sparse vectors (dicts coordinate -> nonzero entry),
-    together with the vectors col_mods[j] * e_j generates the lattice of
-    integer x with W x = 0 modulo the row moduli.
+    moduli.  Stacked, coordinate j is row j and image row r is row a + r for
+    a = len(col_mods), so every column whose image vanishes leads at a
+    coordinate.  Those pivots are returned, sparse vectors with distinct
+    leading (last nonzero) coordinates, in descending order of them: every
+    kernel vector reduces to zero by division down the list.
     """
-    _, kernel = _echelon([(col, {j: 1}) for j, col in enumerate(W)],
-                         row_mods, col_mods)
-    return kernel
+    a = len(col_mods)
+    pivots = _echelon([{j: 1, **{a + r: v for r, v in col.items()}}
+                       for j, col in enumerate(W)], [*col_mods, *row_mods])
+    return [pivots[r] for r in sorted(pivots, reverse=True) if r < a]
 
 
 def lattice_basis(gens, modulus):
@@ -169,9 +162,9 @@ def lattice_basis(gens, modulus):
     if not gens:
         return []
     a = len(gens[0])
-    pivots, _ = _echelon([({i: x for i, x in enumerate(g) if x}, {})
-                          for g in gens], [modulus] * a)
-    cols = [pivots[r][0] if r in pivots else {r: modulus} for r in range(a)]
+    pivots = _echelon([{i: x for i, x in enumerate(g) if x} for g in gens],
+                      [modulus] * a)
+    cols = [pivots.get(r, {r: modulus}) for r in range(a)]
     return [[c.get(i, 0) for i in range(a)] for c in cols]
 
 
@@ -446,10 +439,11 @@ class CoclassSet:
 
     Cochains are vectors in the cyclic coordinates, each entry modulo the
     order of its cyclic factor.  The cocycles Z^n, the kernel of the
-    coboundary modulo those orders, are kept in Howell form: basis cocycles
-    h_1..h_z with distinct leading coordinates, in which every cocycle has
-    integer coordinates found by division.  H^n is Z^z modulo the lattice L
-    of relations among the h_i and the coordinates of the coboundaries.
+    coboundary modulo those orders, come out of kernel_basis in Howell form:
+    basis cocycles h_1..h_z with distinct leading coordinates, in which
+    every cocycle has integer coordinates found by division.  H^n is Z^z
+    modulo the lattice L of relations among the h_i and the coordinates of
+    the coboundaries.
 
     L is held by its Hermite basis H = lattice_basis(relations, e), e the
     exponent of M: column r leads at row r with an entry h_r dividing e.
@@ -476,17 +470,15 @@ class CoclassSet:
         self._a = a
         self._mods = mods
         # Z^n: cochains x with d^n(x) = 0 modulo the target moduli
-        zgens = kernel_basis(_boundary_matrix(gm, degree),
-                             mods * len(gm.elements), mods)
-        howell, _ = _echelon([(v, {}) for v in zgens], mods)
-        self._howell = {r: h for r, (h, _) in howell.items()}
-        self._lead = sorted(howell, reverse=True)
+        self._howell = kernel_basis(_boundary_matrix(gm, degree),
+                                    mods * len(gm.elements), mods)
+        self._lead = [max(h) for h in self._howell]
         z = len(self._lead)
         # relations: (m_r / g_r) * h_r lies in the span of the later h's
         rels = []
-        for i, r in enumerate(self._lead):
-            q = mods[r] // self._howell[r][r]
-            rel = self._coords({j: q * x for j, x in self._howell[r].items()})
+        for i, (r, h) in enumerate(zip(self._lead, self._howell)):
+            q = mods[r] // h[r]
+            rel = self._coords({j: q * x for j, x in h.items()})
             if rel is None:
                 raise InternalError("cocycle basis not in Howell form "
                                     "(internal error)")
@@ -523,10 +515,9 @@ class CoclassSet:
         dict) in the Howell basis of Z^n, or None if v is not a cocycle."""
         v = _combine(1, v, 0, None, self._mods)
         y = [0] * len(self._lead)
-        for i, r in enumerate(self._lead):
+        for i, (r, h) in enumerate(zip(self._lead, self._howell)):
             x = v.get(r, 0)
             if x:
-                h = self._howell[r]
                 if x % h[r]:
                     return None
                 y[i] = x // h[r]
@@ -536,9 +527,9 @@ class CoclassSet:
     def _cochain(self, y):
         """The cocycle with coordinates y in the Howell basis."""
         out = {}
-        for c, r in zip(y, self._lead):
+        for c, h in zip(y, self._howell):
             if c:
-                _axpy(out, c, self._howell[r], self._mods)
+                _axpy(out, c, h, self._mods)
         return Cochain.from_vector(self.gm, self.degree,
                                    [out.get(j, 0) for j in range(self._a)])
 
@@ -652,8 +643,8 @@ def res_cor(gm: FiniteGModule, H: PermGroup, c: Cochain, direction: str):
     """
     _check_subgroup(gm, H)
     M = gm.module
-    hm = submodule_over(gm, H)
     if direction == "res":
+        hm = submodule_over(gm, H)
         if c.arity == 0:
             return Cochain(hm, 0, {(): c()})
         if c.arity == 1:
@@ -713,7 +704,7 @@ def induced_map(X: FiniteGModule, Y: FiniteGModule, H: PermGroup, f: Dict):
     return out
 
 
-def pushforward(src: FiniteGModule, dst: FiniteGModule, f: Dict, c: Cochain):
+def pushforward(dst: FiniteGModule, f: Dict, c: Cochain):
     """Apply a module map to the values of a cochain (same group)."""
     return Cochain(dst, c.arity, {k: f[c(*k)] for k in
                                   product(c.gm.elements, repeat=c.arity)})
@@ -729,14 +720,13 @@ def lemma53_check(X: FiniteGModule, Y: FiniteGModule, H: PermGroup,
     _check_subgroup(X, H)
     _check_h_linear(X, Y, H, f)
     ftilde = induced_map(X, Y, H, f)
-    hx = submodule_over(X, H)
     hy = submodule_over(Y, H)
     hn_y = cohomology(Y, n)
     for sigma in cohomology(X, n).representatives:
         res = res_cor(X, H, sigma, "res")
-        fres = pushforward(hx, hy, f, res)
+        fres = pushforward(hy, f, res)
         cor = res_cor(Y, H, fres, "cor")
-        direct = pushforward(X, Y, ftilde, sigma)
+        direct = pushforward(Y, ftilde, sigma)
         if not hn_y.same_class(cor, direct):
             return False, sigma
     return True, None

@@ -141,12 +141,12 @@ class CoclassV4:
     def __post_init__(self):
         if self.R.degree != 3:
             raise KummerError("R must have degree 3")
+        if len(self.delta) != len(self.R.factors):
+            raise KummerError("delta needs one coordinate per factor of R")
         coords = tuple(
             (d if isinstance(d, RationalPoly) else RationalPoly([Fraction(d)]))
             % f
             for d, f in zip(self.delta, self.R.factors))
-        if len(coords) != len(self.R.factors):
-            raise KummerError("delta needs one coordinate per factor of R")
         object.__setattr__(self, "delta", coords)
         if self.norm() != 1:
             raise KummerError("delta must have norm 1")

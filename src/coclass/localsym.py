@@ -99,14 +99,6 @@ class SymbolValue:
         return "+1" if self.k == 0 else f"zeta3^{self.k}"
 
 
-# The unique nonzero alternating bilinear form on C2 x C2 (values in C2).
-EPSILON_FORM = {
-    (x, y): (0 if x == y or x == (0, 0) or y == (0, 0) else 1)
-    for x in [(0, 0), (1, 0), (0, 1), (1, 1)]
-    for y in [(0, 0), (1, 0), (0, 1), (1, 1)]
-}
-
-
 # ---------------------------------------------------------------------------
 # rational p-adic utilities
 # ---------------------------------------------------------------------------
@@ -426,8 +418,7 @@ class _TameField:
 # Tate pairings
 # ---------------------------------------------------------------------------
 
-def _embed_split(elem, base: int, p: int, sign: int,
-                 norm_one: bool = False) -> Fraction:
+def _embed_split(elem, p: int, sign: int, norm_one: bool = False) -> Fraction:
     """Component of a quadratic-algebra element under a split embedding.
     Rational data are diagonal, unless norm_one is set, in which case a
     rational u abbreviates the norm-one pair (u, 1/u)."""
@@ -481,7 +472,7 @@ def tate_pair_c3(p: int, D, sigma, tau) -> SymbolValue:
             if (p - 1) % 3:
                 raise InternalError("internal: -3 square forces p = 1 mod 3")
             ctx, pad = _TameField(p), ()
-            sigmas = [(_embed_split(sigma, dp, p, sign, norm_one=True),)
+            sigmas = [(_embed_split(sigma, p, sign, norm_one=True),)
                       for sign in (1, -1)]
         else:
             # T' is the field Q_p(sqrt(-3)), and sqrt(-3D) = t sqrt(-3)
@@ -489,12 +480,12 @@ def tate_pair_c3(p: int, D, sigma, tau) -> SymbolValue:
             xs, ys = _coords(sigma, dp)
             t = sqrt_padic(Fraction(dp, -3), p)
             sigmas = [(xs, sign * ys * t) for sign in (1, -1)]
-        taus = [(_embed_split(tau, d, p, sign),) + pad for sign in (1, -1)]
+        taus = [(_embed_split(tau, p, sign),) + pad for sign in (1, -1)]
         s1, s2 = (ctx.symbol(x, y, 3) for x, y in zip(sigmas, taus))
         return s1 * s2.inverse()
     if s3D:
         # T field, T' splits: one symbol on the inert field Q_p(sqrt(d))
-        u = _embed_split(sigma, dp, p, 1, norm_one=True)
+        u = _embed_split(sigma, p, 1, norm_one=True)
         return _TameField.quadratic(p, d).symbol((u, 0), _coords(tau, d), 3)
     xs, ys = _coords(sigma, dp)
     xt, yt = _coords(tau, d)
@@ -517,18 +508,19 @@ def tate_pair_v4(p: int, R, sigma, tau) -> SymbolValue:
     """Local Tate pairing for C2 x C2 twisted by the cubic algebra R: the
     quadratic Hilbert pairing on R, componentwise.  For split R the data
     are triples of rationals."""
+    if not is_prime(p):
+        raise LocalSymError(f"{p} is not prime")
     if p == 2:
         raise UnsupportedLocal("p must be odd")
-    if isinstance(R, EtaleAlgebra):
-        factors = R.factors
-    else:
-        factors = tuple(R)
+    factors = R.factors if isinstance(R, EtaleAlgebra) else tuple(R)
+    degrees = [getattr(f, "degree", 1) for f in factors]
+    if sum(degrees) != 3:
+        raise LocalSymError("R must have degree 3")
     if len(sigma) != len(factors) or len(tau) != len(factors):
         raise LocalSymError("coordinate count mismatch")
     place = Place(p)
     out = SymbolValue(2, 0)
-    for f, s, t in zip(factors, sigma, tau):
-        deg = f.degree if hasattr(f, "degree") else 1
+    for f, deg, s, t in zip(factors, degrees, sigma, tau):
         if deg == 1:
             out = out * hilbert2(s, t, place)
             continue
@@ -537,8 +529,8 @@ def tate_pair_v4(p: int, R, sigma, tau) -> SymbolValue:
         m = squarefree_part(discriminant(f))
         if is_square_padic(m, p):
             for sign in (1, -1):
-                u = _embed_split(s, m, p, sign)
-                w = _embed_split(t, m, p, sign)
+                u = _embed_split(s, p, sign)
+                w = _embed_split(t, p, sign)
                 out = out * hilbert2(u, w, place)
         else:
             ctx = _TameField.quadratic(p, m)

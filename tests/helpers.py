@@ -454,7 +454,7 @@ def localize(datum, p: int):
             u = datum.delta.x + datum.delta.y
             return cube_class(u, LocalFieldDesc(p))
         if is_square_padic(Fraction(dp), p):
-            u = _embed_split(datum.delta, dp, p, 1)
+            u = _embed_split(datum.delta, p, 1)
             return cube_class(u, LocalFieldDesc(p))
         # field case: sigma is a norm-one unit; class = residue character
         ctx = _TameField.quadratic(p, dp)

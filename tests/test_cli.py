@@ -368,6 +368,22 @@ def test_argv_faults_exit_2_not_internal(argv):
     assert err(argv, 2)["code"] == "invalid"
 
 
+@pytest.mark.parametrize("argv", [
+    ["h1", "v4", "encode", "--R", "0,1|0,1|0,1", "--delta", "2|3|1/6|5"],
+    ["h1", "v4", "encode", "--R", "0,1|-2,0,1", "--delta", "1|1|1"],
+    ["h1", "v4", "encode", "--R", "-2,0,0,1", "--delta", "1|1"],
+    ["local", "tate", "--module", "v4", "--p", "7", "--R", "0,1|0,1|0,1|0,1",
+     "--sigma", "2|2|2|2", "--tau", "3|3|3|3"],
+    ["local", "tate", "--module", "v4", "--p", "7", "--R", "0,1|0,1",
+     "--sigma", "2|2", "--tau", "3|3"],
+    ["coh", "lemma53", "--cases", "-1"],
+], ids=" ".join)
+def test_wrong_shapes_exit_2(argv):
+    # coordinates beyond the factors of R, an R that is not cubic and a
+    # negative case count once passed silently with exit 0
+    assert err(argv, 2)["code"] == "invalid"
+
+
 # ---------------------------------------------------------------------------
 # local
 # ---------------------------------------------------------------------------
@@ -394,6 +410,7 @@ def test_local_classes_golden():
     ["local", "hilbert", "--p", "0", "--a", "-1", "--b", "-1"],
     ["local", "classes", "--p", "0", "--m", "2"],
     ["local", "classes", "--p", "0", "--m", "3"],
+    ["local", "h1", "--p", "0", "--module", "c2"],
 ], ids=" ".join)
 def test_zero_is_no_place_exit_2(argv):
     # the library encodes the real place as Place(0), but 0 is no place of
@@ -401,6 +418,15 @@ def test_zero_is_no_place_exit_2(argv):
     assert err(argv, 2)["code"] == "invalid"
     for name in ("real", "inf", "oo"):
         ok(argv[:3] + [name] + argv[4:])
+
+
+@pytest.mark.parametrize("p", ["0", "real"])
+def test_tate_pairing_needs_a_prime(p):
+    # the Tate pairings are taken at a prime; neither 0 nor the real place
+    # is one
+    for module in (["--module", "v4", "--sigma", "1|2|1/2", "--tau", "3|1|1/3"],
+                   ["--module", "c3", "--D", "1", "--sigma", "2", "--tau", "3"]):
+        assert err(["local", "tate", "--p", p] + module, 2)["code"] == "invalid"
 
 
 def test_local_classes_of_other_orders_exit_3():

@@ -13,6 +13,7 @@ from itertools import product
 
 import pytest
 
+from coclass import groupcoh
 from coclass.groupcoh import (
     _boundary_matrix,
     Cochain,
@@ -291,6 +292,67 @@ def test_kernel_basis():
                     break
                 span |= more
         assert span == solutions, W
+
+
+def test_kernel_basis_is_a_howell_basis():
+    # the basis leads at distinct coordinates, in descending order, and
+    # every brute-force kernel vector reduces to zero by division down it
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(200):
+        col_mods = [rng.choice([2, 3, 4, 6, 8, 9, 12])
+                    for _ in range(rng.randint(1, 4))]
+        row_mods = [rng.choice([2, 4, 6, 8, 12, 16])
+                    for _ in range(rng.randint(1, 4))]
+        W = [{r: w for r, m in enumerate(row_mods) if rng.random() < 0.6
+              and (w := rng.randrange(m) * m // math.gcd(m, n) % m)}
+             for n in col_mods]
+
+        def image(x):
+            return [sum(col.get(r, 0) * c for col, c in zip(W, x)) % m
+                    for r, m in enumerate(row_mods)]
+
+        kb = kernel_basis(W, row_mods, col_mods)
+        leads = [max(h) for h in kb]
+        assert leads == sorted(set(leads), reverse=True), W
+        assert not any(any(image([h.get(j, 0) for j in range(len(col_mods))]))
+                       for h in kb), W
+        for x in product(*map(range, col_mods)):
+            if any(image(x)):
+                continue
+            v = list(x)
+            for r, h in zip(leads, kb):
+                q, rem = divmod(v[r], h[r])
+                assert rem == 0, (W, x)
+                for j, y in h.items():
+                    v[j] = (v[j] - q * y) % col_mods[j]
+            assert not any(v), (W, x)
+            checked += 1
+    assert checked > 10000
+
+
+def test_one_echelon_per_kernel_and_lattice_basis(monkeypatch):
+    # building H^n eliminates once in kernel_basis and once in each
+    # lattice_basis that has generators (inside smith_normal_form or not),
+    # and runs no echelon pass of its own
+    calls = {"echelon": 0, "bases": 0}
+
+    def spy(name, key, counts=lambda *args: True):
+        fn = getattr(groupcoh, name)
+
+        def wrapper(*args):
+            calls[key] += counts(*args)
+            return fn(*args)
+        monkeypatch.setattr(groupcoh, name, wrapper)
+
+    spy("_echelon", "echelon")
+    spy("kernel_basis", "bases")
+    spy("lattice_basis", "bases", lambda gens, _: bool(gens))
+    for gm in (c2_trivial(), s3_c3_sign(), s3_on_v4()):
+        for n in (0, 1, 2):
+            cohomology(gm, n)
+    assert calls["bases"] > 0
+    assert calls["echelon"] == calls["bases"]
 
 
 def test_lattice_basis_index():

@@ -136,6 +136,26 @@ def test_no_unread_locals():
     assert not unread, unread
 
 
+def test_no_unread_parameters():
+    # a parameter the body never reads is an input that changes nothing;
+    # `self`, `cls` and `_`-prefixed names are exempt, the last for
+    # callbacks whose signature is fixed by their caller
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, _SCOPES):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *filter(None, (a.vararg, a.kwarg))]
+            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)}
+            unread += [f"{path.relative_to(SRC)}:{fn.lineno} {p.arg}"
+                       for p in params if p.arg not in read | {"self", "cls"}
+                       and not p.arg.startswith("_")]
+    assert not unread, unread
+
+
 def test_no_unused_module_imports():
     # a name imported at module level must be used in its module; a package
     # __init__ imports to re-export, and `from __future__` names no value
