@@ -3,6 +3,14 @@ coboundaries, Z/B/H by sparse elimination modulo the cyclic orders of M,
 restriction/corestriction, the transfer identity check, cup products, and
 the crossed-homomorphism <-> holomorph-homomorphism dictionary.
 
+One bar formula, _bar_sources, has two uses.  coboundary evaluates it on
+the full inhomogeneous bar complex, whose n-cochains are all maps G^n -> M,
+so a Cochain and its coboundary keep their full-tuple tables.  Z, B and H
+are computed on the normalized complex, the cochains that vanish whenever
+an argument is 1, which has the same H^n (K. S. Brown, Cohomology of
+Groups, III.1; Weibel, An Introduction to Homological Algebra, 6.5) and
+leaves every tuple holding the identity out of each elimination.
+
 One elimination routine, the Howell echelon _echelon, gives the cocycles
 in Howell form, from one echelon of the stacked columns (e_j, d^n e_j)
 (kernel_basis), and the Hermite basis of the relation lattice of H^n
@@ -215,7 +223,8 @@ class FiniteGModule:
 
     Sorted G is indexed once: mul[i][j] is the index of the product of
     elements i and j, and action_matrices[i] is the matrix of element i.
-    The coboundary matrices and the CoclassSet of each degree are built on
+    The identity, the least permutation, is index 0.  The normalized
+    coboundary matrices and the CoclassSet of each degree are built on
     first use and kept on the module."""
 
     def __init__(self, group: PermGroup, module: FiniteAbelian, action: Dict):
@@ -230,6 +239,9 @@ class FiniteGModule:
         for g in els:
             if g not in self.action:
                 raise GroupCohError(f"action missing for {g.to_cycles()}")
+        if els[0] != ident:
+            raise InternalError("internal: identity is not the first "
+                                "element of sorted G")
         self.elements = els
         self.index = {g: i for i, g in enumerate(els)}
         self.mul = [[self.index[g * h] for h in els] for g in els]
@@ -363,26 +375,45 @@ class Cochain:
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """The differential d^n of the bar resolution applied to c."""
-    out = [0] * (len(c.vector) * len(c.gm.elements))
-    for x, col in zip(c.vector, _boundary_matrix(c.gm, c.arity)):
-        if x:
-            for i, v in col.items():
-                out[i] += v * x
-    return Cochain.from_vector(c.gm, c.arity + 1, out)
+    """The differential d^n of the full inhomogeneous bar complex applied to
+    c, evaluated row by row from the bar formula in _bar_sources; no matrix
+    is stored for it."""
+    if c.arity not in (0, 1, 2):
+        raise GroupCohError("degree must be 0..2")
+    gm = c.gm
+    k = len(gm.module.cyclic_orders)
+    v = c.vector
+    vals = [v[j:j + k] for j in range(0, len(v), k)]
+    acts = gm.action_matrices
+    out = []
+    for a, (j, *terms) in _bar_sources(gm.mul, c.arity):
+        x = vals[j]
+        row = [sum(p * q for p, q in zip(r, x)) for r in acts[a]]
+        for sign, t in zip((-1, 1, -1), terms):
+            row = [u + sign * w for u, w in zip(row, vals[t])]
+        out += row
+    return Cochain.from_vector(gm, c.arity + 1, out)
 
 
 # ---------------------------------------------------------------------------
 # cohomology by sparse elimination modulo the orders of M
 # ---------------------------------------------------------------------------
 
-def _bar_sources(mul, n):
+def _bar_sources(mul, n, normalized=False):
     """For each row (g_0, ..., g_n) of d^n, in itertools.product order over
     the indices of sorted G: the index of g_0 and the C^n positions of the
     terms of the bar formula, first the one g_0 acts on, then the rest in
-    the order of their signs -1, +1, -1."""
+    the order of their signs -1, +1, -1.
+
+    By default the rows and positions are those of the full bar complex,
+    all tuples of G.  With normalized set they are those of the normalized
+    complex: tuples of G minus the identity (index 0), counted among
+    themselves, and a term whose argument holds a product equal to the
+    identity has position None."""
     N = len(mul)
-    els = range(N)
+    lo = int(normalized)
+    base = N - lo
+    els = range(lo, N)
     if n == 0:
         for a in els:
             yield a, (0, 0)
@@ -390,25 +421,34 @@ def _bar_sources(mul, n):
         for a in els:
             ma = mul[a]
             for b in els:
-                yield a, (b, ma[b], a)
+                ab = ma[b]
+                yield a, (b - lo, ab - lo if ab >= lo else None, a - lo)
     else:
         for a in els:
-            ma = mul[a]
+            ma, ra = mul[a], (a - lo) * base - lo
             for b in els:
-                mb, ab = mul[b], ma[b] * N
+                mb, ab, rb = mul[b], ma[b], (b - lo) * base - lo
+                rab = (ab - lo) * base - lo if ab >= lo else None
                 for c in els:
-                    yield a, (b * N + c, ab + c, a * N + mb[c], a * N + b)
+                    bc = mb[c]
+                    yield a, (rb + c, None if rab is None else rab + c,
+                              ra + bc if bc >= lo else None, ra + b)
 
 
 def _boundary_matrix(gm: FiniteGModule, n: int):
-    """The coboundary C^n -> C^{n+1} as an integer matrix in the cyclic
-    coordinates, given by its |G|^n * k columns (one per C^n coordinate),
-    each a dict from C^{n+1} coordinate (row) to nonzero entry:
+    """The coboundary d^n of the normalized bar complex, whose cochains
+    vanish whenever an argument is 1, as an integer matrix in the cyclic
+    coordinates: (|G| - 1)^n * k columns, one per coordinate of a tuple of
+    G minus the identity, each a dict from row coordinate ((|G| - 1)^(n+1)
+    * k of them) to nonzero entry.  The terms of
     d0(u)(g) = g.u - u; d1(s)(g,h) = g.s(h) - s(gh) + s(g);
-    d2(s)(g,h,k) = g.s(h,k) - s(gh,k) + s(g,hk) - s(g,h).
+    d2(s)(g,h,k) = g.s(h,k) - s(gh,k) + s(g,hk) - s(g,h)
+    whose argument holds a product equal to 1 (gh = 1 or hk = 1) vanish on
+    normalized cochains and are dropped.
 
-    Positions are read from the module's index table, so row (g, h, k) is
-    (g*N + h)*N + k for N = |G|.  The matrix is built once per module and
+    Positions are read from the module's index table, so with N = |G| - 1
+    the row of the non-identity elements with indices (g, h, k) is
+    ((g-1)*N + h-1)*N + k-1.  The matrix is built once per module and
     degree and kept on the module; callers must not change it."""
     if n not in (0, 1, 2):
         raise GroupCohError("degree must be 0..2")
@@ -416,15 +456,17 @@ def _boundary_matrix(gm: FiniteGModule, n: int):
     if cols is not None:
         return cols
     k = len(gm.module.cyclic_orders)
-    cols = [{} for _ in range(len(gm.elements) ** n * k)]
+    cols = [{} for _ in range((len(gm.elements) - 1) ** n * k)]
     # each block as its nonzero (column, row, entry) triples within k x k:
     # the action matrix of g_0, then +-1 times the identity
     acts = [[(s, r, A[r][s]) for s in range(k) for r in range(k) if A[r][s]]
             for A in gm.action_matrices]
     signs = [[(s, s, (-1) ** i) for s in range(k)] for i in range(1, n + 2)]
-    for i0, (a, srcs) in enumerate(_bar_sources(gm.mul, n)):
+    for i0, (a, srcs) in enumerate(_bar_sources(gm.mul, n, True)):
         i0 *= k
         for block, j0 in zip([acts[a]] + signs, srcs):
+            if j0 is None:
+                continue
             j0 *= k
             for s, r, v in block:
                 col = cols[j0 + s]
@@ -435,27 +477,31 @@ def _boundary_matrix(gm: FiniteGModule, n: int):
 
 
 class CoclassSet:
-    """H^n(G, M): invariant factors, representatives, and coset reduction.
+    """H^n(G, M): invariant factors, representatives, and coset reduction,
+    computed on the normalized complex.
 
-    Cochains are vectors in the cyclic coordinates, each entry modulo the
-    order of its cyclic factor.  The cocycles Z^n, the kernel of the
-    coboundary modulo those orders, come out of kernel_basis in Howell form:
-    basis cocycles h_1..h_z with distinct leading coordinates, in which
-    every cocycle has integer coordinates found by division.  H^n is Z^z
-    modulo the lattice L of relations among the h_i and the coordinates of
-    the coboundaries.
+    A normalized n-cochain is held as its values on the tuples of G minus
+    the identity, in itertools.product order, in the cyclic coordinates,
+    each entry modulo the order of its cyclic factor.  The cocycles Z^n, the
+    kernel of the normalized coboundary modulo those orders, come out of
+    kernel_basis in Howell form: basis cocycles h_1..h_z with distinct
+    leading coordinates, in which every cocycle has integer coordinates
+    found by division.  H^n is Z^z modulo the lattice L of relations among
+    the h_i and the coordinates of the normalized coboundaries.
 
     L is held by its Hermite basis H = lattice_basis(relations, e), e the
     exponent of M: column r leads at row r with an entry h_r dividing e.
     So |H^n| is the product of the h_r; a cocycle reduces to the one
     representative whose coordinates y have 0 <= y_r < h_r, by subtracting
     multiples of the columns from the last row up; and the representatives
-    are the box of those y.  The invariant factors are read from H by
-    smith_normal_form, which computes the diagonal only.
+    are the box of those y.  The invariant factors, one per normalized
+    coordinate, are read from H by smith_normal_form, which computes the
+    diagonal only.
 
-    d^n and d^(n-1) are the module's stored coboundary matrices.  Build it
-    through cohomology(gm, n), which keeps one CoclassSet per module and
-    degree.
+    Representatives are full Cochains, zero on every tuple holding the
+    identity, and reduce takes any full cocycle.  d^n and d^(n-1) are the
+    module's stored normalized coboundary matrices.  Build it through
+    cohomology(gm, n), which keeps one CoclassSet per module and degree.
     """
 
     def __init__(self, gm: FiniteGModule, degree: int):
@@ -465,13 +511,19 @@ class CoclassSet:
         self.degree = degree
         M = gm.module
         k = len(M.cyclic_orders)
-        a = len(gm.elements) ** degree * k
+        N = len(gm.elements)
+        # the full position of each normalized tuple: no entry is index 0
+        pos = [0]
+        for _ in range(degree):
+            pos = [p * N + g for p in pos for g in range(1, N)]
+        self._embed = [p * k + s for p in pos for s in range(k)]
+        self._size = N ** degree * k
+        a = len(self._embed)
         mods = [M.cyclic_orders[i % k] for i in range(a)]
-        self._a = a
         self._mods = mods
         # Z^n: cochains x with d^n(x) = 0 modulo the target moduli
         self._howell = kernel_basis(_boundary_matrix(gm, degree),
-                                    mods * len(gm.elements), mods)
+                                    mods * (N - 1), mods)
         self._lead = [max(h) for h in self._howell]
         z = len(self._lead)
         # relations: (m_r / g_r) * h_r lies in the span of the later h's
@@ -511,8 +563,9 @@ class CoclassSet:
                      for y in product(*(range(h) for h in self._box)))
 
     def _coords(self, v):
-        """Integer coordinates of the integer cochain vector v (a sparse
-        dict) in the Howell basis of Z^n, or None if v is not a cocycle."""
+        """Integer coordinates of the integer normalized cochain vector v (a
+        sparse dict) in the Howell basis of Z^n, or None if v is not a
+        cocycle."""
         v = _combine(1, v, 0, None, self._mods)
         y = [0] * len(self._lead)
         for i, (r, h) in enumerate(zip(self._lead, self._howell)):
@@ -525,21 +578,37 @@ class CoclassSet:
         return None if v else y
 
     def _cochain(self, y):
-        """The cocycle with coordinates y in the Howell basis."""
+        """The cocycle with coordinates y in the Howell basis, as a full
+        Cochain, zero on every tuple holding the identity."""
         out = {}
         for c, h in zip(y, self._howell):
             if c:
                 _axpy(out, c, h, self._mods)
-        return Cochain.from_vector(self.gm, self.degree,
-                                   [out.get(j, 0) for j in range(self._a)])
+        vec = [0] * self._size
+        for j, x in out.items():
+            vec[self._embed[j]] = x
+        return Cochain.from_vector(self.gm, self.degree, vec)
 
     def reduce(self, c: Cochain) -> Cochain:
-        """The canonical representative cohomologous to the cocycle c."""
+        """The canonical representative cohomologous to the cocycle c, a
+        full cochain.
+
+        A full cocycle is cohomologous to a normalized one: in degree 1 it
+        vanishes at 1 already, and in degree 2 subtracting d of the constant
+        1-cochain c(1, 1) makes it vanish on every tuple holding 1.  A full
+        cochain vanishing there is a cocycle just when its normalized part
+        is one."""
         if c.arity != self.degree or c.gm is not self.gm and \
                 (c.gm.elements != self.gm.elements):
             raise GroupCohError("cochain does not match this coclass set")
-        y = self._coords({j: x for j, x in enumerate(c.vector) if x})
-        if y is None:
+        if self.degree == 2:
+            k = len(self.gm.module.cyclic_orders)
+            c = c - coboundary(Cochain.from_vector(
+                self.gm, 1, c.vector[:k] * len(self.gm.elements)))
+        v = c.vector
+        part = {j: v[i] for j, i in enumerate(self._embed) if v[i]}
+        y = self._coords(part)
+        if y is None or len(part) != len(v) - v.count(0):
             raise GroupCohError("not a cocycle")
         # Hermite reduction: column r touches only rows up to r
         for r in reversed(range(len(y))):

@@ -2,15 +2,15 @@
 and Hol M built from it, Cayley images and torsor structures, resolvent
 images of the sign and Sym(4) -> Sym(3) maps, wreath-product checks on
 stable partitions, the crossed-homomorphism map into Hol M, the textbook
-coboundary and the coboundary matrix from Perm products, cochain JSON,
-residue-field moduli of least irreducibles, symbols on etale algebras,
-localization of Kummer data, radical algebras, Tate-dual twists,
-Zassenhaus on every input and resultants by the Euclidean PRS over Q,
-Newton-form interpolation, Trager norms and characteristic polynomials by
-interpolated resultants, roots in an extension from fully factored Trager
-norms, the C4/D4 split by a Trager norm, and root-ball overlap and
-containment.  The library computes |Aut M| by formula and builds none of
-these."""
+coboundary and the coboundary matrix from Perm products with its
+normalized part, cochain JSON, residue-field moduli of least irreducibles,
+symbols on etale algebras, localization of Kummer data, radical algebras,
+Tate-dual twists, Zassenhaus on every input and resultants by the
+Euclidean PRS over Q, Newton-form interpolation, Trager norms and
+characteristic polynomials by interpolated resultants, roots in an
+extension from fully factored Trager norms, the C4/D4 split by a Trager
+norm, and root-ball overlap and containment.  The library computes
+|Aut M| by formula and builds none of these."""
 
 import json
 import math
@@ -311,6 +311,23 @@ def boundary_matrix_by_products(gm: FiniteGModule, n: int):
             add_block(di, (g, h * kk), 1)
             add_block(di, (g, h), -1)
     return [{i: v for i, v in col.items() if v} for col in cols]
+
+
+def normalized_part(gm: FiniteGModule, n: int, cols):
+    """The rows and columns of the full d^n, as boundary_matrix_by_products
+    gives it, at the tuples that hold no identity element, re-indexed in
+    itertools.product order among those tuples: the normalized d^n, found
+    by Perm comparison with the identity, not by its index."""
+    k = len(gm.module.cyclic_orders)
+    one = Perm.identity(gm.group.n)
+
+    def coords(m):
+        return [gm.position(key) * k + s
+                for key in product(gm.elements, repeat=m) if one not in key
+                for s in range(k)]
+    rows = {i: r for r, i in enumerate(coords(n + 1))}
+    return [{rows[i]: v for i, v in cols[j].items() if i in rows}
+            for j in coords(n)]
 
 
 def coboundary_by_table(c: Cochain) -> Cochain:

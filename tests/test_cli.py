@@ -244,6 +244,28 @@ def test_coh_hol_h1_s4_from_generator_images(orders, order):
     assert payload["bijection"] is True
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["h", "--degree", "0"],
+     '{"degree": 0, "invariants": [2, 4], "order": 8, "schema": 1, '
+     '"status": "ok"}'),
+    (["h", "--degree", "1"],
+     '{"degree": 1, "invariants": [], "order": 1, "schema": 1, '
+     '"status": "ok"}'),
+    (["h", "--degree", "2"],
+     '{"degree": 2, "invariants": [], "order": 1, "schema": 1, '
+     '"status": "ok"}'),
+    (["hol-h1"],
+     '{"bijection": true, "classes": 1, "order": 1, "schema": 1, '
+     '"status": "ok"}')])
+def test_coh_trivial_group(argv, line, capsys):
+    # the normalized cochains of the trivial group in degrees 1 and 2 are
+    # the empty tuple's: H^0 = M, H^1 = H^2 = 0
+    code = main(["coh", *argv[:1], "--n", "1", "--gens", "()",
+                 "--orders", "2,4", *argv[1:]])
+    assert code == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_coh_lemma53_smoke():
     payload = ok(["coh", "lemma53", "--cases", "5", "--seed", "7"])
     assert payload == {"cases": 5, "ok": True, "passed": 5,
@@ -602,15 +624,17 @@ _C2_ON_Z2 = ["--n", "2", "--gens", "(0 1)", "--orders", "2"]
 
 def test_coboundary_outside_cocycles_exits_70_internal(monkeypatch):
     # d^1 d^0 = 0 always holds, so a coboundary that is not a cocycle is a
-    # fault of coclass: spoil column 0 of d^0 (the indicator of the
-    # identity, whose d^1 is nonzero at (1, 1))
+    # fault of coclass: spoil column 0 of the normalized d^0 to the
+    # indicator of the non-identity element s of C2 on Z/3, whose d^1 is
+    # 2 at (s, s).  (On Z/2 that indicator is a cocycle.)
     real = groupcoh._boundary_matrix
 
     def broken(gm, n):
         cols = real(gm, n)
         return [{0: 1}] + cols[1:] if n == 0 else cols
     monkeypatch.setattr(groupcoh, "_boundary_matrix", broken)
-    payload = err(["coh", "h", *_C2_ON_Z2, "--degree", "1"], 70)
+    payload = err(["coh", "h", "--n", "2", "--gens", "(0 1)", "--orders", "3",
+                   "--degree", "1"], 70)
     assert payload["code"] == "internal"
     assert payload["diagnostics"] == [
         "InternalError: internal: coboundary outside cocycle lattice"]

@@ -45,6 +45,7 @@ from helpers import (
     crossed_to_hol,
     fixed_points,
     holomorph_group,
+    normalized_part,
 )
 
 
@@ -403,16 +404,25 @@ def c4_inversion():
     return FiniteGModule.from_generator_action(C4, M4, {C4.generators[0]: inv})
 
 
+def _nonzero_at_one(gm, arity, rng):
+    """A seeded full cochain whose value at (1, ..., 1) is not 0."""
+    M = gm.module
+    table = {key: rng.choice(M.elements)
+             for key in product(gm.elements, repeat=arity)}
+    table[(gm.elements[0],) * arity] = rng.choice(M.elements[1:])
+    return Cochain(gm, arity, table)
+
+
 @pytest.mark.parametrize("maker", [c2_trivial, s3_c3_sign, s3_on_v4,
                                    c4_inversion, s4_on_v4])
 def test_coboundary_matches_table_formula(maker):
+    # coboundary is d of the full bar complex: the cochains here are not
+    # normalized, and d d = 0 holds for them
     gm = maker()
     rng = random.Random(maker.__name__)
     for arity in (0, 1, 2):
         for _ in range(3):
-            c = Cochain(gm, arity, {
-                key: rng.choice(gm.module.elements)
-                for key in product(gm.elements, repeat=arity)})
+            c = _nonzero_at_one(gm, arity, rng)
             dc = coboundary(c)
             assert dc == coboundary_by_table(c)
             if arity < 2:
@@ -563,6 +573,65 @@ def test_reduce_respects_the_group_law(name, maker):
             assert h.reduce(a) in reps
 
 
+_UNNORMALIZED_MODULES = [
+    ("C2 trivial on Z/2", c2_trivial), ("S3 on Z/3 by sign", s3_c3_sign),
+    ("C4 on Z/4 by inversion", c4_inversion), ("S3 permuting V4", s3_on_v4),
+    ("C2 trivial on Z/2 x Z/8", lambda: _trivial("C2", [2, 8])),
+    ("C4 on Z/2 x Z/8", c4_on_z2_z8)]
+
+
+@pytest.mark.parametrize("name,maker", _UNNORMALIZED_MODULES,
+                         ids=[name for name, _ in _UNNORMALIZED_MODULES])
+def test_reduce_takes_cocycles_that_are_not_normalized(name, maker):
+    # H^n is computed on normalized cochains, but reduce and same_class take
+    # any full cocycle: rep + d(b) with b(1) != 0 is rep's class, and is
+    # not 0 at (1, 1)
+    rng = random.Random(name)
+    gm = maker()
+    one = gm.elements[0]
+    zero = gm.module.zero()
+    h2 = cohomology(gm, 2)
+    for rep in rng.sample(h2.representatives, min(6, h2.order)):
+        assert rep(one, one) == zero
+        for _ in range(3):
+            c = rep + coboundary(_nonzero_at_one(gm, 1, rng))
+            assert c(one, one) != zero
+            assert h2.reduce(c) == rep
+            assert h2.same_class(c, rep)
+
+
+@pytest.mark.parametrize("name,maker", _UNNORMALIZED_MODULES,
+                         ids=[name for name, _ in _UNNORMALIZED_MODULES])
+def test_reduce_rejects_cochains_nonzero_at_one(name, maker):
+    rng = random.Random(name)
+    gm = maker()
+    one = gm.elements[0]
+    # a 1-cocycle vanishes at 1, since d1(s)(1, 1) = s(1)
+    h1 = cohomology(gm, 1)
+    for rep in h1.representatives[:4]:
+        c = rep + Cochain(gm, 1, {
+            (g,): rng.choice(gm.module.elements[1:]) if g == one
+            else gm.module.zero() for g in gm.elements})
+        assert not coboundary(c).is_zero()
+        with pytest.raises(GroupCohError, match="not a cocycle"):
+            h1.reduce(c)
+        with pytest.raises(GroupCohError, match="not a cocycle"):
+            h1.same_class(c, rep)
+    # a 2-cochain living only on the tuples that hold 1
+    h2 = cohomology(gm, 2)
+    rejected = 0
+    for _ in range(8):
+        c = Cochain(gm, 2, {
+            key: rng.choice(gm.module.elements) if one in key
+            else gm.module.zero()
+            for key in product(gm.elements, repeat=2)})
+        if not coboundary(c).is_zero():
+            rejected += 1
+            with pytest.raises(GroupCohError, match="not a cocycle"):
+                h2.reduce(c)
+    assert rejected
+
+
 def test_large_h2_without_listing_its_classes():
     # dim H^2((Z/2)^4, F_2) = 4 + 6, so H^2 with (Z/2)^2 coefficients has
     # order 2^20; its 2^20 representatives are never built
@@ -592,14 +661,18 @@ def _snf_lattice_basis(gens, a):
             for j in range(min(a, len(gens))) if S[j][j]]
 
 
-def _dense_invariants(gm, n):
+def _dense_invariants(gm, n, full=False):
     """Invariant factors of H^n by dense Smith form over Z alone: Z^n from
-    the kernel of [F | diag(m)], then B^n in coordinates of a basis of Z^n."""
+    the kernel of [F | diag(m)], then B^n in coordinates of a basis of Z^n.
+    The coboundaries are the library's normalized ones, or with full set
+    the full bar complex of the oracle boundary_matrix_by_products."""
     M = gm.module
     k = len(M.cyclic_orders)
-    cols = _boundary_matrix(gm, n)
+    boundary = boundary_matrix_by_products if full else _boundary_matrix
+    cols = boundary(gm, n)
     a = len(cols)
-    b = len(gm.elements) ** (n + 1) * k
+    # one row block per tuple of one more element, of G or of G minus 1
+    b = a * (len(gm.elements) if full else len(gm.elements) - 1)
     W = [[c.get(i, 0) for c in cols]
          + [M.cyclic_orders[i % k] if j == i else 0 for j in range(b)]
          for i in range(b)]
@@ -615,7 +688,7 @@ def _dense_invariants(gm, n):
     bgens = [unit(j) for j in range(a)]
     if n:
         bgens += [[c.get(i, 0) for i in range(a)]
-                  for c in _boundary_matrix(gm, n - 1)]
+                  for c in boundary(gm, n - 1)]
     # B^n in Z^n coordinates, solved through the Smith form of the Z basis
     S, U, _, V, _ = _smith_over_z([[z[i] for z in zbasis]
                                    for i in range(a)])
@@ -683,9 +756,39 @@ _MATRIX_MODULES = _ORACLE_MODULES + [
 @pytest.mark.parametrize("name,maker", _MATRIX_MODULES,
                          ids=[name for name, _ in _MATRIX_MODULES])
 def test_boundary_matrix_matches_perm_products(name, maker):
+    # the library stores only the normalized d^n: the full matrix of the
+    # oracle at the tuples that hold no identity element
     gm = maker()
     for n in (0, 1, 2):
-        assert _boundary_matrix(gm, n) == boundary_matrix_by_products(gm, n), n
+        assert _boundary_matrix(gm, n) == normalized_part(
+            gm, n, boundary_matrix_by_products(gm, n)), n
+
+
+_NORMALIZATION_MODULES = [
+    ("C2 trivial on Z/2", lambda: _trivial("C2", [2])),
+    ("C2 trivial on Z/2 x Z/2", lambda: _trivial("C2", [2, 2])),
+    ("C3 trivial on Z/3", lambda: _trivial("C3", [3])),
+    ("C4 trivial on Z/2", lambda: _trivial("C4", [2])),
+    ("V4 trivial on Z/2", lambda: _trivial("V4", [2])),
+    ("C2 by inversion on Z/4", lambda: _cyclic_by_multiplier(2, 4, -1)),
+    ("C2 by inversion on Z/9", lambda: _cyclic_by_multiplier(2, 9, -1)),
+    ("C3 on Z/7 by 2x", lambda: _cyclic_by_multiplier(3, 7, 2)),
+    ("C4 on Z/5 by 2x", lambda: _cyclic_by_multiplier(4, 5, 2)),
+    ("S3 on Z/3 by sign", s3_c3_sign)]
+
+
+@pytest.mark.parametrize("name,maker", _NORMALIZATION_MODULES,
+                         ids=[name for name, _ in _NORMALIZATION_MODULES])
+def test_normalized_complex_has_the_cohomology_of_the_full_one(name, maker):
+    # H^n of the full bar complex by the dense route on the oracle's full
+    # matrices: the normalized complex must give the same group
+    gm = maker()
+    for n in (0, 1, 2):
+        h = cohomology(gm, n)
+        full = _dense_invariants(gm, n, full=True)
+        assert h.order == math.prod(full), n
+        assert [s for s in h.invariants if s > 1] == \
+            [s for s in full if s > 1], n
 
 
 def test_cohomology_is_built_once_per_module_and_degree(monkeypatch):
@@ -725,8 +828,8 @@ def test_stored_coboundaries_survive_every_caller():
     for gm in (X, W):
         for n in (0, 1, 2):
             assert _boundary_matrix(gm, n) is _boundary_matrix(gm, n)
-            assert _boundary_matrix(gm, n) == \
-                boundary_matrix_by_products(gm, n), n
+            assert _boundary_matrix(gm, n) == normalized_part(
+                gm, n, boundary_matrix_by_products(gm, n)), n
 
 
 @pytest.mark.parametrize("group", ["C3", "C4", "V4", "S3"])
