@@ -26,7 +26,7 @@ from .exactpoly.modp import is_prime
 from .groupcoh import FiniteGModule
 from .kummerh1 import CoclassC3, CoclassC4, CoclassV4, QuadElem
 from .localsym import LocalFieldDesc, Place, UnsupportedLocal
-from .permstruct import FiniteAbelian, PermGroup, UnsupportedDegree
+from .permstruct import FiniteAbelian, Perm, PermGroup, UnsupportedDegree
 
 SCHEMA = 1
 
@@ -94,14 +94,16 @@ def _parse_pair(text: str):
 def _parse_action(module: FiniteAbelian, group: PermGroup, text: str):
     """'(0 1):3|...;(0 1 2):...' -> generator automorphism table; each
     image is a comma tuple in the module's cyclic coordinates, one per
-    standard generator of the module, joined with '|'."""
+    standard generator of the module, joined with '|'.  A chunk for the
+    identity "()" must give the identity map, and adds nothing."""
     k = len(module.cyclic_orders)
     gen_action = {}
+    one = Perm.identity(group.n)
     for chunk in [c for c in (text or "").split(";") if c.strip()]:
         if ":" not in chunk:
             raise CliError(f"bad action chunk {chunk!r}")
         cyc, imgs = chunk.rsplit(":", 1)
-        perm = PermGroup.from_cycle_strings(group.n, [cyc]).generators[0]
+        perm = Perm.from_cycles(cyc, group.n)
         images = []
         for part in imgs.split("|"):
             coords = tuple(int(t) for t in part.split(","))
@@ -110,7 +112,12 @@ def _parse_action(module: FiniteAbelian, group: PermGroup, text: str):
             images.append(coords)
         if len(images) != k:
             raise CliError(f"action for {cyc!r} needs {k} generator images")
-        gen_action[perm] = module.linear_map(images)
+        phi = module.linear_map(images)
+        if perm != one:
+            gen_action[perm] = phi
+        elif any(x != y for x, y in phi.items()):
+            raise CliError(f"the identity {cyc.strip()!r} must act as the "
+                           "identity map")
     return gen_action
 
 

@@ -20,6 +20,12 @@ representatives and the reduction of a cocycle to its representative
 Number Theory, 2.4).  smith_normal_form computes only the invariant
 diagonal, from the indices of Hermite bases modulo prime powers; no
 transform matrix is tracked.
+
+Beyond H^0, the bar complex of G is eliminated only when G is a p-group
+and p divides |M|.  Otherwise H^n(G, M), n = 1, 2, is the direct sum over
+the primes p dividing |G| and |M| of the stable elements of H^n(P, M), P a
+Sylow p-subgroup (Cartan & Eilenberg, Homological Algebra, XII.10; Brown,
+III.10), and is 0 when there are no such primes; see SylowCoclassSet.
 """
 
 from __future__ import annotations
@@ -224,13 +230,12 @@ class FiniteGModule:
     Sorted G is indexed once: mul[i][j] is the index of the product of
     elements i and j, and action_matrices[i] is the matrix of element i.
     The identity, the least permutation, is index 0.  The normalized
-    coboundary matrices and the CoclassSet of each degree are built on
+    coboundary matrices, the CoclassSet of each degree and the module over
+    a Sylow p-subgroup for each prime p (_sylow_submodule) are built on
     first use and kept on the module."""
 
     def __init__(self, group: PermGroup, module: FiniteAbelian, action: Dict):
         _check_caps(group, module)
-        self.group = group
-        self.module = module
         self.action = dict(action)
         els = sorted(group.elements)
         ident = Perm.identity(group.n)
@@ -242,20 +247,31 @@ class FiniteGModule:
         if els[0] != ident:
             raise InternalError("internal: identity is not the first "
                                 "element of sorted G")
-        self.elements = els
-        self.index = {g: i for i, g in enumerate(els)}
-        self.mul = [[self.index[g * h] for h in els] for g in els]
+        self._index(group, module, els)
         # full table verification that the action is a homomorphism
+        pts = module.elements
         acts = [self.action[g] for g in els]
         for ag, row in zip(acts, self.mul):
             for ah, gh in zip(acts, row):
                 agh = acts[gh]
-                for m in module.elements:
+                for m in pts:
                     if agh[m] != ag[ah[m]]:
                         raise GroupCohError("action is not a homomorphism")
+
+    def _index(self, group: PermGroup, module: FiniteAbelian, els):
+        """Index sorted G, els: the product table, from the images of the
+        permutations, and the action matrices; the caches start empty."""
+        self.group = group
+        self.module = module
+        self.elements = els
+        self.index = {g: i for i, g in enumerate(els)}
+        at = {g.images: i for i, g in enumerate(els)}
+        self.mul = [[at[tuple(map(g.images.__getitem__, h.images))]
+                     for h in els] for g in els]
         self.action_matrices = [self.action_matrix(g) for g in els]
         self._coboundaries = {}
         self._cohomology = {}
+        self._sylow = {}
 
     @staticmethod
     def trivial(group: PermGroup, module: FiniteAbelian) -> "FiniteGModule":
@@ -374,10 +390,10 @@ class Cochain:
         return not any(self.vector)
 
 
-def coboundary(c: Cochain) -> Cochain:
-    """The differential d^n of the full inhomogeneous bar complex applied to
-    c, evaluated row by row from the bar formula in _bar_sources; no matrix
-    is stored for it."""
+def _bar_rows(c: Cochain, last=None):
+    """The rows of d^n applied to c, from the bar formula in _bar_sources:
+    the k entries at each tuple (g_0, ..., g_n) of the full complex, not
+    yet reduced, for the rows that _bar_sources gives with last."""
     if c.arity not in (0, 1, 2):
         raise GroupCohError("degree must be 0..2")
     gm = c.gm
@@ -385,21 +401,39 @@ def coboundary(c: Cochain) -> Cochain:
     v = c.vector
     vals = [v[j:j + k] for j in range(0, len(v), k)]
     acts = gm.action_matrices
-    out = []
-    for a, (j, *terms) in _bar_sources(gm.mul, c.arity):
+    for a, (j, *terms) in _bar_sources(gm.mul, c.arity, last=last):
         x = vals[j]
         row = [sum(p * q for p, q in zip(r, x)) for r in acts[a]]
         for sign, t in zip((-1, 1, -1), terms):
             row = [u + sign * w for u, w in zip(row, vals[t])]
-        out += row
-    return Cochain.from_vector(gm, c.arity + 1, out)
+        yield row
+
+
+def coboundary(c: Cochain) -> Cochain:
+    """The differential d^n of the full inhomogeneous bar complex applied to
+    c, evaluated row by row; no matrix is stored for it."""
+    return Cochain.from_vector(c.gm, c.arity + 1,
+                               [x for row in _bar_rows(c) for x in row])
+
+
+def _is_cocycle(c: Cochain) -> bool:
+    """Whether d^n(c) = 0, read on the rows whose last argument is a
+    generator s of G.  That suffices: with b = d^n(c), d(b) = 0 at
+    (g_0, ..., h, s) gives b(g_0, ..., h s) = b(g_0, ..., h) once b
+    vanishes at every (g_0, ..., s), so b is constant in its last argument,
+    which the generators carry through all of G."""
+    gm = c.gm
+    gens = {gm.index[s] for s in gm.group.generators} or {0}
+    orders = gm.module.cyclic_orders
+    return not any(x % d for row in _bar_rows(c, gens)
+                   for x, d in zip(row, orders))
 
 
 # ---------------------------------------------------------------------------
 # cohomology by sparse elimination modulo the orders of M
 # ---------------------------------------------------------------------------
 
-def _bar_sources(mul, n, normalized=False):
+def _bar_sources(mul, n, normalized=False, last=None):
     """For each row (g_0, ..., g_n) of d^n, in itertools.product order over
     the indices of sorted G: the index of g_0 and the C^n positions of the
     terms of the bar formula, first the one g_0 acts on, then the rest in
@@ -409,18 +443,20 @@ def _bar_sources(mul, n, normalized=False):
     all tuples of G.  With normalized set they are those of the normalized
     complex: tuples of G minus the identity (index 0), counted among
     themselves, and a term whose argument holds a product equal to the
-    identity has position None."""
+    identity has position None.  With last set, only the rows whose g_n
+    has an index in last come, in the same order."""
     N = len(mul)
     lo = int(normalized)
     base = N - lo
     els = range(lo, N)
+    ends = els if last is None else sorted(last)
     if n == 0:
-        for a in els:
+        for a in ends:
             yield a, (0, 0)
     elif n == 1:
         for a in els:
             ma = mul[a]
-            for b in els:
+            for b in ends:
                 ab = ma[b]
                 yield a, (b - lo, ab - lo if ab >= lo else None, a - lo)
     else:
@@ -429,7 +465,7 @@ def _bar_sources(mul, n, normalized=False):
             for b in els:
                 mb, ab, rb = mul[b], ma[b], (b - lo) * base - lo
                 rab = (ab - lo) * base - lo if ab >= lo else None
-                for c in els:
+                for c in ends:
                     bc = mb[c]
                     yield a, (rb + c, None if rab is None else rab + c,
                               ra + bc if bc >= lo else None, ra + b)
@@ -476,9 +512,26 @@ def _boundary_matrix(gm: FiniteGModule, n: int):
     return cols
 
 
+def _divide(v, basis, leads, mods):
+    """Integer coordinates of the sparse vector v (dict index -> entry) in
+    the Howell basis `basis`, whose vectors lead at the descending
+    coordinates `leads`, by division down the list with entry i taken
+    modulo mods[i]; None if v is not in their span."""
+    v = _combine(1, v, 0, None, mods)
+    y = [0] * len(leads)
+    for i, (r, h) in enumerate(zip(leads, basis)):
+        x = v.get(r, 0)
+        if x:
+            if x % h[r]:
+                return None
+            y[i] = x // h[r]
+            _axpy(v, -y[i], h, mods)
+    return None if v else y
+
+
 class CoclassSet:
     """H^n(G, M): invariant factors, representatives, and coset reduction,
-    computed on the normalized complex.
+    computed on the normalized bar complex of G.
 
     A normalized n-cochain is held as its values on the tuples of G minus
     the identity, in itertools.product order, in the cyclic coordinates,
@@ -494,14 +547,15 @@ class CoclassSet:
     So |H^n| is the product of the h_r; a cocycle reduces to the one
     representative whose coordinates y have 0 <= y_r < h_r, by subtracting
     multiples of the columns from the last row up; and the representatives
-    are the box of those y.  The invariant factors, one per normalized
-    coordinate, are read from H by smith_normal_form, which computes the
-    diagonal only.
+    are the box of those y.  The invariant factors, (|G| - 1)^n * k of them
+    with the 1s first, are read from H by smith_normal_form, which computes
+    the diagonal only.
 
     Representatives are full Cochains, zero on every tuple holding the
     identity, and reduce takes any full cocycle.  d^n and d^(n-1) are the
-    module's stored normalized coboundary matrices.  Build it through
-    cohomology(gm, n), which keeps one CoclassSet per module and degree.
+    module's stored normalized coboundary matrices.  cohomology(gm, n)
+    builds this bar route for H^0 and for a p-group G with p dividing |M|,
+    and keeps one set per module and degree.
     """
 
     def __init__(self, gm: FiniteGModule, degree: int):
@@ -518,14 +572,12 @@ class CoclassSet:
             pos = [p * N + g for p in pos for g in range(1, N)]
         self._embed = [p * k + s for p in pos for s in range(k)]
         self._size = N ** degree * k
-        a = len(self._embed)
-        mods = [M.cyclic_orders[i % k] for i in range(a)]
+        mods = [M.cyclic_orders[i % k] for i in range(len(self._embed))]
         self._mods = mods
         # Z^n: cochains x with d^n(x) = 0 modulo the target moduli
         self._howell = kernel_basis(_boundary_matrix(gm, degree),
                                     mods * (N - 1), mods)
         self._lead = [max(h) for h in self._howell]
-        z = len(self._lead)
         # relations: (m_r / g_r) * h_r lies in the span of the later h's
         rels = []
         for i, (r, h) in enumerate(zip(self._lead, self._howell)):
@@ -544,12 +596,19 @@ class CoclassSet:
                     raise InternalError("internal: coboundary outside "
                                         "cocycle lattice")
                 rels.append(y)
-        # M has exponent e, so e * Z^z lies among the relations
+        self._present(rels, len(self._lead))
+
+    def _present(self, rels, z):
+        """Read H^n = Z^z / L from the relations spanning L, with e * Z^z
+        (e the exponent of M, which kills H^n) added: the Hermite basis, the
+        order and the invariant factors, in one smith_normal_form call."""
+        M = self.gm.module
         basis = lattice_basis(rels, M.exponent)
         # each column's entries above its diagonal, sparse, and the diagonal
         self._hermite = [[(i, x) for i, x in enumerate(col[:r]) if x]
                          for r, col in enumerate(basis)]
         self._box = [col[r] for r, col in enumerate(basis)]
+        a = (len(self.gm.elements) - 1) ** self.degree * len(M.cyclic_orders)
         self.invariants = [1] * (a - z) + smith_normal_form(
             [[col[i] for col in basis] for i in range(z)], M.exponent)
         self.order = math.prod(self._box)
@@ -566,16 +625,7 @@ class CoclassSet:
         """Integer coordinates of the integer normalized cochain vector v (a
         sparse dict) in the Howell basis of Z^n, or None if v is not a
         cocycle."""
-        v = _combine(1, v, 0, None, self._mods)
-        y = [0] * len(self._lead)
-        for i, (r, h) in enumerate(zip(self._lead, self._howell)):
-            x = v.get(r, 0)
-            if x:
-                if x % h[r]:
-                    return None
-                y[i] = x // h[r]
-                _axpy(v, -y[i], h, self._mods)
-        return None if v else y
+        return _divide(v, self._howell, self._lead, self._mods)
 
     def _cochain(self, y):
         """The cocycle with coordinates y in the Howell basis, as a full
@@ -589,18 +639,15 @@ class CoclassSet:
             vec[self._embed[j]] = x
         return Cochain.from_vector(self.gm, self.degree, vec)
 
-    def reduce(self, c: Cochain) -> Cochain:
-        """The canonical representative cohomologous to the cocycle c, a
-        full cochain.
+    def _cocycle_coords(self, c: Cochain):
+        """The Howell coordinates of a normalized cocycle cohomologous to
+        the full cocycle c.
 
         A full cocycle is cohomologous to a normalized one: in degree 1 it
         vanishes at 1 already, and in degree 2 subtracting d of the constant
         1-cochain c(1, 1) makes it vanish on every tuple holding 1.  A full
         cochain vanishing there is a cocycle just when its normalized part
         is one."""
-        if c.arity != self.degree or c.gm is not self.gm and \
-                (c.gm.elements != self.gm.elements):
-            raise GroupCohError("cochain does not match this coclass set")
         if self.degree == 2:
             k = len(self.gm.module.cyclic_orders)
             c = c - coboundary(Cochain.from_vector(
@@ -610,6 +657,15 @@ class CoclassSet:
         y = self._coords(part)
         if y is None or len(part) != len(v) - v.count(0):
             raise GroupCohError("not a cocycle")
+        return y
+
+    def reduce(self, c: Cochain) -> Cochain:
+        """The canonical representative cohomologous to the cocycle c, a
+        full cochain."""
+        if c.arity != self.degree or c.gm is not self.gm and \
+                (c.gm.elements != self.gm.elements):
+            raise GroupCohError("cochain does not match this coclass set")
+        y = self._cocycle_coords(c)
         # Hermite reduction: column r touches only rows up to r
         for r in reversed(range(len(y))):
             q, y[r] = divmod(y[r], self._box[r])
@@ -622,12 +678,236 @@ class CoclassSet:
         return self.reduce(c1) == self.reduce(c2)
 
 
+def _prime_divisors(n: int):
+    """The primes dividing n, ascending."""
+    out, p = [], 2
+    while n > 1:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out
+
+
+def _span(mul, gens, cap):
+    """The indices of the subgroup that the indices gens generate, by the
+    product table mul, or None as soon as it has more than cap elements."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = mul[a][g]
+                if b not in seen:
+                    seen.add(b)
+                    if len(seen) > cap:
+                        return None
+                    nxt.append(b)
+        frontier = nxt
+    return seen
+
+
+def _sylow_submodule(gm: FiniteGModule, p: int) -> FiniteGModule:
+    """The module over a Sylow p-subgroup P of G, built once and kept on
+    gm.  P grows greedily over sorted G: an element joins when the span
+    stays a p-group.  An element left out stays out of every larger
+    p-subgroup, so one pass ends at a maximal p-subgroup, and a maximal
+    p-subgroup is a Sylow subgroup."""
+    pm = gm._sylow.get(p)
+    if pm is None:
+        N = len(gm.elements)
+        part = 1  # the order of a Sylow p-subgroup
+        while N % (part * p) == 0:
+            part *= p
+        span, gens = {0}, []
+        for g in range(1, N):
+            if len(span) == part:
+                break
+            if g not in span:
+                grown = _span(gm.mul, gens + [g], part)
+                if grown is not None and part % len(grown) == 0:
+                    span, gens = grown, gens + [g]
+        P = PermGroup(gm.group.n, [gm.elements[i] for i in gens])
+        pm = gm._sylow[p] = submodule_over(gm, P)
+    return pm
+
+
+def _stable_cocycles(gm: FiniteGModule, hp: CoclassSet):
+    """Howell basis of the lattice K of Howell coordinates x (taken modulo
+    the exponent e of M) of cocycles of H^n(P, M), P the group of hp's
+    module, whose class is stable: for each double coset P g P other than
+    P, res(x) - res(g.x) is a coboundary on Q, the intersection of P and
+    gPg^-1, where (g.f)(a, b) = g.f(g^-1 a g, g^-1 b g).  So K / L_P is
+    the stable subgroup, L_P the relation lattice of H^n(P, M).
+
+    K is the kernel of one matrix: its columns are the normalized
+    (n-1)-cochains b_g of each Q first, entering by -d(b_g), then the x,
+    entering by res(h_i) - res(g.h_i); a row is a normalized n-tuple of a
+    Q and a cyclic coordinate.  The kernel vectors that lead at an x
+    coordinate, cut to their x part, are a Howell basis of K."""
+    pm, n = hp.gm, hp.degree
+    M = gm.module
+    k = len(M.cyclic_orders)
+    mul = gm.mul
+    inv = [row.index(0) for row in mul]
+    idx = [gm.index[h] for h in pm.elements]  # ascending, as pm sorts
+    in_p = {g: i for i, g in enumerate(idx)}
+    base = len(idx) - 1
+    x_cols = [{} for _ in hp._howell]
+    W, row_mods, col_mods = [], [], []
+    seen = set()
+    for g in range(len(mul)):
+        if g in seen:
+            continue
+        seen.update(mul[mul[a][g]][b] for a in idx for b in idx)
+        if g == 0:  # P itself: g acts trivially on H^n(P, M)
+            continue
+        Q = [q for q in idx if mul[mul[inv[g]][q]][g] in in_p]
+        if len(Q) == 1:  # H^n(1, M) = 0 asks nothing
+            continue
+        qm = pm if len(Q) == len(idx) else submodule_over(
+            pm, PermGroup(gm.group.n, [gm.elements[q] for q in Q]))
+        at = len(row_mods)
+        W += [{at + r: v for r, v in col.items()}
+              for col in _boundary_matrix(qm, n - 1)]
+        col_mods += [M.cyclic_orders[j % k]
+                     for j in range((len(Q) - 1) ** (n - 1) * k)]
+        A = gm.action_matrices[g]
+        for row, key in enumerate(product(Q[1:], repeat=n)):
+            here = there = 0
+            for q in key:
+                here = here * base + in_p[q] - 1
+                there = there * base + in_p[mul[mul[inv[g]][q]][g]] - 1
+            for r, m in enumerate(M.cyclic_orders):
+                for h, col in zip(hp._howell, x_cols):
+                    v = (h.get(here * k + r, 0) - sum(
+                        A[r][s] * h.get(there * k + s, 0)
+                        for s in range(k))) % m
+                    if v:
+                        col[at + row * k + r] = v
+            row_mods += M.cyclic_orders
+    t = len(W)
+    kb = kernel_basis(W + x_cols, row_mods,
+                      col_mods + [M.exponent] * len(x_cols))
+    return [{j - t: v for j, v in vec.items() if j >= t}
+            for vec in kb if max(vec) >= t]
+
+
+class SylowCoclassSet(CoclassSet):
+    """H^n(G, M), n = 1, 2, for G not a p-group or |M| prime to |G|, from
+    the stable elements of its Sylow subgroups; no elimination runs on the
+    bar complex of G.
+
+    H^n(G, M) is killed by |G| and by |M|, so it is the direct sum of its
+    p-parts over the primes p dividing both, and is 0 if there are none.
+    Restriction to a Sylow p-subgroup P maps the p-part isomorphically onto
+    the stable subgroup S_p of H^n(P, M) (Cartan & Eilenberg, XII.10;
+    Brown, III.10); H^n(P, M) is the bar route's, on the module kept on gm.
+    S_p = K / L_P, for K the stable Howell coordinates (_stable_cocycles)
+    and L_P the Hermite lattice of H^n(P, M), and the direct sum over p is
+    presented as in CoclassSet, by one Hermite basis and one
+    smith_normal_form call.
+
+    The class with coordinates y_p in each S_p is represented by the sum
+    of cor(u_p * x_p), x_p the P-cocycle of y_p and u_p [G:P] = 1 modulo
+    |P|, since res cor is [G:P] on stable classes.  reduce checks that c
+    is a G-cocycle, then reads y_p from res_P(eps_p * c), eps_p = u_p [G:P]
+    the idempotent of the p-part of |G|.
+    """
+
+    def __init__(self, gm: FiniteGModule, degree: int):
+        if degree not in (1, 2):
+            raise GroupCohError("degree must be 1 or 2")
+        self.gm = gm
+        self.degree = degree
+        e = gm.module.exponent
+        N = len(gm.elements)
+        # per prime: H^n(P), the Howell basis of K with its leads and
+        # moduli, u_p, eps_p and the transfer table of P
+        self._parts = []
+        rels, z = [], 0
+        for p in _prime_divisors(math.gcd(N, gm.module.order)):
+            hp = cohomology(_sylow_submodule(gm, p), degree)
+            if hp.order == 1:  # then the p-part is 0 too
+                continue
+            kappa = _stable_cocycles(gm, hp)
+            leads = [max(v) for v in kappa]
+            emods = [e] * len(hp._howell)
+            own = []
+            # (e / g_r) * kappa_r lies in the span of the later kappas
+            for i, (r, v) in enumerate(zip(leads, kappa)):
+                q = e // v[r]
+                rel = _divide({j: q * x for j, x in v.items()}, kappa, leads,
+                              emods)
+                if rel is None:
+                    raise InternalError("stable basis not in Howell form "
+                                        "(internal error)")
+                rel[i] -= q
+                own.append(rel)
+            # L_P, the Hermite columns of H^n(P, M): stable, being 0
+            for r, (h, col) in enumerate(zip(hp._box, hp._hermite)):
+                rel = _divide({r: h, **dict(col)}, kappa, leads, emods)
+                if rel is None:
+                    raise InternalError("internal: a relation of H^n(P) "
+                                        "is not stable")
+                own.append(rel)
+            s = len(kappa)
+            rels = [rel + [0] * s for rel in rels] + \
+                [[0] * z + rel for rel in own]
+            z += s
+            P = hp.gm.group
+            index = N // P.order
+            u = pow(index, -1, P.order)
+            self._parts.append((hp, kappa, leads, emods, u, u * index,
+                                _transfer_table(gm, P)))
+        self._present(rels, z)
+
+    def _cochain(self, y):
+        """The sum over p of cor(u_p * x_p), x_p the P-cocycle whose
+        coordinates in the Howell basis of K are y's slice for p."""
+        out = Cochain.zero(self.gm, self.degree)
+        at = 0
+        for hp, kappa, _, emods, u, _, table in self._parts:
+            w = {}
+            for c, v in zip(y[at:at + len(kappa)], kappa):
+                if c:
+                    _axpy(w, c * u, v, emods)
+            at += len(kappa)
+            if w:
+                x = hp._cochain([w.get(i, 0) for i in range(len(emods))])
+                out = out + _corestrict(self.gm, x, table)
+        return out
+
+    def _cocycle_coords(self, c: Cochain):
+        """The coordinates, slice by slice over p, of the class of
+        res_P(eps_p * c) in the Howell basis of K, once c is known to be a
+        G-cocycle: a restriction alone can be a cocycle when c is not."""
+        if not _is_cocycle(c):
+            raise GroupCohError("not a cocycle")
+        y = []
+        for hp, kappa, leads, emods, _, eps, _ in self._parts:
+            w = hp._cocycle_coords(_restrict(c.smul(eps), hp.gm))
+            coords = _divide({i: x for i, x in enumerate(w) if x}, kappa,
+                             leads, emods)
+            if coords is None:
+                raise InternalError("internal: restriction of a cocycle "
+                                    "is not stable")
+            y += coords
+        return y
+
+
 def cohomology(gm: FiniteGModule, n: int) -> CoclassSet:
     """H^n(G, M), built on the first call for this module and degree and
-    returned again after that."""
+    returned again after that: by the bar route (CoclassSet) for n = 0 and
+    for a p-group G with p dividing |M|, and otherwise from Sylow
+    subgroups (SylowCoclassSet)."""
     h = gm._cohomology.get(n)
     if h is None:
-        h = gm._cohomology[n] = CoclassSet(gm, n)
+        primes = _prime_divisors(len(gm.elements))
+        bar = n == 0 or (len(primes) == 1
+                         and gm.module.order % primes[0] == 0)
+        h = gm._cohomology[n] = (CoclassSet if bar else SylowCoclassSet)(gm, n)
     return h
 
 
@@ -691,55 +971,89 @@ def _check_subgroup(gm: FiniteGModule, H: PermGroup):
 
 
 def submodule_over(gm: FiniteGModule, H: PermGroup) -> FiniteGModule:
-    """The same module viewed over the subgroup H."""
+    """The same module viewed over the subgroup H.  Its action, restricted
+    from the checked action of G, is a homomorphism unchecked."""
     _check_subgroup(gm, H)
-    return FiniteGModule(H, gm.module,
-                         {h: gm.action[h] for h in H.elements})
+    hm = FiniteGModule.__new__(FiniteGModule)
+    hm.action = {h: gm.action[h] for h in H.elements}
+    hm._index(H, gm.module, sorted(H.elements))
+    return hm
 
 
-def _coset_reps(gm: FiniteGModule, H: PermGroup):
-    """Deterministic (lex-min) left coset representatives of G/H: the
-    heads of the orbits of sorted G under right multiplication by H."""
-    return [orbit[0] for orbit in orbits(sorted(gm.group.elements),
-                                         H.generators, lambda h, g: g * h)]
+def _restrict(c: Cochain, hm: FiniteGModule) -> Cochain:
+    """The cochain c of G read on the tuples of the subgroup of hm."""
+    gm = c.gm
+    k = len(gm.module.cyclic_orders)
+    N = len(gm.elements)
+    v = c.vector
+    out = []
+    for key in product([gm.index[h] for h in hm.elements], repeat=c.arity):
+        i = 0
+        for g in key:
+            i = i * N + g
+        out += v[i * k:i * k + k]
+    return Cochain.from_vector(hm, c.arity, out)
+
+
+def _transfer_table(gm: FiniteGModule, H: PermGroup):
+    """The left coset representatives of H in G, the least index of each
+    coset gH, and for each index x of G the pair (r, j) with x = r h_j, r
+    a representative and h_j the j-th element of sorted H."""
+    hs = [gm.index[h] for h in sorted(H.elements)]
+    reps, split = [], [None] * len(gm.elements)
+    for g, row in enumerate(gm.mul):
+        if split[g] is None:
+            reps.append(g)
+            for j, h in enumerate(hs):
+                split[row[h]] = (g, j)
+    return reps, split
+
+
+def _corestrict(gm: FiniteGModule, c: Cochain, table) -> Cochain:
+    """The corestriction of the cochain c over H to G, table being
+    _transfer_table(gm, H), by the transfer on inhomogeneous cochains
+    (Neukirch, Schmidt & Wingberg, Cohomology of Number Fields, I.5).  At
+    (s_1, ..., s_n) each representative t_0 is carried through the
+    arguments from the last, s_n t_0 = t_1 h_n, s_(n-1) t_1 = t_2 h_(n-1),
+    ..., and adds t_n . c(h_1, ..., h_n).  So cor(c)() = sum_r r.c(),
+    cor(c)(s) = sum_r r'.c(h) with s r = r' h, and cor(c)(s, t) =
+    sum_r r''.c(h', h) with t r = r' h and s r' = r'' h'."""
+    reps, split = table
+    k = len(gm.module.cyclic_orders)
+    size = len(c.gm.elements)
+    mul, acts, v = gm.mul, gm.action_matrices, c.vector
+    out = []
+    for key in product(range(len(mul)), repeat=c.arity):
+        acc = [0] * k
+        for t in reps:
+            j, w = 0, 1
+            for s in reversed(key):
+                t, h = split[mul[s][t]]
+                j, w = j + h * w, w * size
+            x = v[j * k:j * k + k]
+            acc = [a + sum(p * q for p, q in zip(row, x))
+                   for a, row in zip(acc, acts[t])]
+        out += acc
+    return Cochain.from_vector(gm, c.arity, out)
 
 
 def res_cor(gm: FiniteGModule, H: PermGroup, c: Cochain, direction: str):
-    """Restriction / corestriction in degrees 0 and 1.
+    """Restriction / corestriction in degrees 0 to 2.
 
     res: H^n(G, M) -> H^n(H, M) by table restriction.
-    cor: H^n(H, M) -> H^n(G, M) by the coset-transfer formula.
+    cor: H^n(H, M) -> H^n(G, M) by the transfer (_corestrict), for c a
+    cochain over H.
     """
     _check_subgroup(gm, H)
-    M = gm.module
+    if c.arity > 2:
+        raise GroupCohError("res and cor implemented in degrees 0 to 2")
     if direction == "res":
-        hm = submodule_over(gm, H)
-        if c.arity == 0:
-            return Cochain(hm, 0, {(): c()})
-        if c.arity == 1:
-            return Cochain(hm, 1, {(h,): c(h) for h in hm.elements})
-        raise GroupCohError("res implemented in degrees 0 and 1")
+        return _restrict(c, submodule_over(gm, H))
     if direction != "cor":
         raise GroupCohError("direction must be 'res' or 'cor'")
-    reps = _coset_reps(gm, H)
-    if c.arity == 0:
-        u = c()
-        acc = M.zero()
-        for r in reps:
-            acc = M.add(acc, gm.act(r, u))
-        return Cochain(gm, 0, {(): acc})
-    if c.arity == 1:
-        # every g r is r' h for exactly one r' in reps and h in H
-        split = {r * h: (r, h) for r in reps for h in H.elements}
-        out = {}
-        for g in gm.elements:
-            acc = M.zero()
-            for r in reps:
-                rp, h = split[g * r]
-                acc = M.add(acc, gm.act(rp, c(h)))
-            out[(g,)] = acc
-        return Cochain(gm, 1, out)
-    raise GroupCohError("cor implemented in degrees 0 and 1")
+    if c.gm.elements != sorted(H.elements):
+        raise GroupCohError("cor needs a cochain over H")
+    return _corestrict(gm, c, _transfer_table(gm, H))
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +1077,7 @@ def _check_h_linear(X: FiniteGModule, Y: FiniteGModule, H: PermGroup, f: Dict):
 def induced_map(X: FiniteGModule, Y: FiniteGModule, H: PermGroup, f: Dict):
     """f~(x) = sum over coset reps r of r.f(r^-1 x); G-linear when f is
     H-linear."""
-    reps = _coset_reps(X, H)
+    reps = [X.elements[r] for r in _transfer_table(X, H)[0]]
     out = {}
     for m in X.module.elements:
         acc = Y.module.zero()
@@ -784,8 +1098,8 @@ def lemma53_check(X: FiniteGModule, Y: FiniteGModule, H: PermGroup,
     """Check Cor(f_* Res sigma) ~ (f~)_* sigma on every class of H^n(G, X).
 
     Returns (True, None) or (False, offending class representative)."""
-    if n not in (0, 1):
-        raise GroupCohError("n must be 0 or 1")
+    if n not in (0, 1, 2):
+        raise GroupCohError("n must be 0, 1 or 2")
     _check_subgroup(X, H)
     _check_h_linear(X, Y, H, f)
     ftilde = induced_map(X, Y, H, f)
@@ -812,7 +1126,7 @@ def cup11(X: FiniteGModule, Y: FiniteGModule, W: FiniteGModule,
     The pairing must be bilinear and G-equivariant; both are verified."""
     if z1.arity != 1 or z2.arity != 1:
         raise GroupCohError("cup11 needs two 1-cochains")
-    if not coboundary(z1).is_zero() or not coboundary(z2).is_zero():
+    if not (_is_cocycle(z1) and _is_cocycle(z2)):
         raise GroupCohError("cup11 needs cocycles")
     # verify bilinearity and equivariance on the full table
     for x in X.module.elements:
@@ -834,6 +1148,6 @@ def cup11(X: FiniteGModule, Y: FiniteGModule, W: FiniteGModule,
         for h in W.elements:
             out[(g, h)] = pairing(z1(g), Y.act(g, z2(h)))
     c = Cochain(W, 2, out)
-    if not coboundary(c).is_zero():
+    if not _is_cocycle(c):
         raise InternalError("cup product not a cocycle (internal error)")
     return c

@@ -285,6 +285,31 @@ def test_coh_h_inconsistent_action_exit_2():
          "--action", "(0 1):0", "--degree", "1"], 2)
 
 
+def test_coh_action_chunk_for_the_identity():
+    # "()" parses to the identity, a group with no generator: its chunk is
+    # accepted when it maps every generator of M to itself, and adds nothing
+    payload = err(["coh", "h", "--n", "2", "--gens", "(0 1)", "--orders", "2",
+                   "--action", "():1", "--degree", "1"], 2)
+    assert payload["diagnostics"] == ["action missing for (0 1)"]
+    for gens, action, plain in (
+            ("(0 1)", "(0 1):3;():1", ["--action", "(0 1):3"]),
+            ("()", "():1", [])):
+        argv = ["--n", "2", "--gens", gens, "--orders", "4"]
+        for cmd in (["h", "--degree", "1"], ["h", "--degree", "2"],
+                    ["hol-h1"]):
+            assert ok(["coh", *cmd, *argv, "--action", action]) == \
+                ok(["coh", *cmd, *argv, *plain])
+
+
+@pytest.mark.parametrize("action", ["():3", "(0 1):1;():0"])
+def test_coh_action_chunk_moving_the_identity_exit_2(action):
+    payload = err(["coh", "h", "--n", "2", "--gens", "(0 1)", "--orders", "4",
+                   "--action", action, "--degree", "1"], 2)
+    assert payload["code"] == "invalid"
+    assert payload["diagnostics"] == [
+        "the identity '()' must act as the identity map"]
+
+
 # ---------------------------------------------------------------------------
 # h1 codecs
 # ---------------------------------------------------------------------------
@@ -625,15 +650,16 @@ _C2_ON_Z2 = ["--n", "2", "--gens", "(0 1)", "--orders", "2"]
 def test_coboundary_outside_cocycles_exits_70_internal(monkeypatch):
     # d^1 d^0 = 0 always holds, so a coboundary that is not a cocycle is a
     # fault of coclass: spoil column 0 of the normalized d^0 to the
-    # indicator of the non-identity element s of C2 on Z/3, whose d^1 is
-    # 2 at (s, s).  (On Z/2 that indicator is a cocycle.)
+    # indicator of the non-identity element s of C2 on Z/4, whose d^1 is
+    # 2 at (s, s).  (On Z/2 that indicator is a cocycle, and on an odd Z/m
+    # H^1 is 0 without any elimination.)
     real = groupcoh._boundary_matrix
 
     def broken(gm, n):
         cols = real(gm, n)
         return [{0: 1}] + cols[1:] if n == 0 else cols
     monkeypatch.setattr(groupcoh, "_boundary_matrix", broken)
-    payload = err(["coh", "h", "--n", "2", "--gens", "(0 1)", "--orders", "3",
+    payload = err(["coh", "h", "--n", "2", "--gens", "(0 1)", "--orders", "4",
                    "--degree", "1"], 70)
     assert payload["code"] == "internal"
     assert payload["diagnostics"] == [

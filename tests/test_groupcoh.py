@@ -20,6 +20,7 @@ from coclass.groupcoh import (
     CoclassSet,
     FiniteGModule,
     GroupCohError,
+    SylowCoclassSet,
     UnsupportedSize,
     coboundary,
     cohomology,
@@ -404,6 +405,12 @@ def c4_inversion():
     return FiniteGModule.from_generator_action(C4, M4, {C4.generators[0]: inv})
 
 
+def _random_cochain(gm, arity, rng):
+    """A seeded full cochain of the given arity."""
+    return Cochain(gm, arity, {key: rng.choice(gm.module.elements)
+                               for key in product(gm.elements, repeat=arity)})
+
+
 def _nonzero_at_one(gm, arity, rng):
     """A seeded full cochain whose value at (1, ..., 1) is not 0."""
     M = gm.module
@@ -531,6 +538,60 @@ def test_reduce_rejects_non_cocycle(degree):
         cohomology(gm, degree).reduce(c)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_sylow_reduce_rejects_non_cocycle_with_cocycle_restriction(degree):
+    # 1 at ((0 1), ..., (0 1)) and 0 elsewhere: d is not 0 on S3, but the
+    # restriction to the Sylow 3-subgroup, the only one that counts for
+    # Z/3, is 0
+    gm = s3_c3_sign()
+    s = Perm.from_cycles("(0 1)", 3)
+    c = Cochain(gm, degree, {k: (int(k == (s,) * degree),)
+                             for k in product(gm.elements, repeat=degree)})
+    h = cohomology(gm, degree)
+    assert isinstance(h, SylowCoclassSet)
+    assert not coboundary(c).is_zero()
+    assert res_cor(gm, gm._sylow[3].group, c, "res").is_zero()
+    with pytest.raises(GroupCohError, match="not a cocycle"):
+        h.reduce(c)
+
+
+@pytest.mark.parametrize("maker", [c2_trivial, s3_c3_sign, s3_on_v4,
+                                   c4_inversion, s4_on_v4])
+def test_cocycle_test_on_generators_matches_the_full_coboundary(maker):
+    # groupcoh._is_cocycle reads d(c) only where the last argument is a
+    # generator; a cocycle changed at one tuple must still fail it
+    gm = maker()
+    rng = random.Random(maker.__name__)
+    for n in (0, 1, 2):
+        for rep in cohomology(gm, n).representatives[:3]:
+            c = rep + coboundary(_random_cochain(gm, n - 1, rng)) if n \
+                else rep
+            assert groupcoh._is_cocycle(c)
+            for _ in range(4):
+                i = rng.randrange(len(c.vector))
+                v = list(c.vector)
+                v[i] += 1
+                bent = Cochain.from_vector(gm, n, v)
+                assert groupcoh._is_cocycle(bent) == \
+                    coboundary(bent).is_zero()
+
+
+@pytest.mark.parametrize("maker", [s3_c3_sign, lambda: _trivial("S3", [2])],
+                         ids=["S3 on Z/3 by sign", "S3 trivial on Z/2"])
+def test_cocycle_test_on_every_1_cochain_of_s3(maker):
+    # all |M|^6 maps S3 -> M: one generator alone would let through maps
+    # that are crossed homomorphisms only along it
+    gm = maker()
+    found = 0
+    for values in product(gm.module.elements, repeat=len(gm.elements)):
+        c = Cochain(gm, 1, {(g,): x for g, x in zip(gm.elements, values)})
+        full = coboundary(c).is_zero()
+        assert groupcoh._is_cocycle(c) == full
+        found += full
+    assert found == cohomology(gm, 1).order * len(
+        {coboundary(Cochain(gm, 0, {(): m})) for m in gm.module.elements})
+
+
 def _random_cocycle(h, rng):
     """A seeded cocycle of h's degree: a random combination of the
     representatives plus a random coboundary."""
@@ -643,6 +704,37 @@ def test_large_h2_without_listing_its_classes():
     assert time.perf_counter() - start < 5
 
 
+_CAP_CORNERS = [
+    # H^2(S4, Z/2) = (Z/2)^2, so (Z/2)^4 gives (Z/2)^8
+    ("S4 trivial on (Z/2)^4", lambda: _trivial("S4", [2, 2, 2, 2]), [2] * 8),
+    ("C24 trivial on (Z/2)^4", lambda: _trivial("C24", [2, 2, 2, 2]),
+     [2] * 4),
+    ("S4 on V4 by conjugation", s4_on_v4, [2])]
+
+
+@pytest.mark.parametrize("name,maker,invariants", _CAP_CORNERS,
+                         ids=[name for name, *_ in _CAP_CORNERS])
+def test_h2_at_the_caps_never_eliminates_on_g(name, maker, invariants,
+                                              monkeypatch):
+    # |G| = 24 with a Sylow 2-subgroup of order 8: every matrix handed to
+    # kernel_basis is at most the size of d^2 on that subgroup, (8 - 1)^3 k
+    # rows, so a fallback to the bar complex of G (23^3 k rows) fails
+    rows = []
+    real = groupcoh.kernel_basis
+
+    def spy(W, row_mods, col_mods):
+        rows.append(len(row_mods))
+        return real(W, row_mods, col_mods)
+    monkeypatch.setattr(groupcoh, "kernel_basis", spy)
+    start = time.perf_counter()
+    gm = maker()
+    h2 = cohomology(gm, 2)
+    assert time.perf_counter() - start < 0.5
+    assert [s for s in h2.invariants if s > 1] == invariants
+    assert h2.order == math.prod(invariants)
+    assert rows and max(rows) <= 7 ** 3 * len(gm.module.cyclic_orders)
+
+
 def test_size_cap():
     big = PermGroup.symmetric(5)  # order 120 > 24
     with pytest.raises(UnsupportedSize):
@@ -709,6 +801,9 @@ _GROUPS = {
     "S3": (3, ["(0 1 2)", "(0 1)"]), "C6": (6, ["(0 1 2 3 4 5)"]),
     "D4": (4, ["(0 1 2 3)", "(0 2)"]), "A4": (4, ["(0 1 2)", "(0 1)(2 3)"]),
     "S4": (4, ["(0 1 2 3)", "(0 1)"]),
+    "D12": (6, ["(0 1 2 3 4 5)", "(0 5)(1 4)(2 3)"]),
+    "C3xS3": (6, ["(0 1 2)", "(3 4 5)", "(3 4)"]),
+    "C24": (11, ["(0 1 2 3 4 5 6 7)(8 9 10)"]),
 }
 
 
@@ -746,6 +841,61 @@ def test_invariants_match_dense_smith_route(name, maker):
     gm = maker()
     for n in (0, 1, 2):
         assert cohomology(gm, n).invariants == _dense_invariants(gm, n), n
+
+
+# ---------------------------------------------------------------------------
+# oracle: the bar route on G against the Sylow route
+# ---------------------------------------------------------------------------
+
+def _twisted(group, orders):
+    """A seeded action of the named group on M through automorphisms of M,
+    one not trivial when some generator images extend to one."""
+    n, gens = _GROUPS[group]
+    G = PermGroup.from_cycle_strings(n, gens)
+    M = FiniteAbelian(orders)
+    one = {m: m for m in M.elements}
+    modules = []
+    for images in product(automorphisms_by_product(M),
+                          repeat=len(G.generators)):
+        if any(a != one for a in images):
+            try:
+                modules.append(FiniteGModule.from_generator_action(
+                    G, M, dict(zip(G.generators, images))))
+            except GroupCohError:
+                pass
+    if not modules:
+        return FiniteGModule.trivial(G, M)
+    return random.Random(f"{group} {orders}").choice(modules)
+
+
+_SYLOW_MODULES = _ORACLE_MODULES + [
+    (f"{g} twisted on {M}", lambda g=g, M=M: _twisted(g, M))
+    for g in ("A4", "S4", "D12", "C3xS3", "C24")
+    for M in ([6], [12], [2, 3], [2, 6])]
+
+
+@pytest.mark.parametrize("name,maker", _SYLOW_MODULES,
+                         ids=[name for name, _ in _SYLOW_MODULES])
+def test_sylow_route_matches_the_bar_route_on_g(name, maker):
+    # CoclassSet is the bar route on G itself; cohomology() takes the
+    # Sylow route unless G is a p-group with p dividing |M|
+    rng = random.Random(name)
+    gm = maker()
+    for n in (1, 2):
+        h, bar = cohomology(gm, n), CoclassSet(gm, n)
+        assert (h.order, h.invariants) == (bar.order, bar.invariants), n
+        reps = h.representatives
+        assert all(coboundary(r).is_zero() for r in reps)
+        assert len({bar.reduce(r) for r in reps}) == len(reps)
+        for r in reps:
+            b = _random_cochain(gm, n - 1, rng)
+            assert h.reduce(r) == r
+            assert h.reduce(r + coboundary(b)) == r
+        # every class of the bar route goes to the representative of the
+        # same class
+        for c in rng.sample(bar.representatives, min(8, bar.order)):
+            x = h.reduce(c + coboundary(_random_cochain(gm, n - 1, rng)))
+            assert x in reps and bar.reduce(x) == c
 
 
 _MATRIX_MODULES = _ORACLE_MODULES + [
@@ -792,24 +942,29 @@ def test_normalized_complex_has_the_cohomology_of_the_full_one(name, maker):
 
 
 def test_cohomology_is_built_once_per_module_and_degree(monkeypatch):
+    # every (module, degree) is built once, the modules over Sylow
+    # subgroups, which are kept on the module, included
     built = []
-    init = CoclassSet.__init__
-
-    def spy(self, gm, degree):
-        built.append((gm, degree))
-        init(self, gm, degree)
-    monkeypatch.setattr(CoclassSet, "__init__", spy)
+    for cls in (CoclassSet, SylowCoclassSet):
+        def spy(self, gm, degree, init=cls.__init__):
+            built.append((gm, degree))
+            init(self, gm, degree)
+        monkeypatch.setattr(cls, "__init__", spy)
     gm = s3_on_v4()
     for n in (0, 1, 2):
         assert cohomology(gm, n) is cohomology(gm, n)
     assert cohomology(gm, 1) is not cohomology(s3_on_v4(), 1)
     built.clear()
     gm = s3_c3_sign()
-    h1 = cohomology(gm, 1)
-    _, bij = h1_via_hol(gm)
-    cohomology(gm, 2)
-    assert built == [(gm, 1), (gm, 2)]
-    assert set(bij.values()) == set(h1.representatives)
+    for _ in range(2):
+        h1 = cohomology(gm, 1)
+        _, bij = h1_via_hol(gm)
+        cohomology(gm, 2)
+        assert set(bij.values()) == set(h1.representatives)
+    sylow = gm._sylow[3]
+    assert sylow.group.order == 3 and list(gm._sylow) == [3]
+    assert sorted(built, key=lambda b: (b[1], b[0] is sylow)) == \
+        [(gm, 1), (sylow, 1), (gm, 2), (sylow, 2)]
 
 
 def test_stored_coboundaries_survive_every_caller():
@@ -1096,6 +1251,49 @@ def test_cor_res_matrix():
             assert h1.same_class(cor, rep.smul(index))
 
 
+_D4_IN_S4 = ["(0 1 2 3)", "(0 2)"]
+
+
+_COR_RES_PAIRS = [
+    ("S3 on Z/3 by sign > C3", s3_c3_sign, ["(0 1 2)"], 3),
+    ("S3 on Z/3 by sign > C2", s3_c3_sign, ["(0 1)"], 3),
+    ("S3 trivial on Z/2 x Z/4 > C2", lambda: _trivial("S3", [2, 4]),
+     ["(0 1)"], 3),
+    ("A4 trivial on Z/2 > V4", lambda: _trivial("A4", [2]),
+     ["(0 1)(2 3)", "(0 2)(1 3)"], 4),
+    ("A4 twisted on Z/2 x Z/6 > V4", lambda: _twisted("A4", [2, 6]),
+     ["(0 1)(2 3)", "(0 2)(1 3)"], 4),
+    ("S4 trivial on Z/2 x Z/2 > D4", lambda: _trivial("S4", [2, 2]),
+     _D4_IN_S4, 4),
+    ("S4 on V4 by conjugation > D4", s4_on_v4, _D4_IN_S4, 4)]
+
+
+@pytest.mark.parametrize("name,maker,H,n", _COR_RES_PAIRS,
+                         ids=[name for name, *_ in _COR_RES_PAIRS])
+def test_cor_res_is_index_times_identity_degree2(name, maker, H, n):
+    # cor res = [G:H] on H^2, by the degree-2 transfer
+    gm = maker()
+    H = PermGroup.from_cycle_strings(n, H)
+    index = gm.group.order // H.order
+    h2 = cohomology(gm, 2)
+    assert h2.order > 1
+    for rep in h2.representatives:
+        res = res_cor(gm, H, rep, "res")
+        assert coboundary(res).is_zero()
+        cor = res_cor(gm, H, res, "cor")
+        assert coboundary(cor).is_zero()
+        assert h2.same_class(cor, rep.smul(index))
+
+
+def test_cor_needs_a_cochain_over_the_subgroup():
+    gm = s3_c3_sign()
+    H = PermGroup.from_cycle_strings(3, ["(0 1 2)"])
+    with pytest.raises(GroupCohError, match="over H"):
+        res_cor(gm, H, Cochain.zero(gm, 2), "cor")
+    with pytest.raises(GroupCohError, match="degrees 0 to 2"):
+        res_cor(gm, H, Cochain.zero(gm, 3), "res")
+
+
 def test_res_cor_rejects_non_subgroup():
     gm = s3_c3_sign()
     bad = PermGroup.from_cycle_strings(4, ["(0 1 2 3)"])
@@ -1153,6 +1351,34 @@ def test_lemma53_randomized_matrix():
                 continue  # not additive/H-linear: skipped
             cases.append(ok)
     assert cases and all(cases)
+
+
+def test_lemma53_degree2():
+    # H^2(S3, (Z/2)^2) = (Z/2)^2 and every additive map to Z/2 is linear for
+    # the trivial action; cor res is 3 = 1 on C2 and 2 = 0 on C3
+    X = _trivial("S3", [2, 2])
+    Y = _trivial("S3", [2])
+    assert cohomology(X, 2).order == 4
+    zero = (0,)
+    maps = [{m: ((a * m[0] + b * m[1]) % 2,) for m in X.module.elements}
+            for a in (0, 1) for b in (0, 1)]
+    for Htexts in (["(0 1)"], ["(0 1 2)"], [], ["(0 1 2)", "(0 1)"]):
+        H = PermGroup.from_cycle_strings(3, Htexts)
+        for f in maps:
+            assert lemma53_check(X, Y, H, f, 2) == (True, None)
+    # a sign twist of Z/3 over C3: f~ is twice f
+    Z = s3_c3_sign()
+    C3 = PermGroup.from_cycle_strings(3, ["(0 1 2)"])
+    f = {m: m for m in Z.module.elements}
+    assert cohomology(Z, 2).order == 3
+    assert lemma53_check(Z, Z, C3, f, 2) == (True, None)
+    assert any(v != zero for v in induced_map(Z, Z, C3, f).values())
+
+
+def test_lemma53_rejects_degree_three():
+    gm = c2_trivial()
+    with pytest.raises(GroupCohError, match="n must be"):
+        lemma53_check(gm, gm, gm.group, {m: m for m in gm.module.elements}, 3)
 
 
 def test_lemma53_rejects_non_linear():
