@@ -34,7 +34,7 @@ import math
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import cycle, product
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Callable, Dict
 
 from . import InternalError, UnsupportedSize
@@ -46,6 +46,7 @@ from .permstruct import (
     extend_hom,
     hom_search,
     orbits,
+    prime_powers,
 )
 
 GROUP_CAP = 24
@@ -195,20 +196,17 @@ def smith_normal_form(M, N):
     rows = len(M)
     cols = [list(c) for c in zip(*M)] or [[0] * rows]
     diag = [1] * rows
-    n, p = N, 2
-    while n > 1:
-        q, prev = 1, 0
-        while n % p == 0:
-            n, q = n // p, q * p
+    for p, e in prime_powers(N).items():
+        prev = 0
+        for k in range(1, e + 1):
             logs = 0  # log_p of the index, from the diagonal of the basis
-            for r, col in enumerate(lattice_basis(cols, q)):
+            for r, col in enumerate(lattice_basis(cols, p ** k)):
                 h = col[r]
                 while h > 1:
                     h, logs = h // p, logs + 1
             for i in range(rows - (logs - prev), rows):
                 diag[i] *= p
             prev = logs
-        p += 1
     return diag
 
 
@@ -239,8 +237,9 @@ class FiniteGModule:
         self.action = dict(action)
         els = sorted(group.elements)
         ident = Perm.identity(group.n)
-        if ident not in self.action:
-            self.action[ident] = {m: m for m in module.elements}
+        one = {m: m for m in module.elements}
+        if self.action.setdefault(ident, one) != one:
+            raise GroupCohError("the identity must act as the identity map")
         for g in els:
             if g not in self.action:
                 raise GroupCohError(f"action missing for {g.to_cycles()}")
@@ -248,15 +247,25 @@ class FiniteGModule:
             raise InternalError("internal: identity is not the first "
                                 "element of sorted G")
         self._index(group, module, els)
-        # full table verification that the action is a homomorphism
-        pts = module.elements
+        # an action by automorphisms: 1 acts as 1, each generator s by its
+        # matrix A, whose column i (the image of the i-th cyclic generator)
+        # that generator's order kills, and a(g s) = a(g) a(s) for every g,
+        # so a(g h) = a(g) a(h) for every product h of generators
+        pts, orders = module.elements, module.cyclic_orders
         acts = [self.action[g] for g in els]
-        for ag, row in zip(acts, self.mul):
-            for ah, gh in zip(acts, row):
-                agh = acts[gh]
-                for m in pts:
-                    if agh[m] != ag[ah[m]]:
-                        raise GroupCohError("action is not a homomorphism")
+        for s in group.generators:
+            j = self.index[s]
+            A = self.action_matrices[j]
+            if any(d * x % m for row, m in zip(A, orders)
+                   for x, d in zip(row, orders)) or any(
+                    acts[j][x] != tuple(sum(map(mul, row, x)) % m
+                                        for row, m in zip(A, orders))
+                    for x in pts):
+                raise GroupCohError(f"action of {s.to_cycles()} is not "
+                                    "additive")
+            for ag, row in zip(acts, self.mul):
+                if any(acts[row[j]][m] != ag[acts[j][m]] for m in pts):
+                    raise GroupCohError("action is not a homomorphism")
 
     def _index(self, group: PermGroup, module: FiniteAbelian, els):
         """Index sorted G, els: the product table, from the images of the
@@ -285,6 +294,10 @@ class FiniteGModule:
                               gen_action: Dict) -> "FiniteGModule":
         """Extend an action given on generators to the whole group."""
         _check_caps(group, module)
+        for g in gen_action:
+            if g not in group.elements:
+                raise GroupCohError(f"action given for {g.to_cycles()}, "
+                                    "which is not in G")
         els = module.elements
         action = extend_hom(group.n, gen_action,
                             lambda a, b: {m: a[b[m]] for m in els},
@@ -529,6 +542,29 @@ def _divide(v, basis, leads, mods):
     return None if v else y
 
 
+def _relations(basis, leads, mods, extra, fault):
+    """Relations spanning the lattice L of the presentation Z^z / L of the
+    span of the Howell basis `basis` (z vectors, as in _divide): for each
+    h_r, leading at r with g_r, the coordinates of (m_r / g_r) * h_r
+    (m_r = mods[r]) in the later h's less m_r / g_r at r; then the
+    coordinates of each sparse vector of extra, InternalError(fault) if one
+    has none."""
+    rels = []
+    for i, (r, h) in enumerate(zip(leads, basis)):
+        q = mods[r] // h[r]
+        rel = _divide({j: q * x for j, x in h.items()}, basis, leads, mods)
+        if rel is None:
+            raise InternalError("internal: basis not in Howell form")
+        rel[i] -= q
+        rels.append(rel)
+    for v in extra:
+        rel = _divide(v, basis, leads, mods)
+        if rel is None:
+            raise InternalError(fault)
+        rels.append(rel)
+    return rels
+
+
 class CoclassSet:
     """H^n(G, M): invariant factors, representatives, and coset reduction,
     computed on the normalized bar complex of G.
@@ -578,25 +614,11 @@ class CoclassSet:
         self._howell = kernel_basis(_boundary_matrix(gm, degree),
                                     mods * (N - 1), mods)
         self._lead = [max(h) for h in self._howell]
-        # relations: (m_r / g_r) * h_r lies in the span of the later h's
-        rels = []
-        for i, (r, h) in enumerate(zip(self._lead, self._howell)):
-            q = mods[r] // h[r]
-            rel = self._coords({j: q * x for j, x in h.items()})
-            if rel is None:
-                raise InternalError("cocycle basis not in Howell form "
-                                    "(internal error)")
-            rel[i] -= q
-            rels.append(rel)
-        # B^n: the image of d^{n-1}
-        if degree > 0:
-            for col in _boundary_matrix(gm, degree - 1):
-                y = self._coords(col)
-                if y is None:
-                    raise InternalError("internal: coboundary outside "
-                                        "cocycle lattice")
-                rels.append(y)
-        self._present(rels, len(self._lead))
+        # L: the relations among the h's, then B^n, the image of d^{n-1}
+        self._present(_relations(
+            self._howell, self._lead, mods,
+            _boundary_matrix(gm, degree - 1) if degree else [],
+            "internal: coboundary outside cocycle lattice"), len(self._lead))
 
     def _present(self, rels, z):
         """Read H^n = Z^z / L from the relations spanning L, with e * Z^z
@@ -620,12 +642,6 @@ class CoclassSet:
         CoclassSet to every caller."""
         return tuple(self._cochain(y)
                      for y in product(*(range(h) for h in self._box)))
-
-    def _coords(self, v):
-        """Integer coordinates of the integer normalized cochain vector v (a
-        sparse dict) in the Howell basis of Z^n, or None if v is not a
-        cocycle."""
-        return _divide(v, self._howell, self._lead, self._mods)
 
     def _cochain(self, y):
         """The cocycle with coordinates y in the Howell basis, as a full
@@ -654,7 +670,7 @@ class CoclassSet:
                 self.gm, 1, c.vector[:k] * len(self.gm.elements)))
         v = c.vector
         part = {j: v[i] for j, i in enumerate(self._embed) if v[i]}
-        y = self._coords(part)
+        y = _divide(part, self._howell, self._lead, self._mods)
         if y is None or len(part) != len(v) - v.count(0):
             raise GroupCohError("not a cocycle")
         return y
@@ -678,36 +694,6 @@ class CoclassSet:
         return self.reduce(c1) == self.reduce(c2)
 
 
-def _prime_divisors(n: int):
-    """The primes dividing n, ascending."""
-    out, p = [], 2
-    while n > 1:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out
-
-
-def _span(mul, gens, cap):
-    """The indices of the subgroup that the indices gens generate, by the
-    product table mul, or None as soon as it has more than cap elements."""
-    seen, frontier = {0}, [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = mul[a][g]
-                if b not in seen:
-                    seen.add(b)
-                    if len(seen) > cap:
-                        return None
-                    nxt.append(b)
-        frontier = nxt
-    return seen
-
-
 def _sylow_submodule(gm: FiniteGModule, p: int) -> FiniteGModule:
     """The module over a Sylow p-subgroup P of G, built once and kept on
     gm.  P grows greedily over sorted G: an element joins when the span
@@ -717,16 +703,14 @@ def _sylow_submodule(gm: FiniteGModule, p: int) -> FiniteGModule:
     pm = gm._sylow.get(p)
     if pm is None:
         N = len(gm.elements)
-        part = 1  # the order of a Sylow p-subgroup
-        while N % (part * p) == 0:
-            part *= p
-        span, gens = {0}, []
+        part = p ** prime_powers(N)[p]  # the order of a Sylow P
+        span, gens = [0], []
         for g in range(1, N):
             if len(span) == part:
                 break
             if g not in span:
-                grown = _span(gm.mul, gens + [g], part)
-                if grown is not None and part % len(grown) == 0:
+                grown = orbits([0], gens + [g], lambda s, a: gm.mul[a][s])[0]
+                if part % len(grown) == 0:
                     span, gens = grown, gens + [g]
         P = PermGroup(gm.group.n, [gm.elements[i] for i in gens])
         pm = gm._sylow[p] = submodule_over(gm, P)
@@ -827,31 +811,18 @@ class SylowCoclassSet(CoclassSet):
         # moduli, u_p, eps_p and the transfer table of P
         self._parts = []
         rels, z = [], 0
-        for p in _prime_divisors(math.gcd(N, gm.module.order)):
+        for p in prime_powers(math.gcd(N, gm.module.order)):
             hp = cohomology(_sylow_submodule(gm, p), degree)
             if hp.order == 1:  # then the p-part is 0 too
                 continue
             kappa = _stable_cocycles(gm, hp)
             leads = [max(v) for v in kappa]
             emods = [e] * len(hp._howell)
-            own = []
-            # (e / g_r) * kappa_r lies in the span of the later kappas
-            for i, (r, v) in enumerate(zip(leads, kappa)):
-                q = e // v[r]
-                rel = _divide({j: q * x for j, x in v.items()}, kappa, leads,
-                              emods)
-                if rel is None:
-                    raise InternalError("stable basis not in Howell form "
-                                        "(internal error)")
-                rel[i] -= q
-                own.append(rel)
-            # L_P, the Hermite columns of H^n(P, M): stable, being 0
-            for r, (h, col) in enumerate(zip(hp._box, hp._hermite)):
-                rel = _divide({r: h, **dict(col)}, kappa, leads, emods)
-                if rel is None:
-                    raise InternalError("internal: a relation of H^n(P) "
-                                        "is not stable")
-                own.append(rel)
+            # L_P, the Hermite columns of H^n(P, M), is stable, being 0
+            own = _relations(kappa, leads, emods,
+                             [{r: h, **dict(col)} for r, (h, col)
+                              in enumerate(zip(hp._box, hp._hermite))],
+                             "internal: a relation of H^n(P) is not stable")
             s = len(kappa)
             rels = [rel + [0] * s for rel in rels] + \
                 [[0] * z + rel for rel in own]
@@ -904,7 +875,7 @@ def cohomology(gm: FiniteGModule, n: int) -> CoclassSet:
     subgroups (SylowCoclassSet)."""
     h = gm._cohomology.get(n)
     if h is None:
-        primes = _prime_divisors(len(gm.elements))
+        primes = list(prime_powers(len(gm.elements)))
         bar = n == 0 or (len(primes) == 1
                          and gm.module.order % primes[0] == 0)
         h = gm._cohomology[n] = (CoclassSet if bar else SylowCoclassSet)(gm, n)

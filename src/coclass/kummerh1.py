@@ -202,10 +202,8 @@ def c3_encode(cc: CoclassC3) -> EtaleAlgebra:
     t = cc.delta.trace()
     if cc.delta.is_rational() and cc.delta.x in (1, -1):
         return _k_times_t(cc.D.rep)
-    f = RationalPoly([-t, -3, 0, 1])
-    if not is_squarefree(f):
-        raise KummerError("unexpected degenerate trace")  # only t = +-2
-    return EtaleAlgebra.from_poly(f)
+    # squarefree: the discriminant 27 (4 - t^2) vanishes only at delta = +-1
+    return EtaleAlgebra.from_poly(RationalPoly([-t, -3, 0, 1]))
 
 
 def _k_times_t(D: int) -> EtaleAlgebra:
@@ -405,16 +403,13 @@ def c4_encode(cc: CoclassC4) -> EtaleAlgebra:
         if a == c * c:
             return _l0(cc.D.rep)
         return _c4_degenerate(cc)
-    f = _c4_quartic(a, c)
-    if f is None:
-        raise KummerError("unexpected degenerate quartic")
-    return EtaleAlgebra.from_poly(f)
+    return EtaleAlgebra.from_poly(_c4_quartic(a, c))
 
 
 def _c4_quartic(a, c):
-    """x^4 - 4c x^2 + (2c^2 - 2a), or None when it is not squarefree."""
-    f = RationalPoly([2 * c * c - 2 * a, 0, -4 * c, 0, 1])
-    return f if is_squarefree(f) else None
+    """x^4 - 4c x^2 + (2c^2 - 2a), squarefree unless a = +-c^2: its roots
+    x^2 = 2c +- sqrt(2a + 2c^2) are nonzero and distinct otherwise."""
+    return RationalPoly([2 * c * c - 2 * a, 0, -4 * c, 0, 1])
 
 
 def _c4_degenerate(cc: CoclassC4) -> EtaleAlgebra:
@@ -428,11 +423,8 @@ def _c4_degenerate(cc: CoclassC4) -> EtaleAlgebra:
             continue
         al = cc.alpha * beta ** 4
         c = cc.c * n
-        if al.x == c * c or al.x == -c * c:
-            continue
-        f = _c4_quartic(al.x, c)
-        if f is not None:
-            return EtaleAlgebra.from_poly(f).canonical()
+        if al.x != c * c and al.x != -c * c:
+            return EtaleAlgebra.from_poly(_c4_quartic(al.x, c)).canonical()
     raise KummerError("no separable representative found for degenerate "
                       "datum (bounded search exhausted)")
 
@@ -523,26 +515,18 @@ def _c4_model(fq: RationalPoly):
 
 
 def _c4_model_at(p, q, r, y1):
-    """(a, c) of the model x^4 - tr(w) x^2 + N(w), the characteristic
-    polynomial of eta = 2*theta + u, read from the rational root y1 of the
-    resolvent of the depressed quartic x^4 + p x^2 + q x + r."""
-    # factor the depressed quartic as (x^2+ux+v)(x^2-ux+v') over E = Q[u]
+    """(a, c) = (c^2 - N(w)/2, tr(w)/4) of the model x^4 - tr(w) x^2 + N(w),
+    the charpoly of eta = 2*theta + u, from the rational root y1 of the
+    resolvent of the depressed quartic x^4 + p x^2 + q x + r, which over
+    E = Q(u) is (x^2 + ux + v)(x^2 - ux + v'), with eta^2 = w = u^2 - 4v
+    (Kappe & Warren, Amer. Math. Monthly 96, 1989).  For y1 = p, u = 0 and
+    v + v' = p, v v' = r: tr(w) = -4p, N(w) = 16r.  Otherwise u^2 = y1 - p
+    and v = (y1 - q/u)/2: tr(w) = -2(p + y1), N(w) = (p + y1)^2 -
+    4q^2/(y1 - p)."""
     if y1 == p:
-        # u = 0: v, v' = roots of z^2 - y1 z + r
-        dE = squarefree_part(y1 * y1 - 4 * r)
-        mE = _frac_sqrt((y1 * y1 - 4 * r) / dE)
-        v = QuadElem.of(dE, y1 / 2, mE / 2)
-        u = QuadElem.of(dE, 0, 0)
-    else:
-        dE = squarefree_part(y1 - p)
-        mE = _frac_sqrt((y1 - p) / dE)
-        u = QuadElem.of(dE, 0, mE)
-        # v = (y1 - q/u)/2 with q/u = q*u/(y1-p)
-        qu = u * (q / (y1 - p))
-        v = (QuadElem.of(dE, y1, 0) - qu) * Fraction(1, 2)
-    w = u * u - 4 * v  # eta = 2*theta + u satisfies eta^2 = w in E
-    c = w.trace() / 4
-    return c * c - w.norm() / 2, c
+        return p * p - 8 * r, -p
+    c = -(p + y1) / 2
+    return c * c - ((p + y1) ** 2 - 4 * q * q / (y1 - p)) / 2, c
 
 
 def _quad_disc(f: RationalPoly) -> Fraction:

@@ -294,6 +294,18 @@ def hom_search(gens, choices, extend, injective=False):
 # finite abelian groups
 # ---------------------------------------------------------------------------
 
+def prime_powers(n: int) -> dict:
+    """The exponent e of each prime p dividing n >= 1, as a dict p -> e in
+    ascending p, by trial division: for desk-scale orders."""
+    out, p = {}, 2
+    while n > 1:
+        p = p if p * p <= n else n
+        while n % p == 0:
+            n, out[p] = n // p, out.get(p, 0) + 1
+        p += 1
+    return out
+
+
 class FiniteAbelian:
     """Direct sum of cyclic groups Z/d1 x ... x Z/dk, elements as tuples."""
 
@@ -344,15 +356,8 @@ class FiniteAbelian:
         where d = #{j : e_j <= e_i} and c = #{j : e_j < e_i} + 1."""
         primary = {}
         for d in self.cyclic_orders:
-            p = 2
-            while d > 1:
-                p = p if p * p <= d else d
-                e = 0
-                while d % p == 0:
-                    d, e = d // p, e + 1
-                if e:
-                    primary.setdefault(p, []).append(e)
-                p += 1
+            for p, e in prime_powers(d).items():
+                primary.setdefault(p, []).append(e)
         out = 1
         for p, es in primary.items():
             es.sort()

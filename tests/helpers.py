@@ -9,7 +9,8 @@ Tate-dual twists, Zassenhaus on every input and resultants by the
 Euclidean PRS over Q, Newton-form interpolation, Trager norms and
 characteristic polynomials by interpolated resultants, roots in an
 extension from fully factored Trager norms, the C4/D4 split by a Trager
-norm, and root-ball overlap and containment.  The library computes
+norm, the C4 model read through the quadratic subfield Q(sqrt d_E), and
+root-ball overlap and containment.  The library computes
 |Aut M| by formula and builds none of these."""
 
 import json
@@ -18,7 +19,13 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from coclass import InternalError
-from coclass.etalealg import EtaleAlgebra, SquareClass, cubic_resolvent_poly, squarefree_part
+from coclass.etalealg import (
+    EtaleAlgebra,
+    SquareClass,
+    _frac_sqrt,
+    cubic_resolvent_poly,
+    squarefree_part,
+)
 from coclass.exactpoly import (
     ExactPolyError,
     RationalPoly,
@@ -34,7 +41,7 @@ from coclass.exactpoly import factor
 from coclass.exactpoly.extension import _norm_factors
 from coclass.exactpoly.roots import ComplexBall
 from coclass.groupcoh import Cochain, FiniteGModule, GroupCohError, coboundary
-from coclass.kummerh1 import CoclassC3, CoclassV4, KummerError
+from coclass.kummerh1 import CoclassC3, CoclassV4, KummerError, QuadElem
 from coclass.localsym import (
     LocalClass,
     LocalFieldDesc,
@@ -691,3 +698,25 @@ def balls_overlap(a: ComplexBall, b: ComplexBall) -> bool:
 
 def ball_contains(a: ComplexBall, b: ComplexBall) -> bool:
     return abs(a.mid - b.mid) + b.radius <= a.radius
+
+
+def c4_model_in_quadratic_field(p, q, r, y1):
+    """(a, c) of the C4 model x^4 - tr(w) x^2 + N(w) at the rational root
+    y1 of the resolvent of x^4 + p x^2 + q x + r, with w computed in
+    E = Q(sqrt d_E): the quartic is (x^2 + ux + v)(x^2 - ux + v') over E,
+    u = 0 and v, v' the roots of z^2 - y1 z + r when y1 = p, else u^2 =
+    y1 - p and v = (y1 - q/u)/2; w = u^2 - 4v, c = tr(w)/4 and
+    a = c^2 - N(w)/2.  The oracle for kummerh1._c4_model_at."""
+    if y1 == p:
+        dE = squarefree_part(y1 * y1 - 4 * r)
+        mE = _frac_sqrt((y1 * y1 - 4 * r) / dE)
+        v = QuadElem.of(dE, y1 / 2, mE / 2)
+        u = QuadElem.of(dE, 0, 0)
+    else:
+        dE = squarefree_part(y1 - p)
+        mE = _frac_sqrt((y1 - p) / dE)
+        u = QuadElem.of(dE, 0, mE)
+        v = (QuadElem.of(dE, y1, 0) - u * (q / (y1 - p))) * Fraction(1, 2)
+    w = u * u - 4 * v
+    c = w.trace() / 4
+    return c * c - w.norm() / 2, c

@@ -137,23 +137,25 @@ def test_group_hol_order_is_m_times_aut_m_up_to_the_cap():
             payload["order"] == math.factorial(M.order))
 
 
-def _cold_seconds(argv, timeout=None):
+def _cold_run(argv, timeout=None):
     """Wall time of one fresh `python -m coclass.cli` process, import
-    included, and its exit code; past `timeout` seconds the process is
-    killed and `subprocess.TimeoutExpired` fails the caller."""
+    included, its exit code and its JSON payload; past `timeout` seconds
+    the process is killed and `subprocess.TimeoutExpired` fails the
+    caller."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     start = time.perf_counter()
-    code = subprocess.run([sys.executable, "-m", "coclass.cli", *argv],
-                          env=env, capture_output=True, timeout=timeout).returncode
-    return time.perf_counter() - start, code
+    out = subprocess.run([sys.executable, "-m", "coclass.cli", *argv],
+                         env=env, capture_output=True, timeout=timeout)
+    return (time.perf_counter() - start, out.returncode,
+            json.loads(out.stdout))
 
 
 def test_group_hol_elementary_abelian_16_cold():
     # |Aut (Z/2)^4| = 20,160 by formula, none of them built; the best of
     # three runs keeps a busy host from failing it
-    runs = [_cold_seconds(["group", "hol", "--orders", "2,2,2,2"])
+    runs = [_cold_run(["group", "hol", "--orders", "2,2,2,2"])[:2]
             for _ in range(3)]
     assert all(code == 0 for _, code in runs)
     assert min(seconds for seconds, _ in runs) < 0.5
@@ -167,7 +169,7 @@ def test_group_hol_past_module_cap_exit_3(orders):
     payload = err(["group", "hol", "--orders", orders], 3)
     assert time.perf_counter() - start < 1
     assert payload["code"] == "unsupported"
-    seconds, code = _cold_seconds(["group", "hol", "--orders", orders])
+    seconds, code, _ = _cold_run(["group", "hol", "--orders", orders])
     assert code == 3 and seconds < 1
 
 
@@ -179,7 +181,7 @@ def test_large_discriminant_quartics_finish(argv):
     # quartics inside the degree cap with 118-bit discriminants, which
     # unbounded trial division did not take apart within 20 s: an exact
     # answer or exit 3, within the budget, never an internal fault
-    seconds, code = _cold_seconds(argv, timeout=5)
+    seconds, code, _ = _cold_run(argv, timeout=5)
     assert code in (0, 3) and seconds < 5
 
 
@@ -308,6 +310,55 @@ def test_coh_action_chunk_moving_the_identity_exit_2(action):
     assert payload["code"] == "invalid"
     assert payload["diagnostics"] == [
         "the identity '()' must act as the identity map"]
+
+
+@pytest.mark.parametrize("action", ["(0 1 2):1;(0 1):2", "(0 1):2"])
+@pytest.mark.parametrize("cmd", [["h", "--degree", "1"], ["h", "--degree", "2"],
+                                 ["hol-h1"]])
+def test_coh_action_chunk_outside_g_exit_2(action, cmd):
+    # (0 1) is not in C3 = <(0 1 2)>: its chunk is named, not dropped (with
+    # the C3 chunk) nor blamed on a missing C3 element (without it)
+    payload = err(["coh", *cmd, "--n", "3", "--gens", "(0 1 2)",
+                   "--orders", "3", "--action", action], 2)
+    assert payload["code"] == "invalid"
+    assert payload["diagnostics"] == [
+        "action given for (0 1), which is not in G"]
+
+
+_S4 = ["--n", "4", "--gens", "(0 1 2 3);(0 1)"]
+_C24 = ["--n", "11", "--gens", "(0 1 2 3 4 5 6 7)(8 9 10)"]
+# S4 on V4 by conjugation: (0 1 2 3) sends (0 1)(2 3), (0 2)(1 3) to
+# (0 3)(1 2), (0 2)(1 3); (0 1) sends them to (0 1)(2 3), (0 3)(1 2)
+_S4_ON_V4 = [*_S4, "--orders", "2,2", "--action",
+             "(0 1 2 3):1,1|0,1;(0 1):1,0|1,1"]
+
+
+@pytest.mark.parametrize("module,h1,h2", [
+    # trivial action: H^1 = Hom(G, M) and, by universal coefficients,
+    # H^2 = Hom(H_2 G, M) + Ext(H_1 G, M), with H_1 S4 = H_2 S4 = Z/2 and
+    # H_1 C24 = Z/24, H_2 C24 = 0
+    ([*_S4, "--orders", "2,2,2,2"], [2] * 4, [2] * 8),
+    ([*_S4, "--orders", "16"], [2], [2, 2]),
+    ([*_C24, "--orders", "2,2,2,2"], [2] * 4, [2] * 4),
+    ([*_C24, "--orders", "16"], [8], [8]),
+    # V4 is the natural F_2-module of S4 / V4 = GL_2(F_2), absolutely
+    # irreducible and free over a transposition, so H^1 = End(V4)^S3 = Z/2
+    (_S4_ON_V4, [2], [2])],
+    ids=["S4 on (Z/2)^4", "S4 on Z/16", "C24 on (Z/2)^4", "C24 on Z/16",
+         "S4 on V4"])
+def test_coh_cap_corners_cold(module, h1, h2):
+    # |G| = 24 at |M| = 16 or with a twisted action: each cold process
+    # answers within the README budget of 5 s
+    for cmd, want in ((["h", "--degree", "1"], h1),
+                      (["h", "--degree", "2"], h2), (["hol-h1"], h1)):
+        seconds, code, payload = _cold_run(["coh", *cmd, *module], timeout=5)
+        assert code == 0 and seconds < 5, (cmd, payload)
+        if cmd[0] == "h":
+            assert payload["invariants"] == want
+            assert payload["order"] == math.prod(want)
+        else:
+            assert payload["classes"] == payload["order"] == math.prod(want)
+            assert payload["bijection"] is True
 
 
 # ---------------------------------------------------------------------------

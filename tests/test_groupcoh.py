@@ -741,6 +741,65 @@ def test_size_cap():
         FiniteGModule.trivial(big, FiniteAbelian([2]))
 
 
+def test_action_given_outside_g_is_named():
+    # (0 1) is not in C3 = <(0 1 2)>: extending over the span of the keys,
+    # S3, and keeping the part on C3 would drop the (0 1) chunk unseen
+    C3 = PermGroup.from_cycle_strings(3, ["(0 1 2)"])
+    M = FiniteAbelian([3])
+    rot, swap = (Perm.from_cycles(c, 3) for c in ("(0 1 2)", "(0 1)"))
+    neg = {x: ((-x[0]) % 3,) for x in M.elements}
+    for action in ({rot: {x: x for x in M.elements}, swap: neg},
+                   {swap: neg}):
+        with pytest.raises(GroupCohError, match=r"^action given for "
+                           r"\(0 1\), which is not in G$"):
+            FiniteGModule.from_generator_action(C3, M, action)
+
+
+@pytest.mark.parametrize("n,gens,orders,image", [
+    # C3 with both non-identity elements negating Z/3: a(s)^2 = 1 != a(s^2)
+    (3, ["(0 1 2)"], [3], lambda x: ((-x[0]) % 3,)),
+    # V4 with every non-identity element swapping the factors of (Z/2)^2:
+    # a((0 1)(2 3)) a((0 2)(1 3)) = 1 != a((0 3)(1 2))
+    (4, ["(0 1)(2 3)", "(0 2)(1 3)"], [2, 2], lambda x: x[::-1])],
+    ids=["C3 on Z/3", "V4 on (Z/2)^2"])
+def test_action_that_is_no_homomorphism_is_rejected(n, gens, orders, image):
+    # each element acts additively; only the table of products fails
+    G = PermGroup.from_cycle_strings(n, gens)
+    M = FiniteAbelian(orders)
+    action = {g: {x: image(x) for x in M.elements} for g in G.elements
+              if g != Perm.identity(n)}
+    with pytest.raises(GroupCohError, match="^action is not a homomorphism$"):
+        FiniteGModule(G, M, action)
+
+
+def test_identity_acting_as_another_map_is_rejected():
+    # the zero map for every element is a homomorphism into End(M), not
+    # into Aut(M): an input error, not an internal fault in H^1 or H^2
+    C2 = PermGroup.from_cycle_strings(2, ["(0 1)"])
+    M = FiniteAbelian([4])
+    zero = {x: (0,) for x in M.elements}
+    with pytest.raises(GroupCohError, match="^the identity must act as "
+                       "the identity map$"):
+        FiniteGModule(C2, M, {g: zero for g in C2.elements})
+
+
+@pytest.mark.parametrize("orders,phi", [
+    # swaps 1 and 2 of Z/4, an involution of the set; its matrix is [[2]]
+    ([4], {(0,): (0,), (1,): (2,), (2,): (1,), (3,): (3,)}),
+    # (x, y) -> (x, x + 3y) on Z/2 x Z/4, the linear map of its images of
+    # the generators and an involution, but sending the order-2 generator
+    # to (1, 1), of order 4; it fixes 2 points, H^0 read off its matrix 4
+    ([2, 4], FiniteAbelian([2, 4]).linear_map([(1, 1), (0, 3)]))],
+    ids=["swap on Z/4", "ill-defined on Z/2 x Z/4"])
+def test_non_additive_action_is_rejected(orders, phi):
+    # each is a homomorphism C2 -> Sym(M), but not into Aut(M)
+    C2 = PermGroup.from_cycle_strings(2, ["(0 1)"])
+    assert all(phi[phi[x]] == x for x in phi)
+    with pytest.raises(GroupCohError,
+                       match=r"^action of \(0 1\) is not additive$"):
+        FiniteGModule(C2, FiniteAbelian(orders), {C2.generators[0]: phi})
+
+
 # ---------------------------------------------------------------------------
 # oracle: the dense Smith-form route to H^n
 # ---------------------------------------------------------------------------

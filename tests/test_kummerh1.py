@@ -13,16 +13,25 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from coclass import etalealg, kummerh1
+from coclass import cli, etalealg, kummerh1
 from coclass.etalealg import (
     EtaleAlgebra,
     SquareClass,
+    _resolvent_of_depressed,
     cubic_resolvent,
+    depress_quartic,
     galois_group,
     quadratic_resolvent,
     squarefree_part,
 )
-from coclass.exactpoly import RationalPoly, fields_isomorphic, modp, numeric_roots
+from coclass.exactpoly import (
+    RationalPoly,
+    factor_rationals,
+    fields_isomorphic,
+    is_squarefree,
+    modp,
+    numeric_roots,
+)
 from coclass.kummerh1 import (
     CoclassC3,
     CoclassC4,
@@ -38,7 +47,12 @@ from coclass.kummerh1 import (
     v4_decode,
     v4_encode,
 )
-from helpers import kummer_radical, mu_power_dual, tate_dual_twist
+from helpers import (
+    c4_model_in_quadratic_field,
+    kummer_radical,
+    mu_power_dual,
+    tate_dual_twist,
+)
 
 P = RationalPoly
 F = Fraction
@@ -432,6 +446,101 @@ def test_c4_round_trips_random():
         assert back.D.rep == D
         assert c4_encode(back).isomorphic(L)
         done += 1
+
+
+def _resolvent_root_data(rng, big):
+    """Seeded (p, q, r, y1), y1 a rational root of the resolvent
+    (y - p)(y^2 - 4r) - q^2 of x^4 + p x^2 + q x + r: y1 = p with q = 0
+    for half of them, else y1 - p = k t^2 with q free and r solved for.
+    The oracle takes the square class of y1 - p, or of y1^2 - 4r = k t^2
+    when y1 = p, by trial division, so t is a product of small primes,
+    past 2^32 when `big`, with p and q past 2^64."""
+    bound = 2 ** 70 if big else 30
+    p = F(rng.randint(-bound, bound), rng.randint(1, 4))
+    k = rng.choice([1, 2, 3, 5, 6, 7, 10, 14, -1, -2, -3, -5, -7])
+    if big:
+        t = F(2 ** rng.randint(4, 12) * 3 ** rng.randint(4, 9)
+              * 5 ** rng.randint(2, 6) * 7 ** rng.randint(2, 6),
+              rng.choice([1, 2, 3, 5]))
+    else:
+        t = F(rng.randint(1, 6), rng.randint(1, 4))
+    if rng.random() < 0.5:
+        return p, F(0), (p * p - k * t * t) / 4, p
+    y1 = p + k * t * t
+    q = F(rng.randint(-bound, bound), rng.randint(1, 3))
+    return p, q, (y1 * y1 - q * q / (y1 - p)) / 4, y1
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["small", "past 2^64"])
+def test_c4_model_closed_form_matches_the_quadratic_field(big):
+    # _c4_model_at reads (a, c) from tr(w) and N(w) in closed form; the
+    # oracle computes w = u^2 - 4v in Q(sqrt d_E) with QuadElem arithmetic
+    rng = random.Random(28 + big)
+    branches = Counter()
+    for _ in range(300):
+        p, q, r, y1 = _resolvent_root_data(rng, big)
+        assert _resolvent_of_depressed(p, q, r)(y1) == 0
+        branches[y1 == p] += 1
+        assert kummerh1._c4_model_at(p, q, r, y1) == \
+            c4_model_in_quadratic_field(p, q, r, y1)
+    assert min(branches[True], branches[False]) > 100
+
+
+def test_c4_model_closed_form_on_encoded_quartics():
+    # every rational resolvent root of the quartics that the benchmark's
+    # C4 draws encode to, biquadratic with the root y1 = p, of their
+    # changes of primitive element theta -> theta + t theta^2 that
+    # c4_decode may take, and of more biquadratics x^4 + p x^2 + r
+    rng = random.Random(41)
+    quartics = [f for f in (c4_encode(cli._random_c4(rng)).factors[0]
+                            for _ in range(40)) if f.degree == 4]
+    quartics = [g for f in quartics for g in kummerh1._models(f)] + [
+        P([r, 0, p, 0, 1]) for p in range(-6, 7) for r in (-3, 2, 5, 7)]
+    branches = Counter()
+    for f in quartics:
+        p, q, r, _ = depress_quartic(f)
+        for h, _ in factor_rationals(_resolvent_of_depressed(p, q, r)):
+            y1 = -h[0] / h[1] if h.degree == 1 else None
+            if y1 is None or y1 == p and y1 * y1 == 4 * r:
+                continue  # no root, or no square class of 0 for the oracle
+            branches[y1 == p] += 1
+            assert kummerh1._c4_model_at(p, q, r, y1) == \
+                c4_model_in_quadratic_field(p, q, r, y1)
+    assert branches[True] > 20 and branches[False] > 20
+
+
+def test_encoders_hand_on_squarefree_polynomials(monkeypatch):
+    # c3_encode and c4_encode leave squarefreeness to the data:
+    # x^3 - 3x - t has discriminant 27 (4 - t^2), and t = +-2 only for
+    # delta = +-1, encoded without it; x^4 - 4c x^2 + 2c^2 - 2a is
+    # squarefree unless a = +-c^2, that is b = 0, which never reaches it
+    seen = []
+    real = EtaleAlgebra.from_poly
+
+    def spy(f):
+        seen.append(f)
+        return real(f)
+    monkeypatch.setattr(EtaleAlgebra, "from_poly", staticmethod(spy))
+    rng = random.Random(28)
+    for _ in range(100):
+        D = rng.choice([1, 2, 3, 5, 6, 7, 10, -1, -2, -3])
+        d = squarefree_part(-3 * D)
+        x, y = rng.randint(-9, 9), F(rng.randint(0, 6), rng.randint(1, 6))
+        if QuadElem.of(d, x, y).norm():
+            c3_encode(CoclassC3(D, norm_one(d, x, y)))
+    for _ in range(100):
+        D = rng.choice([1, 2, 3, 5, 14, -1, -2])
+        beta = QuadElem.of(-D, rng.randint(-4, 4), rng.randint(-3, 3))
+        n = beta.norm()
+        if n == 0:
+            continue
+        c = F(rng.choice((1, -1)) * rng.randint(1, 4), rng.randint(1, 3))
+        al = beta * beta * (c * c / n)
+        c4_encode(CoclassC4(D, al.x, al.y, c))
+        # and b = 0: a = c^2 (the trivial class) or a = -c^2
+        c4_encode(CoclassC4(D, rng.choice((1, -1)) * c * c, 0, c))
+    assert len(seen) > 200
+    assert all(is_squarefree(f) for f in seen)
 
 
 def _frobenius_type(ints, p):
