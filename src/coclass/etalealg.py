@@ -15,12 +15,12 @@ from .exactpoly import (
     RationalPoly,
     compositum_factors,
     discriminant,
-    extension_automorphisms,
     factor_rationals,
     fields_isomorphic,
     is_squarefree,
 )
 from .exactpoly import modp
+from .exactpoly.extension import _root_factors
 from .permstruct import Perm, PermGroup
 
 
@@ -384,10 +384,10 @@ def torsor_closure(L: EtaleAlgebra) -> EtaleAlgebra:
     return EtaleAlgebra(out)
 
 
-def _aut_group_of_field(f: RationalPoly) -> PermGroup:
-    """Automorphism group of Q[y]/(f) as a permutation group via its regular
-    action (only meaningful when the field is Galois)."""
-    auts = extension_automorphisms(f)
+def _aut_group_of_field(f: RationalPoly, auts) -> PermGroup:
+    """The Galois group of the Galois field Q[y]/(f), from its automorphisms
+    auts as reduced polynomials, as a permutation group via its regular
+    action."""
     index = {a.coeffs: i for i, a in enumerate(auts)}
     perms = []
     for a in auts:
@@ -414,7 +414,8 @@ def is_g_torsor(L: EtaleAlgebra, G: PermGroup) -> bool:
     d = first.degree
     if d == 1:
         return True
-    A = _aut_group_of_field(first)
-    if A.order != d:
+    found = list(_root_factors(first, first))
+    if len(found) != d:
         return False  # factor field not Galois
+    A = _aut_group_of_field(first, [root() for _, _, root in found])
     return next(permstruct._embeddings(A, G), None) is not None

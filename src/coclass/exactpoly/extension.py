@@ -23,10 +23,15 @@ factor of the scaled norm.  The roots are Newton-lifted past a root bound
 by `factor._lift_roots`, the lifter that also finds the integer roots of
 every polynomial `factor` factors.  The candidates over the maps tau are
 read in symmetric residues and kept when they divide the scaled norm
-exactly.  If h does not split modulo p it has no root in K.  Only
-`compositum_factors`, an f of degree above `_SPLIT_DEGREE` and an f with no
-split prime in `_SPLIT_SCAN` usable primes factor the whole norm by
-Zassenhaus.
+exactly.  If h does not split modulo p it has no root in K.
+
+The map tau of a kept factor also fixes its root r: d*s*r(y/s), d the
+discriminant of the scaled f, has integer coefficients and takes the value
+d*B_tau(i) at A_i, so it is read by interpolation mod p^k in symmetric
+residues and proved by the exact check h(r) = 0 mod f, with no arithmetic
+in K[x].  Only `compositum_factors`, and root tests in an f of degree above
+`_SPLIT_DEGREE` or with no split prime in `_SPLIT_SCAN` usable primes,
+factor the whole norm by Zassenhaus; their roots are not read.
 
 Characteristic polynomials of elements r(y) of Q[y]/(f), and so their norms,
 come from the same power sums of f and the same Newton step, applied to the
@@ -37,11 +42,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
-from .. import InternalError
+from .. import InternalError, UnsupportedSize
 from . import factor, modp
 from .factor import factor_rationals, is_irreducible
-from .poly import ExactPolyError, RationalPoly, is_squarefree
+from .poly import ExactPolyError, RationalPoly, discriminant, is_squarefree
 
 
 def _root_scale(*polys: RationalPoly) -> int:
@@ -138,19 +144,40 @@ def _norm_factors(f: RationalPoly, g: RationalPoly):
     return lam, factor._factor_scaled(norm, _root_scale(f, g))
 
 
-# Split primes are sought for deg f <= 4, where the Galois group has order at
-# most 24: by Chebotarev at least 1/24 of all primes split f, so _SPLIT_SCAN
-# usable primes all miss with chance under (23/24)^200 < 2e-4, and the maps
-# from the roots of f to those of h number at most 4! = 24.  Past that, or
-# with no split prime in the scan, the whole norm is factored.
-_SPLIT_DEGREE = 4
+# Split primes are sought for deg f <= 6, the degree cap of `is_g_torsor`,
+# whose fields are Galois: a Galois field of degree d splits at a density of
+# 1/d, so _SPLIT_SCAN usable primes all miss with chance under
+# (5/6)^200 < 2e-16, and the maps from the roots of f to those of h number
+# at most 6! = 720.  Past that, or with no split prime in the scan, the root
+# tests factor the whole norm and the roots are out of reach.
+_SPLIT_DEGREE = 6
 _SPLIT_SCAN = 200
 
 
+def _interpolate_mod(xs, ys, m):
+    """Coefficients, ascending, of the polynomial of degree < len(xs) through
+    the points (x_i, y_i) mod m, by Lagrange: the x_i differ by units mod m."""
+    out = [0] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, den = [1], 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = modp.gf_mul(basis, [-xj % m, 1], m)
+                den = den * (xi - xj) % m
+        c = yi * pow(den, -1, m) % m
+        out = [(o + c * b) % m for o, b in zip(out, basis)]
+    return out
+
+
+def _no_split_prime():
+    raise UnsupportedSize(f"roots in Q[y]/(f) need deg f <= {_SPLIT_DEGREE} "
+                          f"and a split prime among {_SPLIT_SCAN} usable primes")
+
+
 def _root_factors(f: RationalPoly, h: RationalPoly):
-    """Lazily, (lam, q) for each factor q of degree n = deg f of the
-    squarefree norm N_lam(h), h irreducible with deg h | n: one per root of
-    h in K = Q[y]/(f).
+    """Lazily, (lam, q, root) for each factor q of degree n = deg f of the
+    squarefree norm N_lam(h), h monic irreducible with deg h | n: one per
+    root of h in K = Q[y]/(f), which root() returns as a reduced polynomial.
 
     At a split prime p of the scaled f, the roots A_i of the scaled f and B_j
     of the scaled h (both scaled by s = `_root_scale(f, h)`) are lifted past
@@ -161,13 +188,18 @@ def _root_factors(f: RationalPoly, h: RationalPoly):
     prod_i (x - lam*A_i - B_tau(i)), kept if it divides the scaled norm
     exactly: a degree-n divisor of the norm is one of its irreducible
     factors.  If h does not split modulo p it has no root in K: the n
-    embeddings would send a root of h to every root of h."""
+    embeddings would send a root of h to every root of h.
+
+    root() interpolates d*B_tau(i) at the A_i mod p^k, d = disc F, reads
+    d*s*r(x/s) in symmetric residues (integral: the index of Z[A] divides d)
+    and lifts the roots further until h(r) = 0 mod f holds exactly.  On the
+    whole-norm route it raises UnsupportedSize."""
     n, s = f.degree, _root_scale(f, h)
     F, H = factor._scaled_monic(f, s), factor._scaled_monic(h, s)
     split = modp.split_roots(F, H, _SPLIT_SCAN) if n <= _SPLIT_DEGREE else None
     if split is None:
         lam, qs = _norm_factors(f, h)
-        yield from ((lam, q) for q in qs if q.degree == n)
+        yield from ((lam, q, _no_split_prime) for q in qs if q.degree == n)
         return
     p, roots_f, roots_h = split
     if roots_h is None:
@@ -178,19 +210,38 @@ def _root_factors(f: RationalPoly, h: RationalPoly):
     caps = [math.comb(n, j) * rho ** (n - j) for j in range(n + 1)]
     A, m = factor._lift_roots(F, roots_f, p, 2 * max(caps))
     B, _ = factor._lift_roots(H, roots_h, p, 2 * max(caps))
-    left = [n // h.degree] * len(B)
+    lifted = [A, B, m, None]  # roots mod m and disc F, shared by every root()
+    left, tau = [n // h.degree] * len(B), []
+
+    def root(images):
+        while True:
+            A, B, m, d = lifted
+            if d is None:
+                d = lifted[3] = int(discriminant(RationalPoly(F)))
+            D = _interpolate_mod(A, [d * B[j] for j in images], m)
+            r = RationalPoly([Fraction(factor._symmetric(c, m) * s ** i, d * s)
+                              for i, c in enumerate(D)])
+            value = RationalPoly([])
+            for c in reversed(h.coeffs):
+                value = (value * r + c) % f
+            if value.is_zero():
+                return r
+            lifted[:3] = [factor._lift_roots(F, A, m, m)[0], *factor._lift_roots(H, B, m, m)]
 
     def extend(i, prod):
         if i == n:
             Q = [factor._symmetric(c, m) for c in prod]
             if all(abs(c) <= cap for c, cap in zip(Q, caps)) \
                     and factor._int_divmod_monic(N, Q)[1] == []:
-                yield lam, RationalPoly([Fraction(c, s ** (n - j)) for j, c in enumerate(Q)])
+                q = RationalPoly([Fraction(c, s ** (n - j)) for j, c in enumerate(Q)])
+                yield lam, q, partial(root, tuple(tau))
             return
         for j, b in enumerate(B):
             if left[j]:
                 left[j] -= 1
+                tau.append(j)
                 yield from extend(i + 1, modp.gf_mul(prod, [-(k * A[i] + b) % m, 1], m))
+                tau.pop()
                 left[j] += 1
 
     yield from extend(0, [1])
@@ -198,8 +249,8 @@ def _root_factors(f: RationalPoly, h: RationalPoly):
 
 def _trager_roots(g: RationalPoly, f: RationalPoly):
     """Each irreducible factor h of g whose degree divides deg f, with a
-    lazy iterator over the (lam, q), q a factor of degree deg f of the
-    squarefree norm N_lam(h), one per root of h in Q[y]/(f)."""
+    lazy iterator over the (lam, q, root) of `_root_factors`, one per root
+    of h in Q[y]/(f)."""
     if not is_irreducible(f):
         raise ExactPolyError("extension polynomial must be irreducible")
     factors = factor_rationals(g)
@@ -219,94 +270,17 @@ def has_root_in_extension(g: RationalPoly, f: RationalPoly) -> bool:
                for h, found in _trager_roots(g, f))
 
 
-# ---------------------------------------------------------------------------
-# quotient-ring arithmetic over K = Q[y]/(f) and explicit root extraction
-# ---------------------------------------------------------------------------
-
-def _k_inv(a: RationalPoly, f: RationalPoly) -> RationalPoly:
-    """Inverse of a in Q[y]/(f), f irreducible, a nonzero mod f."""
-    r0, r1 = f, a % f
-    s0, s1 = RationalPoly([]), RationalPoly([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise ExactPolyError("element not invertible mod f")
-    return (s0 * RationalPoly([1 / r0.coeffs[0]])) % f
-
-
-def _kp_trim(a):
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _kp_mul(a, b, f):
-    if not a or not b:
-        return []
-    out = [RationalPoly([]) for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _kp_trim([c % f for c in out])
-
-
-def _kp_divmod(a, b, f):
-    """Division of K-coefficient polynomials, b nonzero."""
-    a = list(a)
-    db = len(b) - 1
-    inv_lc = _k_inv(b[-1], f)
-    q = [RationalPoly([]) for _ in range(max(0, len(a) - db))]
-    while len(a) - 1 >= db and _kp_trim(a):
-        if not a:
-            break
-        c = (a[-1] * inv_lc) % f
-        deg = len(a) - 1 - db
-        q[deg] = q[deg] + c
-        for j in range(db + 1):
-            a[deg + j] = (a[deg + j] - c * b[j]) % f
-        a.pop()
-    return q, _kp_trim(a)
-
-
-def _kp_gcd(a, b, f):
-    a, b = _kp_trim(list(a)), _kp_trim(list(b))
-    while b:
-        _, r = _kp_divmod(a, b, f)
-        a, b = b, r
-    if a:
-        inv = _k_inv(a[-1], f)
-        a = [(c * inv) % f for c in a]
-    return a
-
-
 def roots_in_extension(g: RationalPoly, f: RationalPoly):
-    """All roots of squarefree g in K = Q[y]/(f), f monic irreducible, as
-    reduced polynomials h(y) with g(h) = 0 mod f (Trager factorization)."""
+    """All roots of squarefree g in K = Q[y]/(f), f irreducible, as reduced
+    polynomials r(y) with g(r) = 0 mod f, each read from the map tau of its
+    norm factor.  UnsupportedSize when g has a root of degree > 1 over Q in
+    K and f has no split prime in the scan."""
     roots = []
     for h, found in _trager_roots(g, f):
         if h.degree == 1:
             roots.append(RationalPoly([-h.coeffs[0] / h.coeffs[1]]))
-            continue
-        for lam, q in found:
-            # K-gcd of h(x) and q(x + lam*theta) is linear: x - root
-            hk = [RationalPoly([c]) for c in h.coeffs]
-            theta = RationalPoly([0, 1])
-            shift = [(lam * theta) % f, RationalPoly([1])]
-            qk = [RationalPoly([])]
-            for c in reversed(q.coeffs):
-                qk = _kp_mul(qk, shift, f)
-                if not qk:
-                    qk = [RationalPoly([c]) % f]
-                else:
-                    qk[0] = (qk[0] + RationalPoly([c])) % f
-                    qk = _kp_trim(qk)
-            w = _kp_gcd(hk, qk, f)
-            if len(w) == 2:
-                roots.append((-w[0]) % f)
+        else:
+            roots += (root() for _, _, root in found)
     return sorted(roots, key=lambda r: r.coeffs)
 
 

@@ -243,6 +243,10 @@ class FiniteGModule:
         for g in els:
             if g not in self.action:
                 raise GroupCohError(f"action missing for {g.to_cycles()}")
+        outside = sorted(self.action.keys() - set(els))
+        if outside:
+            raise GroupCohError(f"action given for {outside[0].to_cycles()}, "
+                                "which is not in G")
         if els[0] != ident:
             raise InternalError("internal: identity is not the first "
                                 "element of sorted G")

@@ -669,6 +669,64 @@ def trager_roots_by_factoring(g: RationalPoly, f: RationalPoly):
             yield h, iter([(lam, q) for q in qs if q.degree == f.degree])
 
 
+def _k_inv(a: RationalPoly, f: RationalPoly) -> RationalPoly:
+    """Inverse of a in Q[y]/(f), f irreducible, a nonzero mod f, by the
+    extended Euclid over Q."""
+    r0, r1 = f, a % f
+    s0, s1 = RationalPoly([]), RationalPoly([1])
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    return s0 * (1 / r0.coeffs[0]) % f
+
+
+def _kx_trim(a):
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def _kx_rem(a, b, f):
+    """a mod b in K[x], K = Q[y]/(f); coefficient lists ascending, b
+    trimmed and nonzero."""
+    a, inv = _kx_trim(list(a)), _k_inv(b[-1], f)
+    while len(a) >= len(b):
+        c, shift = a[-1] * inv % f, len(a) - len(b)
+        for j, bj in enumerate(b):
+            a[shift + j] = (a[shift + j] - c * bj) % f
+        _kx_trim(a)
+    return a
+
+
+def roots_by_factoring(g: RationalPoly, f: RationalPoly):
+    """`extension.roots_in_extension` by a Euclid over K = Q[y]/(f) in
+    Fraction arithmetic on the factors of fully factored norms: for each
+    (lam, q) of `trager_roots_by_factoring`, the gcd of h(x) and
+    q(x + lam*y) over K is x - r for one root r of h in K."""
+    roots = []
+    for h, found in trager_roots_by_factoring(g, f):
+        if h.degree == 1:
+            roots.append(RationalPoly([-h.coeffs[0] / h.coeffs[1]]))
+            continue
+        for lam, q in found:
+            # q(x + lam*y) by Horner in K[x]
+            shift, qk = [lam * RationalPoly([0, 1]) % f, RationalPoly([1])], []
+            for c in reversed(q.coeffs):
+                prod = [RationalPoly([])] * (len(qk) + 1)
+                for i, a in enumerate(qk):
+                    for j, b in enumerate(shift):
+                        prod[i + j] = prod[i + j] + a * b % f
+                prod[0] = prod[0] + c
+                qk = _kx_trim(prod)
+            a, b = [RationalPoly([c]) for c in h.coeffs], qk
+            while b:
+                a, b = b, _kx_rem(a, b, f)
+            if len(a) == 2:
+                roots.append(-(a[0] * _k_inv(a[1], f)) % f)
+    return sorted(roots, key=lambda r: r.coeffs)
+
+
 def transitive_tag_by_norm(f: RationalPoly) -> str:
     """Galois tag of an irreducible polynomial of degree <= 4, deciding C4
     against D4 by whether sqrt(disc) lies in the quartic field, and square

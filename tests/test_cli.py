@@ -102,6 +102,29 @@ def test_etale_torsor():
     assert payload["is_torsor"] is True
 
 
+_S3 = ["--group", "(0 1 2);(0 1)", "--group-n", "3"]
+_C6 = ["--group", "(0 1 2 3 4 5)", "--group-n", "6"]
+
+
+@pytest.mark.parametrize("coeffs,group,want", [
+    # the S3 closures of x^3 - 2 and x^3 - x + 1 (`etale closure`)
+    ("31,36,27,-4,9,0,1", _S3, True),
+    ("13249,-140,1588,2,67,0,1", _S3, True),
+    # Q(zeta_7) is cyclic of degree 6: a C6-torsor, not an S3-torsor
+    ("1,1,1,1,1,1,1", _C6, True),
+    ("1,1,1,1,1,1,1", _S3, False),
+    # x^6 + x + 1 is not Galois and first splits past the prime scan
+    ("1,1,0,0,0,0,1", _C6, False)],
+    ids=["S3 closure of x^3-2", "S3 closure of x^3-x+1", "C6 cyclotomic",
+         "C6 cyclotomic under S3", "x^6+x+1"])
+def test_etale_torsor_sextic_corners_cold(coeffs, group, want):
+    # each cold process answers within the README budget of 2 s
+    seconds, code, payload = _cold_run(["etale", "torsor", "--f", coeffs, *group],
+                                       timeout=10)
+    assert code == 0 and payload["is_torsor"] is want, payload
+    assert seconds < 2
+
+
 @pytest.mark.parametrize("coeffs", [
     "1,0,0,0,0,0,0,0,0,1",  # degree 9, past the algebra cap of 8
     "1,0,0,0,0,1",          # degree 5, past the Galois-tag cap of 4

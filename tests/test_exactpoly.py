@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coclass import etalealg
+from coclass import UnsupportedSize, etalealg
 from coclass.etalealg import EtaleAlgebra, frobenius_cycle_types, squarefree_part, torsor_closure
 from coclass.exactpoly import (
     ExactPolyError,
@@ -47,6 +47,7 @@ from helpers import (
     factor_monic_int_by_zassenhaus,
     interpolate,
     resultant_by_euclid,
+    roots_by_factoring,
     trager_norm_by_resultants,
     trager_roots_by_factoring,
 )
@@ -1023,17 +1024,21 @@ def _against_factored_norms(monkeypatch, pairs, fields=()):
     """For each (g, f) of pairs, fields_isomorphic(f, g),
     has_root_in_extension(g, f) and roots_in_extension(g, f), then
     extension_automorphisms(f) for each f of fields, all as the split prime
-    finds them, once they agree with fully factored norms
-    (`trager_roots_by_factoring`)."""
-    def answers():
-        return ([(fields_isomorphic(f, g), has_root_in_extension(g, f), roots_in_extension(g, f))
-                 for g, f in pairs], [extension_automorphisms(f) for f in fields])
+    finds them, once they agree with fully factored norms: the root tests
+    with `trager_roots_by_factoring` in place of `_trager_roots`, the roots
+    with the Euclid over K of `roots_by_factoring`."""
+    def tests():
+        return [(fields_isomorphic(f, g), has_root_in_extension(g, f)) for g, f in pairs]
 
-    got = answers()
+    got = tests()
+    roots = [roots_in_extension(g, f) for g, f in pairs]
+    auts = [extension_automorphisms(f) for f in fields]
+    assert roots == [roots_by_factoring(g, f) for g, f in pairs]
+    assert auts == [roots_by_factoring(f, f) for f in fields]
     with monkeypatch.context() as m:
         m.setattr(extension, "_trager_roots", trager_roots_by_factoring)
-        assert got == answers()
-    return got
+        assert got == tests()
+    return [(iso, has, r) for (iso, has), r in zip(got, roots)], auts
 
 
 def test_roots_in_extension_match_factored_norms(monkeypatch):
@@ -1072,8 +1077,8 @@ def test_quadratic_subfields_match_factored_norms(monkeypatch):
 
 
 def test_sextic_subfields_match_factored_norms(monkeypatch):
-    # the S3 closure of cbrt 2 holds x^3 - 2 and sqrt(-3); a sextic is past
-    # _SPLIT_DEGREE, so its whole norms are factored
+    # the S3 closure of cbrt 2 holds x^3 - 2 and sqrt(-3); a Galois sextic
+    # has a split prime, so its roots are read from the maps tau
     f = torsor_closure(EtaleAlgebra.from_poly(P("-2,0,0,1"))).factors[0]
     pairs = [(P("-2,0,0,1"), f), (P("3,0,1"), f), (P("-2,0,0,1") * P("3,0,1"), f)]
     got, auts = _against_factored_norms(monkeypatch, pairs, [f])
@@ -1082,6 +1087,8 @@ def test_sextic_subfields_match_factored_norms(monkeypatch):
 
 
 def test_no_split_prime_falls_back_to_factored_norms(monkeypatch):
+    # the root tests factor the whole norms; the roots, which need the maps
+    # tau of a split prime, are out of reach wherever a root exists
     calls = []
     norm_factors = extension._norm_factors
 
@@ -1094,7 +1101,60 @@ def test_no_split_prime_falls_back_to_factored_norms(monkeypatch):
     rng = random.Random(7)
     fields = [P(_TAGGED_QUARTICS[tag][0]) for tag in ("C4", "D4", "S4")]
     pairs = [(g, f) for f in fields for g in (_tschirnhaus(f, rng), P("-2,0,1"))]
-    got, auts = _against_factored_norms(monkeypatch, pairs, fields)
-    assert [iso for iso, _, _ in got] == [True, False] * 3
-    assert [len(a) for a in auts] == [4, 2, 1]
+
+    def tests():
+        return [(fields_isomorphic(f, g), has_root_in_extension(g, f)) for g, f in pairs]
+
+    got = tests()
+    with monkeypatch.context() as m:
+        m.setattr(extension, "_trager_roots", trager_roots_by_factoring)
+        assert got == tests()
+    assert got == [(True, True), (False, True)] * 2 + [(True, True), (False, False)]
+    assert roots_in_extension(*pairs[-1]) == []
+    for g, f in pairs[:-1] + [(f, f) for f in fields]:
+        with pytest.raises(UnsupportedSize, match="split prime"):
+            roots_in_extension(g, f)
     assert calls
+
+
+def test_roots_are_lifted_past_the_first_precision(monkeypatch):
+    # seeded transforms with coefficients in [-30, 30] in non-monic models:
+    # some roots are read only after the p-adic roots are lifted further, a
+    # call of _lift_roots from a modulus m to m^2 (p == bound == m)
+    further = []
+    lift_roots = factor._lift_roots
+
+    def spy(F, roots, p, bound):
+        further.append(p == bound)
+        return lift_roots(F, roots, p, bound)
+
+    monkeypatch.setattr(factor, "_lift_roots", spy)
+    rng = random.Random(29)
+    count = 0
+    for t in (t for ts in _TAGGED_QUARTICS.values() for t in ts):
+        f = _non_monic(P(t), rng)
+        for _ in range(3):
+            r = RationalPoly([rng.randint(-30, 30) for _ in range(rng.randint(2, 4))])
+            g = charpoly(r, f)
+            if r.degree < 1 or not is_squarefree(g):
+                continue
+            roots = roots_in_extension(g, f)
+            assert r in roots and all((g(x) % f).is_zero() for x in roots)
+            count += len(roots)
+    assert sum(further) > 0 and count > 40
+
+
+def test_sextic_roots_match_the_euclid_over_k(monkeypatch):
+    # the golden S3 closures of x^3 - 2 and x^3 - x + 1 and the C6 field
+    # Q(zeta_7): their automorphisms and the roots of their cubic and
+    # quadratic subfields, read from tau at a split prime
+    closures = [torsor_closure(EtaleAlgebra.from_poly(P(t))).factors[0]
+                for t in ("-2,0,0,1", "1,-1,0,1")]
+    assert [f.to_text() for f in closures] == ["31,36,27,-4,9,0,1",
+                                               "13249,-140,1588,2,67,0,1"]
+    c6 = P("1,1,1,1,1,1,1")
+    pairs = [(P("1,-1,0,1"), closures[1]), (P("23,0,1"), closures[1]),
+             (P("-1,-2,1,1"), c6), (P("7,0,1") * P("2,0,1"), c6)]
+    got, auts = _against_factored_norms(monkeypatch, pairs, closures + [c6])
+    assert [len(roots) for _, _, roots in got] == [3, 2, 3, 2]
+    assert [len(a) for a in auts] == [6, 6, 6]

@@ -755,6 +755,20 @@ def test_action_given_outside_g_is_named():
             FiniteGModule.from_generator_action(C3, M, action)
 
 
+def test_full_action_with_a_key_outside_g_is_rejected():
+    # C3 acting trivially on Z/3 plus an entry for (0 1): the entry was
+    # kept, never read, and len(gm.action) was 4 for |G| = 3
+    C3 = PermGroup.from_cycle_strings(3, ["(0 1 2)"])
+    M = FiniteAbelian([3])
+    one = {x: x for x in M.elements}
+    action = {g: one for g in C3.elements}
+    assert len(FiniteGModule(C3, M, action).action) == 3
+    action[Perm.from_cycles("(0 1)", 3)] = one
+    with pytest.raises(GroupCohError, match=r"^action given for "
+                       r"\(0 1\), which is not in G$"):
+        FiniteGModule(C3, M, action)
+
+
 @pytest.mark.parametrize("n,gens,orders,image", [
     # C3 with both non-identity elements negating Z/3: a(s)^2 = 1 != a(s^2)
     (3, ["(0 1 2)"], [3], lambda x: ((-x[0]) % 3,)),

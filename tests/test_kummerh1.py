@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coclass import cli, etalealg, kummerh1
 from coclass.etalealg import (
@@ -447,6 +449,32 @@ def test_c4_round_trips_random():
         assert c4_encode(back).isomorphic(L)
         done += 1
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2, 3, 5, 6, 7, 10, 14, -2, -3, -5, -7)),
+       st.integers(1, 4), st.integers(1, 3), st.sampled_from((1, -1)),
+       st.sampled_from((1, -1)), st.fractions(-4, 4, max_denominator=3))
+def test_c4_decode_then_encode_is_isomorphic(D, u, v, su, sv, c):
+    # alpha = (c^2 / N(beta)) beta^2 with beta = u + v sqrt(-D), drawn as the
+    # codec-roundtrip benchmark draws it; every shape of L is kept
+    u, v = su * u, sv * v
+    n = u * u + D * v * v
+    assume(n != 0 and c != 0)
+    k = c * c / n
+    L = c4_encode(CoclassC4(SquareClass(D), k * (u * u - D * v * v), k * 2 * u * v, c))
+    assert c4_encode(c4_decode(L)).isomorphic(L)
+
+
+@pytest.mark.parametrize("coeffs", [
+    "64,0,-8,0,1", "1,0,0,0,1", "1,0,-10,0,1",
+    pytest.param("5,0,0,0,1", marks=pytest.mark.xfail(
+        raises=etalealg.UnsupportedStructure, strict=True,
+        reason="FOUND in CHANGES.md: kummerh1._c4_model has no model for "
+               "x^4 + 5, degenerate biquadratic model (c = 0)"))])
+def test_c4_decode_then_encode_examples(coeffs):
+    L = EtaleAlgebra.from_text(coeffs)
+    assert c4_encode(c4_decode(L)).isomorphic(L)
 
 def _resolvent_root_data(rng, big):
     """Seeded (p, q, r, y1), y1 a rational root of the resolvent
