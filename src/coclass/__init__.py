@@ -9,7 +9,17 @@ class InternalError(Exception):
     CLI reports it with exit 70, not as invalid input."""
 
 
-class UnsupportedSize(ValueError):
-    """An input past a documented size cap, such as |G| > 24, |M| > 16 or a
-    square class needing a factor past the trial-division bound: the CLI
-    reports it with exit 3."""
+# desk caps on the group and module of a G-module
+GROUP_CAP = 24
+MODULE_CAP = 16
+
+
+class Unsupported(ValueError):
+    """An input outside the declared scope, not a malformed one: the CLI
+    reports every subclass with exit 3."""
+
+
+class UnsupportedSize(Unsupported):
+    """An input past a documented size cap, such as |G| > GROUP_CAP,
+    |M| > MODULE_CAP or a square class needing a factor past the
+    trial-division bound."""

@@ -1,5 +1,9 @@
 """Command-line interface: every operation behind one binary with JSON
-output, plus named corpus suites mirroring the acceptance properties.
+output.
+
+Each handler imports the layers it runs, so a cold process compiles and
+loads only those; `corpus run` and `coh lemma53` load the suites of
+`coclass.corpus`.
 
 Grammar: `coclass COMMAND ACTION` (for h1, `coclass h1 MODULE ACTION`)
 followed by flags from `GRAMMAR`, each `--name value` or `--name=value`.
@@ -14,24 +18,22 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from . import UnsupportedSize, etalealg, groupcoh, kummerh1, localsym, permstruct
-from .etalealg import EtaleAlgebra, UnsupportedStructure
-from .exactpoly import RationalPoly, discriminant, factor_rationals, is_squarefree
-from .exactpoly.modp import is_prime
-from .groupcoh import FiniteGModule
-from .kummerh1 import CoclassC3, CoclassC4, CoclassV4, QuadElem
-from .localsym import LocalFieldDesc, Place, UnsupportedLocal
-from .permstruct import FiniteAbelian, Perm, PermGroup, UnsupportedDegree
+from . import MODULE_CAP, Unsupported, UnsupportedSize, permstruct
+from .permstruct import FiniteAbelian, Perm, PermGroup
+
+if TYPE_CHECKING:
+    from .etalealg import EtaleAlgebra
+    from .exactpoly import RationalPoly
+    from .groupcoh import FiniteGModule
+    from .kummerh1 import CoclassC3, CoclassC4, CoclassV4, QuadElem
+    from .localsym import Place
 
 SCHEMA = 1
-
-_UNSUPPORTED = (UnsupportedStructure, UnsupportedLocal, UnsupportedDegree,
-                UnsupportedSize)
 
 
 class CliError(ValueError):
@@ -51,6 +53,7 @@ def _need(args, name: str) -> str:
 
 
 def _parse_poly(text: str) -> RationalPoly:
+    from .exactpoly import RationalPoly
     if text is None:
         raise CliError("missing required polynomial flag")
     try:
@@ -74,6 +77,7 @@ def _parse_group(n: int, gens: str) -> PermGroup:
 
 
 def _parse_place(text: str) -> Place:
+    from .localsym import Place
     if text in ("real", "inf", "oo"):
         return Place.real()
     if int(text) == 0:
@@ -122,6 +126,7 @@ def _parse_action(module: FiniteAbelian, group: PermGroup, text: str):
 
 
 def _build_gmodule(args) -> FiniteGModule:
+    from .groupcoh import FiniteGModule
     orders = [int(t) for t in args.orders.split(",")]
     module = FiniteAbelian(orders)
     group = _parse_group(args.n, args.gens)
@@ -132,6 +137,7 @@ def _build_gmodule(args) -> FiniteGModule:
 
 
 def _quad_from_text(d: int, text: str) -> QuadElem:
+    from .kummerh1 import QuadElem
     x, y = _parse_pair(text)
     return QuadElem.of(d, x, y)
 
@@ -167,6 +173,7 @@ def _c4_json(cc: CoclassC4) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_poly(args):
+    from .exactpoly import discriminant, factor_rationals
     f = _parse_poly(args.f)
     if args.action_name == "factor":
         facs = factor_rationals(f)
@@ -176,6 +183,8 @@ def cmd_poly(args):
 
 
 def cmd_etale(args):
+    from . import etalealg
+    from .etalealg import EtaleAlgebra
     if args.text:
         L = EtaleAlgebra.from_text(args.text)
     else:
@@ -203,7 +212,7 @@ def cmd_etale(args):
 def cmd_group(args):
     if args.action_name == "hol":
         M = FiniteAbelian([int(t) for t in args.orders.split(",")])
-        if M.order > groupcoh.MODULE_CAP:
+        if M.order > MODULE_CAP:
             raise UnsupportedSize("module size exceeds desk caps")
         order = M.order * M.aut_order()
         return {"module": list(M.cyclic_orders), "degree": M.order,
@@ -231,9 +240,12 @@ def cmd_coh(args):
     if args.action_name == "lemma53":
         if args.cases < 0:
             raise CliError("--cases must be >= 0")
-        passed = _lemma53_passes(random.Random(args.seed), args.cases)
+        import random
+        from .corpus import lemma53_passes
+        passed = lemma53_passes(random.Random(args.seed), args.cases)
         return {"cases": args.cases, "passed": passed,
                 "ok": passed == args.cases}
+    from . import groupcoh
     gm = _build_gmodule(args)
     if args.action_name == "h":
         hn = groupcoh.cohomology(gm, args.degree)
@@ -247,6 +259,9 @@ def cmd_coh(args):
 
 
 def cmd_h1(args):
+    from . import etalealg, kummerh1
+    from .etalealg import EtaleAlgebra
+    from .kummerh1 import CoclassC3, CoclassC4, CoclassV4
     mod, act = args.module_name, args.action_name
     if mod == "c3":
         D = int(args.D) if args.D else None
@@ -290,6 +305,10 @@ def cmd_h1(args):
 
 
 def cmd_local(args):
+    from . import etalealg, localsym
+    from .etalealg import EtaleAlgebra
+    from .kummerh1 import QuadElem
+    from .localsym import LocalFieldDesc, UnsupportedLocal
     if args.action_name == "hilbert":
         place = _parse_place(args.p)
         value = localsym.hilbert2(_parse_frac(args.a), _parse_frac(args.b),
@@ -339,278 +358,9 @@ def cmd_local(args):
     return {"value": localsym.tate_pair_v4(p, R, sigma, tau).to_str()}
 
 
-# ---------------------------------------------------------------------------
-# corpus suites
-# ---------------------------------------------------------------------------
-
-def random_lemma53_instance(rng: random.Random):
-    """A random (X, Y, H, f, n) instance within desk caps, including the
-    coordinate-character shapes used for the C2 x C2 theorem."""
-    S3 = PermGroup.symmetric(3)
-    C2 = PermGroup.from_cycle_strings(2, ["(0 1)"])
-
-    def s3_on_v4():
-        nz = [(1, 0), (0, 1), (1, 1)]
-        acts = {}
-        for g in S3.elements:
-            phi = {(0, 0): (0, 0)}
-            for i, m in enumerate(nz):
-                phi[m] = nz[g.images[i]]
-            acts[g] = phi
-        return FiniteGModule(S3, FiniteAbelian([2, 2]), acts)
-
-    def s3_c3_sign():
-        M3 = FiniteAbelian([3])
-        neg = {(0,): (0,), (1,): (2,), (2,): (1,)}
-        ident = {m: m for m in M3.elements}
-        act = {g: (neg if sum(l - 1 for l in g.cycle_type()) % 2 else ident)
-               for g in S3.elements}
-        return FiniteGModule(S3, M3, act)
-
-    kind = rng.randrange(4)
-    if kind == 0:
-        # C2 with small trivial modules, identity or multiplication maps
-        orders = rng.choice([[2], [3], [4], [2, 2]])
-        X = FiniteGModule.trivial(C2, FiniteAbelian(orders))
-        Y = X
-        k = rng.choice([1, 1, 2])
-        f = {m: X.module.smul(k, m) for m in X.module.elements}
-        H = rng.choice([C2, PermGroup(2, [])])
-    elif kind == 1:
-        X = s3_c3_sign()
-        Y = X
-        k = rng.choice([1, 2])
-        f = {m: X.module.smul(k, m) for m in X.module.elements}
-        H = rng.choice([S3, PermGroup.from_cycle_strings(3, ["(0 1 2)"]),
-                        PermGroup.from_cycle_strings(3, ["(1 2)"])])
-    elif kind == 2:
-        # the chi_i coordinate characters from the V4 theorem proof
-        X = s3_on_v4()
-        Y = FiniteGModule.trivial(S3, FiniteAbelian([2]))
-        i = rng.randrange(3)
-        nz = [(1, 0), (0, 1), (1, 1)]
-        fixed = nz[i]
-        others = [m for m in nz if m != fixed]
-        f = {(0, 0): (0,), fixed: (0,),
-             others[0]: (1,), others[1]: (1,)}
-        # H must fix the kernel: the point stabilizer of coordinate i
-        pair = [j for j in range(3) if j != i]
-        H = PermGroup.from_cycle_strings(3, [f"({pair[0]} {pair[1]})"])
-    else:
-        X = s3_on_v4()
-        Y = X
-        f = {m: m for m in X.module.elements}
-        H = rng.choice([S3, PermGroup.from_cycle_strings(3, ["(0 1 2)"]),
-                        PermGroup(3, [])])
-    n = rng.choice([0, 1])
-    return X, Y, H, f, n
-
-
-def _lemma53_passes(rng: random.Random, cases: int) -> int:
-    """How many of `cases` random instances pass groupcoh.lemma53_check."""
-    passed = 0
-    for _ in range(cases):
-        ok, _ = groupcoh.lemma53_check(*random_lemma53_instance(rng))
-        passed += bool(ok)
-    return passed
-
-
-def _suite_hilbert_conic(rng):
-    cases = passed = 0
-    places = [Place(q) for q in (2, 3, 5, 7, 13)] + [Place.real()]
-    for pl in places:
-        reps = [c.rep for c in localsym.square_classes(pl)]
-        for a in reps:
-            for b in reps:
-                cases += 1
-                passed += (localsym.hilbert2(a, b, pl).is_trivial()
-                           == localsym.conic_has_point(a, b, pl))
-    for _ in range(50):
-        a = rng.choice([1, -1]) * rng.randint(1, 300)
-        b = rng.choice([1, -1]) * rng.randint(1, 300)
-        cases += 1
-        total = localsym.hilbert2(a, b, Place.real()).k
-        for q in range(2, 301):
-            if is_prime(q) and (q == 2 or (a * b) % q == 0):
-                total += localsym.hilbert2(a, b, Place(q)).k
-        passed += (total % 2 == 0)
-    return cases, passed
-
-
-def _random_c3(rng) -> CoclassC3:
-    while True:
-        D = rng.choice([1, 2, 3, 5, -1, -2, 6, 7, 10])
-        d = etalealg.squarefree_part(-3 * D)
-        y = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-        # norm one: x^2 - d y^2 = 1 rarely solvable; build from a unit:
-        # delta = z / conj(z) has norm 1 for any z
-        z = QuadElem.of(d, Fraction(rng.randint(1, 9)), y)
-        if z.norm() == 0:
-            continue
-        delta = z * z.conj().inv()
-        return CoclassC3(D, delta)
-
-
-def _suite_roundtrip_c3(rng):
-    cases = passed = 0
-    for _ in range(50):
-        cc = _random_c3(rng)
-        L = kummerh1.c3_encode(cc)
-        back, ambiguous = kummerh1.c3_decode(L)
-        ok = kummerh1.c3_encode(back).canonical() == L.canonical()
-        if not ambiguous:
-            # back must equal cc or its inverse as a cohomology class; the
-            # difference class is trivial iff its algebra has a Q-point
-            ok = ok and any(
-                kummerh1.c3_encode(
-                    kummerh1.c3_add(back, CoclassC3(cc.D.rep, cand.conj()))
-                ).h0_count() >= 1
-                for cand in (cc.delta, cc.delta.conj()))
-        cases += 1
-        passed += ok
-    return cases, passed
-
-
-def _random_v4(rng) -> CoclassV4:
-    R = EtaleAlgebra.from_text("0,1|0,1|0,1")
-    while True:
-        vals = [Fraction(rng.choice([1, 2, 3, 5, 6, -1, -2]),
-                         rng.choice([1, 2, 3])) for _ in range(2)]
-        prod = vals[0] * vals[1]
-        if prod == 0:
-            continue
-        vals.append(1 / prod)
-        return CoclassV4(R, tuple(vals))
-
-
-def _suite_roundtrip_v4(rng):
-    cases = passed = 0
-    for _ in range(50):
-        cc = _random_v4(rng)
-        L = kummerh1.v4_encode(cc)
-        back = kummerh1.v4_decode(L)
-        cases += 1
-        passed += kummerh1.v4_encode(back).isomorphic(L)
-    return cases, passed
-
-
-def _random_c4(rng) -> CoclassC4:
-    """A seeded datum alpha = (c^2 / N(beta)) beta^2 of norm c^4.  Most
-    encode irreducible D4 or C4 quartics; c = N(beta), alpha = beta^4,
-    would encode none."""
-    while True:
-        D = rng.choice([1, 2, 3, 5, 14])
-        u = Fraction(rng.randint(-4, 4))
-        v = Fraction(rng.randint(-3, 3))
-        beta = QuadElem.of(-D, u, v)
-        n = beta.norm()
-        if n == 0:
-            continue
-        c = Fraction(rng.choice((1, -1)) * rng.randint(1, 4), rng.randint(1, 3))
-        al = beta * beta * (c * c / n)
-        return CoclassC4(D, al.x, al.y, c)
-
-
-def _suite_roundtrip_c4(rng):
-    cases = passed = 0
-    for _ in range(50):
-        cc = _random_c4(rng)
-        if rng.random() < 0.5:
-            cc = kummerh1.c4_add(
-                cc, CoclassC4(cc.D.rep, Fraction(-4), Fraction(0),
-                              Fraction(2)))
-        L = kummerh1.c4_encode(cc)
-        back = kummerh1.c4_decode(L)
-        cases += 1
-        passed += kummerh1.c4_encode(back).isomorphic(L)
-    return cases, passed
-
-
-def _suite_resolvents(rng):
-    cases = passed = 0
-    for _ in range(100):
-        cc = _random_c3(rng)
-        L = kummerh1.c3_encode(cc)
-        cases += 1
-        passed += (etalealg.quadratic_resolvent(L) == cc.D)
-    for _ in range(50):
-        cc = _random_v4(rng)
-        L = kummerh1.v4_encode(cc)
-        cases += 1
-        if len(L.factors) == 1:
-            R2 = etalealg.cubic_resolvent(L.defining_poly())
-        else:
-            R2 = kummerh1.v4_decode(L).R
-        passed += (R2.canonical() == cc.R.canonical())
-    done = 0
-    while done < 100:
-        f = RationalPoly([Fraction(rng.randint(-8, 8)) for _ in range(4)]
-                         + [Fraction(1)])
-        if f.degree != 4 or not is_squarefree(f):
-            continue
-        res = etalealg.cubic_resolvent_poly(f)
-        if not is_squarefree(res):
-            continue
-        done += 1
-        cases += 1
-        passed += (etalealg.squarefree_part(discriminant(f))
-                   == etalealg.squarefree_part(discriminant(res)))
-    return cases, passed
-
-
-def _suite_tate(_rng):
-    cases = passed = 0
-    reps = [c.rep for c in localsym.cube_classes(LocalFieldDesc(7))]
-    M = [[localsym.tate_pair_c3(7, 1, u, w).k for w in reps] for u in reps]
-    cases += 2
-    passed += (len({tuple(r) for r in M}) == 9)
-    passed += (len(set(zip(*M))) == 9)
-    R3 = EtaleAlgebra.from_text("0,1|0,1|0,1")
-    for p in (3, 5, 7):
-        triples = localsym.enumerate_h1_local("v4", p)
-        T = [[localsym.tate_pair_v4(p, R3, s, t).k for t in triples]
-             for s in triples]
-        cases += 2
-        passed += (len({tuple(r) for r in T}) == len(triples))
-        passed += (len(set(zip(*T))) == len(triples))
-    return cases, passed
-
-
-def _suite_structures(_rng):
-    cases = passed = 0
-    C4 = PermGroup.from_cycle_strings(4, ["(0 1 2 3)"])
-    S4 = PermGroup.symmetric(4)
-    triv = PermGroup(4, [])
-    expect = [(C4, C4, 2), (triv, C4, 6), (S4, S4, 1)]
-    for image, G, want in expect:
-        count = permstruct.count_g_structures(image, G)
-        cases += 1
-        passed += (count == want)
-    for orders, n in [([2], 2), ([3], 3), ([4], 4), ([2, 2], 4)]:
-        M = FiniteAbelian(orders)
-        cases += 1
-        passed += (M.order * M.aut_order() == math.factorial(M.order)) == (
-            n <= 4 and orders != [4])
-    return cases, passed
-
-
-def _suite_lemma53(rng):
-    return 100, _lemma53_passes(rng, 100)
-
-
-SUITES = {
-    "hilbert-conic": _suite_hilbert_conic,
-    "roundtrip-c3": _suite_roundtrip_c3,
-    "roundtrip-v4": _suite_roundtrip_v4,
-    "roundtrip-c4": _suite_roundtrip_c4,
-    "resolvents": _suite_resolvents,
-    "tate": _suite_tate,
-    "structures": _suite_structures,
-    "lemma53": _suite_lemma53,
-}
-
-
 def cmd_corpus(args):
+    import random
+    from .corpus import SUITES
     names = list(SUITES) if args.suite == "all" else [args.suite]
     unknown = [n for n in names if n not in SUITES]
     if unknown:
@@ -728,7 +478,7 @@ def run(argv):
                "corpus": cmd_corpus}[cmd]
     try:
         payload = handler(args)
-    except _UNSUPPORTED as exc:
+    except Unsupported as exc:
         return _error("unsupported", str(exc), 3)
     except ValueError as exc:  # CliError and every library input error
         return _error("invalid", str(exc), 2)

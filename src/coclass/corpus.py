@@ -1,0 +1,288 @@
+"""Randomized corpus suites mirroring the acceptance properties, and the
+random Lemma 5.3 instances behind `coclass coh lemma53`.
+
+Each suite takes a seeded `random.Random` and returns (cases, passed).
+Only `coclass corpus run` and `coclass coh lemma53` load this module.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+
+from . import etalealg, groupcoh, kummerh1, localsym, permstruct
+from .etalealg import EtaleAlgebra
+from .exactpoly import RationalPoly, discriminant, is_squarefree
+from .exactpoly.modp import is_prime
+from .groupcoh import FiniteGModule
+from .kummerh1 import CoclassC3, CoclassC4, CoclassV4, QuadElem
+from .localsym import LocalFieldDesc, Place
+from .permstruct import FiniteAbelian, PermGroup
+
+
+def random_lemma53_instance(rng: random.Random):
+    """A random (X, Y, H, f, n) instance within desk caps, including the
+    coordinate-character shapes used for the C2 x C2 theorem."""
+    S3 = PermGroup.symmetric(3)
+    C2 = PermGroup.from_cycle_strings(2, ["(0 1)"])
+
+    def s3_on_v4():
+        nz = [(1, 0), (0, 1), (1, 1)]
+        acts = {}
+        for g in S3.elements:
+            phi = {(0, 0): (0, 0)}
+            for i, m in enumerate(nz):
+                phi[m] = nz[g.images[i]]
+            acts[g] = phi
+        return FiniteGModule(S3, FiniteAbelian([2, 2]), acts)
+
+    def s3_c3_sign():
+        M3 = FiniteAbelian([3])
+        neg = {(0,): (0,), (1,): (2,), (2,): (1,)}
+        ident = {m: m for m in M3.elements}
+        act = {g: (neg if sum(l - 1 for l in g.cycle_type()) % 2 else ident)
+               for g in S3.elements}
+        return FiniteGModule(S3, M3, act)
+
+    kind = rng.randrange(4)
+    if kind == 0:
+        # C2 with small trivial modules, identity or multiplication maps
+        orders = rng.choice([[2], [3], [4], [2, 2]])
+        X = FiniteGModule.trivial(C2, FiniteAbelian(orders))
+        Y = X
+        k = rng.choice([1, 1, 2])
+        f = {m: X.module.smul(k, m) for m in X.module.elements}
+        H = rng.choice([C2, PermGroup(2, [])])
+    elif kind == 1:
+        X = s3_c3_sign()
+        Y = X
+        k = rng.choice([1, 2])
+        f = {m: X.module.smul(k, m) for m in X.module.elements}
+        H = rng.choice([S3, PermGroup.from_cycle_strings(3, ["(0 1 2)"]),
+                        PermGroup.from_cycle_strings(3, ["(1 2)"])])
+    elif kind == 2:
+        # the chi_i coordinate characters from the V4 theorem proof
+        X = s3_on_v4()
+        Y = FiniteGModule.trivial(S3, FiniteAbelian([2]))
+        i = rng.randrange(3)
+        nz = [(1, 0), (0, 1), (1, 1)]
+        fixed = nz[i]
+        others = [m for m in nz if m != fixed]
+        f = {(0, 0): (0,), fixed: (0,),
+             others[0]: (1,), others[1]: (1,)}
+        # H must fix the kernel: the point stabilizer of coordinate i
+        pair = [j for j in range(3) if j != i]
+        H = PermGroup.from_cycle_strings(3, [f"({pair[0]} {pair[1]})"])
+    else:
+        X = s3_on_v4()
+        Y = X
+        f = {m: m for m in X.module.elements}
+        H = rng.choice([S3, PermGroup.from_cycle_strings(3, ["(0 1 2)"]),
+                        PermGroup(3, [])])
+    n = rng.choice([0, 1])
+    return X, Y, H, f, n
+
+
+def lemma53_passes(rng: random.Random, cases: int) -> int:
+    """How many of `cases` random instances pass groupcoh.lemma53_check."""
+    passed = 0
+    for _ in range(cases):
+        ok, _ = groupcoh.lemma53_check(*random_lemma53_instance(rng))
+        passed += bool(ok)
+    return passed
+
+
+def _suite_hilbert_conic(rng):
+    cases = passed = 0
+    places = [Place(q) for q in (2, 3, 5, 7, 13)] + [Place.real()]
+    for pl in places:
+        reps = [c.rep for c in localsym.square_classes(pl)]
+        for a in reps:
+            for b in reps:
+                cases += 1
+                passed += (localsym.hilbert2(a, b, pl).is_trivial()
+                           == localsym.conic_has_point(a, b, pl))
+    for _ in range(50):
+        a = rng.choice([1, -1]) * rng.randint(1, 300)
+        b = rng.choice([1, -1]) * rng.randint(1, 300)
+        cases += 1
+        total = localsym.hilbert2(a, b, Place.real()).k
+        for q in range(2, 301):
+            if is_prime(q) and (q == 2 or (a * b) % q == 0):
+                total += localsym.hilbert2(a, b, Place(q)).k
+        passed += (total % 2 == 0)
+    return cases, passed
+
+
+def _random_c3(rng) -> CoclassC3:
+    while True:
+        D = rng.choice([1, 2, 3, 5, -1, -2, 6, 7, 10])
+        d = etalealg.squarefree_part(-3 * D)
+        y = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        # norm one: x^2 - d y^2 = 1 rarely solvable; build from a unit:
+        # delta = z / conj(z) has norm 1 for any z
+        z = QuadElem.of(d, Fraction(rng.randint(1, 9)), y)
+        if z.norm() == 0:
+            continue
+        delta = z * z.conj().inv()
+        return CoclassC3(D, delta)
+
+
+def _suite_roundtrip_c3(rng):
+    cases = passed = 0
+    for _ in range(50):
+        cc = _random_c3(rng)
+        L = kummerh1.c3_encode(cc)
+        back, ambiguous = kummerh1.c3_decode(L)
+        ok = kummerh1.c3_encode(back).canonical() == L.canonical()
+        if not ambiguous:
+            # back must equal cc or its inverse as a cohomology class; the
+            # difference class is trivial iff its algebra has a Q-point
+            ok = ok and any(
+                kummerh1.c3_encode(
+                    kummerh1.c3_add(back, CoclassC3(cc.D.rep, cand.conj()))
+                ).h0_count() >= 1
+                for cand in (cc.delta, cc.delta.conj()))
+        cases += 1
+        passed += ok
+    return cases, passed
+
+
+def _random_v4(rng) -> CoclassV4:
+    R = EtaleAlgebra.from_text("0,1|0,1|0,1")
+    while True:
+        vals = [Fraction(rng.choice([1, 2, 3, 5, 6, -1, -2]),
+                         rng.choice([1, 2, 3])) for _ in range(2)]
+        prod = vals[0] * vals[1]
+        if prod == 0:
+            continue
+        vals.append(1 / prod)
+        return CoclassV4(R, tuple(vals))
+
+
+def _suite_roundtrip_v4(rng):
+    cases = passed = 0
+    for _ in range(50):
+        cc = _random_v4(rng)
+        L = kummerh1.v4_encode(cc)
+        back = kummerh1.v4_decode(L)
+        cases += 1
+        passed += kummerh1.v4_encode(back).isomorphic(L)
+    return cases, passed
+
+
+def _random_c4(rng) -> CoclassC4:
+    """A seeded datum alpha = (c^2 / N(beta)) beta^2 of norm c^4.  Most
+    encode irreducible D4 or C4 quartics; c = N(beta), alpha = beta^4,
+    would encode none."""
+    while True:
+        D = rng.choice([1, 2, 3, 5, 14])
+        u = Fraction(rng.randint(-4, 4))
+        v = Fraction(rng.randint(-3, 3))
+        beta = QuadElem.of(-D, u, v)
+        n = beta.norm()
+        if n == 0:
+            continue
+        c = Fraction(rng.choice((1, -1)) * rng.randint(1, 4), rng.randint(1, 3))
+        al = beta * beta * (c * c / n)
+        return CoclassC4(D, al.x, al.y, c)
+
+
+def _suite_roundtrip_c4(rng):
+    cases = passed = 0
+    for _ in range(50):
+        cc = _random_c4(rng)
+        if rng.random() < 0.5:
+            cc = kummerh1.c4_add(
+                cc, CoclassC4(cc.D.rep, Fraction(-4), Fraction(0),
+                              Fraction(2)))
+        L = kummerh1.c4_encode(cc)
+        back = kummerh1.c4_decode(L)
+        cases += 1
+        passed += kummerh1.c4_encode(back).isomorphic(L)
+    return cases, passed
+
+
+def _suite_resolvents(rng):
+    cases = passed = 0
+    for _ in range(100):
+        cc = _random_c3(rng)
+        L = kummerh1.c3_encode(cc)
+        cases += 1
+        passed += (etalealg.quadratic_resolvent(L) == cc.D)
+    for _ in range(50):
+        cc = _random_v4(rng)
+        L = kummerh1.v4_encode(cc)
+        cases += 1
+        if len(L.factors) == 1:
+            R2 = etalealg.cubic_resolvent(L.defining_poly())
+        else:
+            R2 = kummerh1.v4_decode(L).R
+        passed += (R2.canonical() == cc.R.canonical())
+    done = 0
+    while done < 100:
+        f = RationalPoly([Fraction(rng.randint(-8, 8)) for _ in range(4)]
+                         + [Fraction(1)])
+        if f.degree != 4 or not is_squarefree(f):
+            continue
+        res = etalealg.cubic_resolvent_poly(f)
+        if not is_squarefree(res):
+            continue
+        done += 1
+        cases += 1
+        passed += (etalealg.squarefree_part(discriminant(f))
+                   == etalealg.squarefree_part(discriminant(res)))
+    return cases, passed
+
+
+def _suite_tate(_rng):
+    cases = passed = 0
+    reps = [c.rep for c in localsym.cube_classes(LocalFieldDesc(7))]
+    M = [[localsym.tate_pair_c3(7, 1, u, w).k for w in reps] for u in reps]
+    cases += 2
+    passed += (len({tuple(r) for r in M}) == 9)
+    passed += (len(set(zip(*M))) == 9)
+    R3 = EtaleAlgebra.from_text("0,1|0,1|0,1")
+    for p in (3, 5, 7):
+        triples = localsym.enumerate_h1_local("v4", p)
+        T = [[localsym.tate_pair_v4(p, R3, s, t).k for t in triples]
+             for s in triples]
+        cases += 2
+        passed += (len({tuple(r) for r in T}) == len(triples))
+        passed += (len(set(zip(*T))) == len(triples))
+    return cases, passed
+
+
+def _suite_structures(_rng):
+    cases = passed = 0
+    C4 = PermGroup.from_cycle_strings(4, ["(0 1 2 3)"])
+    S4 = PermGroup.symmetric(4)
+    triv = PermGroup(4, [])
+    expect = [(C4, C4, 2), (triv, C4, 6), (S4, S4, 1)]
+    for image, G, want in expect:
+        count = permstruct.count_g_structures(image, G)
+        cases += 1
+        passed += (count == want)
+    for orders, n in [([2], 2), ([3], 3), ([4], 4), ([2, 2], 4)]:
+        M = FiniteAbelian(orders)
+        cases += 1
+        passed += (M.order * M.aut_order() == math.factorial(M.order)) == (
+            n <= 4 and orders != [4])
+    return cases, passed
+
+
+def _suite_lemma53(rng):
+    return 100, lemma53_passes(rng, 100)
+
+
+SUITES = {
+    "hilbert-conic": _suite_hilbert_conic,
+    "roundtrip-c3": _suite_roundtrip_c3,
+    "roundtrip-v4": _suite_roundtrip_v4,
+    "roundtrip-c4": _suite_roundtrip_c4,
+    "resolvents": _suite_resolvents,
+    "tate": _suite_tate,
+    "structures": _suite_structures,
+    "lemma53": _suite_lemma53,
+}

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import UnsupportedSize, permstruct
+from . import Unsupported, UnsupportedSize, permstruct
 from .exactpoly import (
     RationalPoly,
     compositum_factors,
@@ -28,7 +28,7 @@ class EtaleError(ValueError):
     pass
 
 
-class UnsupportedStructure(EtaleError):
+class UnsupportedStructure(EtaleError, Unsupported):
     pass
 
 

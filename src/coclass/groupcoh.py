@@ -37,7 +37,7 @@ from itertools import cycle, product
 from operator import add, mul, neg, sub
 from typing import Callable, Dict
 
-from . import InternalError, UnsupportedSize
+from . import GROUP_CAP, MODULE_CAP, InternalError, UnsupportedSize
 from .permstruct import (
     FiniteAbelian,
     Perm,
@@ -48,9 +48,6 @@ from .permstruct import (
     orbits,
     prime_powers,
 )
-
-GROUP_CAP = 24
-MODULE_CAP = 16
 
 
 class GroupCohError(ValueError):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import InternalError
+from . import InternalError, Unsupported
 from ._kernels import conic_search
 from .etalealg import EtaleAlgebra, _frac_sqrt, squarefree_part
 from .exactpoly import discriminant, modp
@@ -25,7 +25,7 @@ class LocalSymError(ValueError):
     pass
 
 
-class UnsupportedLocal(LocalSymError):
+class UnsupportedLocal(LocalSymError, Unsupported):
     pass
 
 

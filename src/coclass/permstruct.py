@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from . import _kernels
+from . import Unsupported, _kernels
 
 DEGREE_CAP = 8
 
@@ -23,7 +23,7 @@ class PermStructError(ValueError):
     pass
 
 
-class UnsupportedDegree(PermStructError):
+class UnsupportedDegree(PermStructError, Unsupported):
     pass
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from coclass.cli import SUITES, random_lemma53_instance
+from coclass.corpus import SUITES, random_lemma53_instance
 from coclass.etalealg import (
     EtaleAlgebra,
     frobenius_cycle_types,
@@ -146,7 +146,7 @@ def _embed(e: QuadElem):
 
 
 def test_acceptance_5_c3_group_law_tensor_roots():
-    from coclass.cli import _random_c3
+    from coclass.corpus import _random_c3
 
     rng = random.Random(3)
     tol = mp.mpf(2) ** -64

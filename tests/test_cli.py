@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from coclass import InternalError, cli, groupcoh
-from coclass.cli import SUITES, main, run
+from coclass.cli import main, run
+from coclass.corpus import SUITES
 from coclass.etalealg import EtaleAlgebra, mirror_quartic
 from coclass.permstruct import FiniteAbelian
 from helpers import cyclic_orders_up_to
@@ -184,16 +185,25 @@ def test_group_hol_elementary_abelian_16_cold():
     assert min(seconds for seconds, _ in runs) < 0.5
 
 
-@pytest.mark.parametrize("orders", ["2,2,2,2,2", "32"])
-def test_group_hol_past_module_cap_exit_3(orders):
+@pytest.mark.parametrize("argv", [
     # |M| = 32 is past the module cap of 16; Aut (Z/2)^5 = GL_5(F_2) has
     # 9,999,360 elements, too many to list
+    ["group", "hol", "--orders", "2,2,2,2,2"],
+    ["group", "hol", "--orders", "32"],
+    # one input for each other subclass of coclass.Unsupported, the one
+    # base that `run` maps to exit 3, whichever layers a process has loaded
+    ["etale", "info", "--f", "1,0,0,0,0,1"],          # UnsupportedStructure
+    ["local", "classes", "--p", "7", "--m", "5"],     # UnsupportedLocal
+    ["group", "centralizer", "--n", "9", "--gens", "(0 1)"],  # UnsupportedDegree
+], ids=" ".join)
+def test_past_caps_exit_3_in_process_and_cold(argv):
     start = time.perf_counter()
-    payload = err(["group", "hol", "--orders", orders], 3)
+    payload = err(argv, 3)
     assert time.perf_counter() - start < 1
     assert payload["code"] == "unsupported"
-    seconds, code, _ = _cold_run(["group", "hol", "--orders", orders])
+    seconds, code, payload = _cold_run(argv)
     assert code == 3 and seconds < 1
+    assert payload["code"] == "unsupported"
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coclass import cli, etalealg, kummerh1
+from coclass import corpus, etalealg, kummerh1
 from coclass.etalealg import (
     EtaleAlgebra,
     SquareClass,
@@ -520,7 +520,7 @@ def test_c4_model_closed_form_on_encoded_quartics():
     # changes of primitive element theta -> theta + t theta^2 that
     # c4_decode may take, and of more biquadratics x^4 + p x^2 + r
     rng = random.Random(41)
-    quartics = [f for f in (c4_encode(cli._random_c4(rng)).factors[0]
+    quartics = [f for f in (c4_encode(corpus._random_c4(rng)).factors[0]
                             for _ in range(40)) if f.degree == 4]
     quartics = [g for f in quartics for g in kummerh1._models(f)] + [
         P([r, 0, p, 0, 1]) for p in range(-6, 7) for r in (-3, 2, 5, 7)]

@@ -1,11 +1,14 @@
 """Checks on the package source and on what importing it costs."""
 
 import ast
+import json
 import re
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import coclass
 
@@ -22,13 +25,17 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
-def _loaded_by_cli_import(module):
+def _loaded_by_cli_import(*modules, argv=None):
+    """Which of `modules` a fresh interpreter has loaded after `import
+    coclass.cli` and, with `argv`, after running that command through it."""
     path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = f"import sys, coclass.cli; print({module!r} in sys.modules)"
+    run = "" if argv is None else f"coclass.cli.main({argv!r}); "
+    code = (f"import json, sys, coclass.cli; {run}"
+            f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    return out.strip() == "True"
+    return json.loads(out.splitlines()[-1])
 
 
 def test_cli_import_leaves_mpmath_unloaded():
@@ -38,6 +45,24 @@ def test_cli_import_leaves_mpmath_unloaded():
 def test_cli_import_leaves_argparse_unloaded():
     # the CLI reads its flags from its own grammar table
     assert not _loaded_by_cli_import("argparse")
+
+
+_LAYERS = ("etalealg", "exactpoly", "groupcoh", "kummerh1", "localsym",
+           "corpus")
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (None, _LAYERS),
+    (["group", "hol", "--orders", "2,2"], ("groupcoh", "etalealg", "exactpoly")),
+    (["coh", "h", "--n", "2", "--gens", "(0 1)", "--orders", "2",
+      "--degree", "1"], ("etalealg", "kummerh1", "localsym", "exactpoly")),
+    (["etale", "info", "--f", "7,0,-6,0,1"],
+     ("groupcoh", "kummerh1", "localsym")),
+], ids=["import", "group hol", "coh h", "etale info"])
+def test_cold_cli_loads_only_the_layers_its_command_runs(argv, unloaded):
+    # each handler imports its own layers; a cold call pays for no other
+    assert not _loaded_by_cli_import(*(f"coclass.{m}" for m in unloaded),
+                                     argv=argv)
 
 
 def test_no_environment_knobs_or_compiled_sources():
