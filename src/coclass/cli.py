@@ -30,8 +30,9 @@ if TYPE_CHECKING:
     from .etalealg import EtaleAlgebra
     from .exactpoly import RationalPoly
     from .groupcoh import FiniteGModule
-    from .kummerh1 import CoclassC3, CoclassC4, CoclassV4, QuadElem
+    from .kummerh1 import CoclassC3, CoclassC4, CoclassV4
     from .localsym import Place
+    from .quadratic import QuadElem
 
 SCHEMA = 1
 
@@ -137,7 +138,7 @@ def _build_gmodule(args) -> FiniteGModule:
 
 
 def _quad_from_text(d: int, text: str) -> QuadElem:
-    from .kummerh1 import QuadElem
+    from .quadratic import QuadElem
     x, y = _parse_pair(text)
     return QuadElem.of(d, x, y)
 
@@ -259,9 +260,10 @@ def cmd_coh(args):
 
 
 def cmd_h1(args):
-    from . import etalealg, kummerh1
+    from . import kummerh1
     from .etalealg import EtaleAlgebra
     from .kummerh1 import CoclassC3, CoclassC4, CoclassV4
+    from .quadratic import squarefree_part
     mod, act = args.module_name, args.action_name
     if mod == "c3":
         D = int(args.D) if args.D else None
@@ -272,7 +274,7 @@ def cmd_h1(args):
                     "flags": ["sign_ambiguous"] if ambiguous else []}
         if D is None:
             raise CliError("missing required flag --D")
-        d = etalealg.squarefree_part(-3 * D)
+        d = squarefree_part(-3 * D)
         a = CoclassC3(D, _quad_from_text(d, _need(args, "delta")))
         if act == "encode":
             return _algebra_json(kummerh1.c3_encode(a))
@@ -305,10 +307,9 @@ def cmd_h1(args):
 
 
 def cmd_local(args):
-    from . import etalealg, localsym
-    from .etalealg import EtaleAlgebra
-    from .kummerh1 import QuadElem
+    from . import localsym
     from .localsym import LocalFieldDesc, UnsupportedLocal
+    from .quadratic import QuadElem, squarefree_part
     if args.action_name == "hilbert":
         place = _parse_place(args.p)
         value = localsym.hilbert2(_parse_frac(args.a), _parse_frac(args.b),
@@ -339,8 +340,8 @@ def cmd_local(args):
     p = _parse_place(args.p).p
     if args.module == "c3":
         D = int(_need(args, "D"))
-        d = etalealg.squarefree_part(D)
-        dp = etalealg.squarefree_part(-3 * D)
+        d = squarefree_part(D)
+        dp = squarefree_part(-3 * D)
         def side(text, twist):
             if "," in text:
                 x, y = _parse_pair(text)
@@ -351,6 +352,7 @@ def cmd_local(args):
         return {"value": value.to_str()}
     if args.module != "v4":
         raise CliError(f"unknown tate module {args.module!r}")
+    from .etalealg import EtaleAlgebra
     R = EtaleAlgebra.from_text(args.R) if args.R else \
         EtaleAlgebra.from_text("0,1|0,1|0,1")
     sigma = tuple(_parse_frac(t) for t in args.sigma.split("|"))

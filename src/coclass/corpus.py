@@ -16,9 +16,10 @@ from .etalealg import EtaleAlgebra
 from .exactpoly import RationalPoly, discriminant, is_squarefree
 from .exactpoly.modp import is_prime
 from .groupcoh import FiniteGModule
-from .kummerh1 import CoclassC3, CoclassC4, CoclassV4, QuadElem
+from .kummerh1 import CoclassC3, CoclassC4, CoclassV4
 from .localsym import LocalFieldDesc, Place
 from .permstruct import FiniteAbelian, PermGroup
+from .quadratic import QuadElem, squarefree_part
 
 
 def random_lemma53_instance(rng: random.Random):
@@ -118,7 +119,7 @@ def _suite_hilbert_conic(rng):
 def _random_c3(rng) -> CoclassC3:
     while True:
         D = rng.choice([1, 2, 3, 5, -1, -2, 6, 7, 10])
-        d = etalealg.squarefree_part(-3 * D)
+        d = squarefree_part(-3 * D)
         y = Fraction(rng.randint(1, 6), rng.randint(1, 6))
         # norm one: x^2 - d y^2 = 1 rarely solvable; build from a unit:
         # delta = z / conj(z) has norm 1 for any z
@@ -231,8 +232,8 @@ def _suite_resolvents(rng):
             continue
         done += 1
         cases += 1
-        passed += (etalealg.squarefree_part(discriminant(f))
-                   == etalealg.squarefree_part(discriminant(res)))
+        passed += (squarefree_part(discriminant(f))
+                   == squarefree_part(discriminant(res)))
     return cases, passed
 
 

@@ -5,12 +5,10 @@ Galois-group tags, H^0 counting, mirror quartics, and torsor closures.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import Unsupported, UnsupportedSize, permstruct
+from . import Unsupported, permstruct
 from .exactpoly import (
     RationalPoly,
     compositum_factors,
@@ -22,88 +20,11 @@ from .exactpoly import (
 from .exactpoly import modp
 from .exactpoly.extension import _root_factors
 from .permstruct import Perm, PermGroup
-
-
-class EtaleError(ValueError):
-    pass
+from .quadratic import EtaleError, SquareClass, _frac_sqrt, quadratic_class
 
 
 class UnsupportedStructure(EtaleError, Unsupported):
     pass
-
-
-# ---------------------------------------------------------------------------
-# square classes
-# ---------------------------------------------------------------------------
-
-TRIAL_BOUND = 2 ** 20
-
-
-def squarefree_part(q) -> int:
-    """The squarefree integer representing the square class of a nonzero
-    rational.  Trial division stops at B = TRIAL_BOUND: the cofactor left
-    then has no prime factor below B, so below B^3 it is 1, a prime, p*q or
-    p^2, and `math.isqrt` tells p^2 apart.  A larger cofactor raises
-    UnsupportedSize."""
-    q = Fraction(q)
-    if q == 0:
-        raise EtaleError("zero has no square class")
-    n = q.numerator * q.denominator
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        if d >= TRIAL_BOUND:
-            if n >= TRIAL_BOUND ** 3:
-                raise UnsupportedSize(
-                    f"square class needs a factor of {n.bit_length()} bits "
-                    f"past trial division to {TRIAL_BOUND}")
-            r = math.isqrt(n)
-            return sign * out * (1 if r * r == n else n)
-        odd = False
-        while n % d == 0:
-            n //= d
-            odd = not odd
-        if odd:
-            out *= d
-        d += 1 if d == 2 else 2
-    return sign * out * n
-
-
-def _frac_sqrt(q):
-    """The exact square root of a nonnegative rational, or None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-@dataclass(frozen=True)
-class SquareClass:
-    rep: int
-
-    def __post_init__(self):
-        if squarefree_part(self.rep) != self.rep:
-            raise EtaleError(f"{self.rep} is not squarefree")
-
-    @staticmethod
-    def of(q) -> "SquareClass":
-        """The class of a nonzero rational; its squarefree part is the
-        representative, so it is not checked again."""
-        c = object.__new__(SquareClass)
-        object.__setattr__(c, "rep", squarefree_part(q))
-        return c
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return SquareClass.of(self.rep * other.rep)
-
-    def is_trivial(self) -> bool:
-        return self.rep == 1
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +95,7 @@ class EtaleAlgebra:
             if f.degree == 1:
                 out.append(RationalPoly([0, 1]))
             elif f.degree == 2:
-                m = squarefree_part(discriminant(f))
-                out.append(RationalPoly([-m, 0, 1]))
+                out.append(RationalPoly([-quadratic_class(f), 0, 1]))
             else:
                 out.append(f)
         return EtaleAlgebra(out)

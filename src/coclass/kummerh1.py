@@ -13,97 +13,14 @@ from functools import cached_property
 from . import InternalError
 from .etalealg import (
     EtaleAlgebra,
-    SquareClass,
     UnsupportedStructure,
-    _frac_sqrt,
     _resolvent_of_depressed,
     depress_quartic,
     quadratic_resolvent,
-    squarefree_part,
 )
 from .exactpoly import RationalPoly, charpoly, factor_rationals, gcd, is_squarefree
-
-
-class KummerError(ValueError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# quadratic-algebra elements
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadElem:
-    """x + y*sqrt(d) in Q[sqrt(d)] with d the squarefree representative of
-    the relevant twist class (d = 1 means the split algebra Q x Q via the
-    components x + y and x - y)."""
-
-    base_class: SquareClass
-    x: Fraction
-    y: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-
-    @property
-    def d(self) -> int:
-        return self.base_class.rep
-
-    @staticmethod
-    def of(d, x, y=0) -> "QuadElem":
-        return QuadElem(SquareClass.of(d) if d != 0 else SquareClass(1),
-                        Fraction(x), Fraction(y))
-
-    def _check(self, other: "QuadElem"):
-        if self.base_class != other.base_class:
-            raise KummerError("mismatched quadratic algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuadElem(self.base_class, self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuadElem(self.base_class, self.x - other.x, self.y - other.y)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.base_class, self.x * other, self.y * other)
-        self._check(other)
-        return QuadElem(self.base_class,
-                        self.x * other.x + self.d * self.y * other.y,
-                        self.x * other.y + self.y * other.x)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "QuadElem":
-        return QuadElem(self.base_class, self.x, -self.y)
-
-    def norm(self) -> Fraction:
-        return self.x * self.x - self.d * self.y * self.y
-
-    def trace(self) -> Fraction:
-        return 2 * self.x
-
-    def inv(self) -> "QuadElem":
-        n = self.norm()
-        if n == 0:
-            raise KummerError("element not invertible (zero norm)")
-        return QuadElem(self.base_class, self.x / n, -self.y / n)
-
-    def __pow__(self, k: int):
-        out = QuadElem(self.base_class, 1, 0)
-        base = self if k >= 0 else self.inv()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
-    def is_rational(self) -> bool:
-        return self.y == 0
-
-    def __repr__(self):
-        return f"QuadElem(d={self.d}, {self.x}, {self.y})"
+from .quadratic import (KummerError, QuadElem, SquareClass, _frac_sqrt,
+                        quadratic_class, squarefree_part)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +379,10 @@ def c4_decode(f) -> CoclassC4:
     if degs == [1, 1, 1, 1]:
         return CoclassC4(SquareClass(1), Fraction(1), Fraction(0), Fraction(1))
     if degs == [1, 1, 2]:
-        D = squarefree_part(_quad_disc(next(fi for fi in L.factors
-                                            if fi.degree == 2)))
+        D = quadratic_class(next(fi for fi in L.factors if fi.degree == 2))
         return CoclassC4(SquareClass(D), Fraction(1), Fraction(0), Fraction(1))
     if degs == [2, 2]:
-        m1, m2 = (squarefree_part(_quad_disc(fi)) for fi in L.factors)
+        m1, m2 = (quadratic_class(fi) for fi in L.factors)
         if m1 == m2:
             return CoclassC4(SquareClass(m1), Fraction(-4), Fraction(0),
                              Fraction(2))
@@ -527,11 +443,6 @@ def _c4_model_at(p, q, r, y1):
         return p * p - 8 * r, -p
     c = -(p + y1) / 2
     return c * c - ((p + y1) ** 2 - 4 * q * q / (y1 - p)) / 2, c
-
-
-def _quad_disc(f: RationalPoly) -> Fraction:
-    f = f.monic()
-    return f[1] * f[1] - 4 * f[0]
 
 
 def c4_add(a: CoclassC4, b: CoclassC4) -> CoclassC4:

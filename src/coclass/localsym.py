@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from . import InternalError, Unsupported
 from ._kernels import conic_search
-from .etalealg import EtaleAlgebra, _frac_sqrt, squarefree_part
-from .exactpoly import discriminant, modp
+from .exactpoly import modp
 from .exactpoly.modp import is_prime
-from .kummerh1 import QuadElem
+from .quadratic import QuadElem, _frac_sqrt, quadratic_class, squarefree_part
 
 
 class LocalSymError(ValueError):
@@ -155,20 +154,18 @@ def is_square_padic(x, p: int) -> bool:
 
 def sqrt_padic(x, p: int, prec: int = 60) -> Fraction:
     """An approximation t (mod p^prec on the unit part) with t^2 = x in
-    Q_p; requires x a p-adic square, p odd."""
+    Q_p; requires x a p-adic square, p odd.  The root of x^2 - u mod p,
+    u the unit part, has one Hensel lift, so a lift past p^prec read mod
+    p^prec is the root mod p^prec."""
+    from .exactpoly.factor import _lift_roots
     x = Fraction(x)
     if not is_square_padic(x, p) or p == 2:
         raise LocalSymError("not an odd-p square")
     v = vp(x, p)
     u = unit_part_mod(x, p, prec)
     r = next(r for r in range(1, p) if r * r % p == u % p)
-    # Newton lift: r <- (r + u/r)/2
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        mk = p ** k
-        r = (r + u * pow(r, -1, mk)) * pow(2, -1, mk) % mk
-    return Fraction(r * p ** (v // 2))
+    (r,), _ = _lift_roots([-u, 0, 1], [r], p, p ** prec - 1)
+    return Fraction(r % p ** prec * p ** (v // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +291,10 @@ def cube_classes(F: LocalFieldDesc):
     vals = range(3)
     if (F.q - 1) % 3:
         return [LocalClass(3, Place(p), v, 0, Fraction(p) ** v) for v in vals]
-    if F.f == 1:
-        u = _noncube_unit(p)
-        return [LocalClass(3, Place(p), v, k, Fraction(u ** k * p ** v))
-                for v in vals for k in range(3)]
-    # representatives as (valuation, character) data for extension fields
-    return [LocalClass(3, Place(p), v, k, Fraction(0))
+    if F.f > 1:
+        raise UnsupportedLocal(f"cube classes of extension fields (q = {F.q})")
+    u = _noncube_unit(p)
+    return [LocalClass(3, Place(p), v, k, Fraction(u ** k * p ** v))
             for v in vals for k in range(3)]
 
 
@@ -512,8 +507,8 @@ def tate_pair_v4(p: int, R, sigma, tau) -> SymbolValue:
         raise LocalSymError(f"{p} is not prime")
     if p == 2:
         raise UnsupportedLocal("p must be odd")
-    factors = R.factors if isinstance(R, EtaleAlgebra) else tuple(R)
-    degrees = [getattr(f, "degree", 1) for f in factors]
+    factors = R.factors
+    degrees = [f.degree for f in factors]
     if sum(degrees) != 3:
         raise LocalSymError("R must have degree 3")
     if len(sigma) != len(factors) or len(tau) != len(factors):
@@ -526,7 +521,7 @@ def tate_pair_v4(p: int, R, sigma, tau) -> SymbolValue:
             continue
         if deg != 2:
             raise UnsupportedLocal("factors of degree > 2 not supported")
-        m = squarefree_part(discriminant(f))
+        m = quadratic_class(f)
         if is_square_padic(m, p):
             for sign in (1, -1):
                 u = _embed_split(s, p, sign)

@@ -19,13 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from coclass import InternalError
-from coclass.etalealg import (
-    EtaleAlgebra,
-    SquareClass,
-    _frac_sqrt,
-    cubic_resolvent_poly,
-    squarefree_part,
-)
+from coclass.etalealg import EtaleAlgebra, SquareClass, cubic_resolvent_poly
 from coclass.exactpoly import (
     ExactPolyError,
     RationalPoly,
@@ -69,6 +63,7 @@ from coclass.permstruct import (
     orbits,
     subgroup_conjugates,
 )
+from coclass.quadratic import _frac_sqrt, squarefree_part
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from coclass.etalealg import (
     frobenius_cycle_types,
     galois_group,
     mirror_quartic,
-    squarefree_part,
 )
 from coclass.exactpoly import (
     RationalPoly,

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from coclass import UnsupportedSize, etalealg
+from coclass import UnsupportedSize, etalealg, quadratic
 from coclass.exactpoly import poly
 from coclass.etalealg import (
     EtaleAlgebra,
@@ -28,7 +28,6 @@ from coclass.etalealg import (
     is_g_torsor,
     mirror_quartic,
     quadratic_resolvent,
-    squarefree_part,
     _transitive_tag,
     torsor_closure,
 )
@@ -42,6 +41,7 @@ from coclass.exactpoly import (
 from helpers import transitive_tag_by_norm
 from coclass import permstruct
 from coclass.permstruct import PermGroup
+from coclass.quadratic import squarefree_part
 
 P = RationalPoly
 
@@ -74,7 +74,7 @@ def test_squarefree_part_past_the_trial_bound():
     # cofactors with no prime factor below the bound B: below B^3 they are
     # p, p*q or p^2 and stay exact; past it, exit 3 rather than a long scan
     p, q = 1048583, 1048589  # the first primes past B = 2^20
-    assert etalealg.TRIAL_BOUND < p < q
+    assert quadratic.TRIAL_BOUND < p < q
     for n, part in [(p, p), (p * q, p * q), (p * p, 1), (12 * p * p, 3),
                     (-8 * p * q, -2 * p * q), (18 * p, 2 * p), (35 * q * q, 35),
                     (Fraction(p * q, 4 * p), q)]:
@@ -100,13 +100,13 @@ def test_square_class_of_takes_one_squarefree_part(monkeypatch):
     # the squarefree part is the representative, so `of` does not check it
     # again; direct construction still does
     calls = []
-    part = etalealg.squarefree_part
+    part = quadratic.squarefree_part
 
     def spy(q):
         calls.append(q)
         return part(q)
 
-    monkeypatch.setattr(etalealg, "squarefree_part", spy)
+    monkeypatch.setattr(quadratic, "squarefree_part", spy)
     p, q = 1048583, 1048589
     assert SquareClass.of(p * q).rep == p * q
     assert calls == [p * q]
@@ -310,7 +310,7 @@ def test_galois_group_takes_no_square_class(monkeypatch):
     def refuse(q):
         raise AssertionError("squarefree_part called")
 
-    monkeypatch.setattr(etalealg, "squarefree_part", refuse)
+    monkeypatch.setattr(quadratic, "squarefree_part", refuse)
     for f, tag in CURATED:
         assert galois_group(EtaleAlgebra.from_poly(f)) == tag
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coclass import UnsupportedSize, etalealg
-from coclass.etalealg import EtaleAlgebra, frobenius_cycle_types, squarefree_part, torsor_closure
+from coclass.etalealg import EtaleAlgebra, frobenius_cycle_types, torsor_closure
 from coclass.exactpoly import (
     ExactPolyError,
     RationalPoly,
@@ -40,6 +40,7 @@ from coclass.exactpoly import (
 from coclass.exactpoly import extension, factor, modp, poly
 from coclass.exactpoly.extension import _squarefree_norm
 from coclass.kummerh1 import CoclassV4, v4_encode
+from coclass.quadratic import squarefree_part
 from helpers import (
     ball_contains,
     balls_overlap,

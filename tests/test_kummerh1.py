@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from coclass import corpus, etalealg, kummerh1
 from coclass.etalealg import (
     EtaleAlgebra,
+    EtaleError,
     SquareClass,
     _resolvent_of_depressed,
     cubic_resolvent,
     depress_quartic,
     galois_group,
     quadratic_resolvent,
-    squarefree_part,
 )
 from coclass.exactpoly import (
     RationalPoly,
@@ -49,6 +49,7 @@ from coclass.kummerh1 import (
     v4_decode,
     v4_encode,
 )
+from coclass.quadratic import squarefree_part
 from helpers import (
     c4_model_in_quadratic_field,
     kummer_radical,
@@ -95,6 +96,13 @@ def test_quadelem_split_base():
 def test_quadelem_mismatched_bases():
     with pytest.raises(KummerError):
         QuadElem.of(-15, 1, 0) * QuadElem.of(-3, 1, 0)
+
+
+def test_quadelem_of_zero_has_no_square_class():
+    # d = 0 names no quadratic algebra, and fails as SquareClass.of(0) does
+    for make in (lambda: QuadElem.of(0, 1, 1), lambda: SquareClass.of(0)):
+        with pytest.raises(EtaleError, match="^zero has no square class$"):
+            make()
 
 
 # ---------------------------------------------------------------------------

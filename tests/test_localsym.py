@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from coclass import _kernels, localsym
-from coclass.etalealg import EtaleAlgebra, squarefree_part
+from coclass.etalealg import EtaleAlgebra
 from coclass.exactpoly import modp
 from coclass.kummerh1 import CoclassC3, CoclassV4, QuadElem
 from coclass.localsym import (
@@ -164,6 +164,10 @@ def test_cube_classes_counts():
             assert not _brute_unit_power(unit_part_mod(r, 7, 4), 7, 4, 3)
     with pytest.raises(UnsupportedLocal):
         cube_classes(LocalFieldDesc(3))
+    # q = 25 = 1 mod 3 gives nine classes, but F_5^x lies in the cubes of
+    # F_25^x, so no rational represents a nontrivial unit class
+    with pytest.raises(UnsupportedLocal, match="extension fields"):
+        cube_classes(LocalFieldDesc(5, 2))
 
 
 def test_cube_class_reduction():

@@ -58,7 +58,12 @@ _LAYERS = ("etalealg", "exactpoly", "groupcoh", "kummerh1", "localsym",
       "--degree", "1"], ("etalealg", "kummerh1", "localsym", "exactpoly")),
     (["etale", "info", "--f", "7,0,-6,0,1"],
      ("groupcoh", "kummerh1", "localsym")),
-], ids=["import", "group hol", "coh h", "etale info"])
+    (["local", "hilbert", "--p", "5", "--a", "2", "--b", "5"],
+     ("etalealg", "kummerh1", "groupcoh", "corpus")),
+    (["local", "tate", "--module", "c3", "--p", "7", "--D", "1", "--sigma",
+      "7", "--tau", "2"], ("etalealg", "kummerh1", "groupcoh", "corpus")),
+], ids=["import", "group hol", "coh h", "etale info", "local hilbert",
+        "local tate c3"])
 def test_cold_cli_loads_only_the_layers_its_command_runs(argv, unloaded):
     # each handler imports its own layers; a cold call pays for no other
     assert not _loaded_by_cli_import(*(f"coclass.{m}" for m in unloaded),
